@@ -48,8 +48,6 @@ __all__ = [
     "save_ground_truth",
     "load_confusion_tensor",
     "save_confusion_tensor",
-    "load_class_prior",
-    "save_class_prior",
 ]
 
 PROB_FLOOR_DEFAULT = 1e-12
@@ -325,6 +323,11 @@ class SdsConfig:
     reset_optimizer_each_m_step: bool = False
 
     def validate(self):
+        infinite = [f.name for f in fields(self)
+                    if isinstance(getattr(self, f.name), float)
+                    and not np.isfinite(getattr(self, f.name))]
+        if infinite:
+            raise FormatError(f"config fields must be finite: {infinite}")
         sched = [(int(s), float(a)) for s, a in self.alpha_schedule]
         if not sched:
             raise FormatError("alpha_schedule must be non-empty")
@@ -375,14 +378,7 @@ class SdsConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(d, dict):
-            raise FormatError(f"{path}: config must be a JSON object")
-        return cls.from_dict(d)
+        return cls.from_dict(_load_json(path, "config"))
 
     def to_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -392,6 +388,15 @@ class SdsConfig:
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def _posterior_rows(post):
+    """The N x J rows of a PosteriorMatrix or of a raw array."""
+    rows = post.rows if isinstance(post, PosteriorMatrix) else \
+        np.asarray(post, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError("posterior must be an N x J matrix")
+    return rows
 
 
 def harden(preds: PredictionSet) -> HardLabelSet:
@@ -613,20 +618,4 @@ def save_confusion_tensor(pi, path):
                        for mat in arr]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def load_class_prior(path) -> ClassPrior:
-    obj = _load_json(path, "class prior")
-    if "nu" not in obj:
-        raise FormatError(f"{path}: missing nu key")
-    try:
-        return ClassPrior(np.asarray(obj["nu"], dtype=np.float64))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
-def save_class_prior(prior: ClassPrior, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"nu": [float(v) for v in prior.nu]}, fh, indent=2)
         fh.write("\n")

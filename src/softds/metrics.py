@@ -13,8 +13,8 @@ from .data import (
     PROB_FLOOR_DEFAULT,
     GroundTruth,
     HardLabelSet,
-    PosteriorMatrix,
     PredictionSet,
+    _posterior_rows,
     harden,
 )
 
@@ -32,14 +32,6 @@ __all__ = [
 ]
 
 
-def _rows(post):
-    rows = post.rows if isinstance(post, PosteriorMatrix) else \
-        np.asarray(post, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("posterior must be an N x J matrix")
-    return rows
-
-
 def _labels(truth):
     labels = truth.labels if isinstance(truth, GroundTruth) else \
         np.asarray(truth, dtype=np.int64)
@@ -49,7 +41,7 @@ def _labels(truth):
 
 
 def _aligned(post, truth):
-    rows = _rows(post)
+    rows = _posterior_rows(post)
     labels = _labels(truth)
     if rows.shape[0] != labels.size:
         raise ValueError(
@@ -194,7 +186,7 @@ def true_confusion(preds_or_post, truth) -> np.ndarray:
     elif isinstance(preds_or_post, HardLabelSet):
         votes, j = preds_or_post.labels, preds_or_post.n_classes
     else:
-        rows = _rows(preds_or_post)
+        rows = _posterior_rows(preds_or_post)
         votes, j = np.argmax(rows, axis=1)[:, None], rows.shape[1]
     if votes.shape[0] != labels.size:
         raise ValueError("prediction and truth lengths differ")

@@ -8,10 +8,16 @@ J x J confusion tensor pi^(k).  Fitting alternates a damped E-step
 with an M-step (closed form for nu, a few AdamW steps on pi against the
 expected complete-data log likelihood Q).
 
+:func:`fit` runs each EM iteration as one pass over the private kernels,
+sharing one ``log c`` per fit and one set of evidence statistics per
+iteration.  The public step functions check their inputs and call the
+same kernels; they are the reference ``fit`` is tested against, bitwise.
+
 Determinism: all item reductions run over fixed-size chunks combined in
 chunk order, and member reductions use order-insensitive sums, so results
 are bitwise identical for any thread count, any batch size (per-item
-posteriors), and any member ordering.
+posteriors), and any member ordering.  Only ``fit`` runs chunks on a
+thread pool; the public step functions are single-threaded.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ from .data import (
     PosteriorMatrix,
     PredictionSet,
     SdsConfig,
+    _load_json,
+    _parse_members_pi,
+    _posterior_rows,
     floor_and_renormalize,
     harden,
 )
@@ -156,14 +165,6 @@ def _check_pi(pi):
         raise ValueError("confusion entries must be finite and > 0")
 
 
-def _posterior_rows(post):
-    rows = post.rows if isinstance(post, PosteriorMatrix) else \
-        np.asarray(post, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("posterior must be an N x J matrix")
-    return rows
-
-
 def _chunk_bounds(n_items, n_members, n_classes):
     per_item = max(1, n_members * n_classes * n_classes)
     step = max(1, _CHUNK_TARGET // per_item)
@@ -244,21 +245,56 @@ def _grad_from_stats(s, mass, pi):
     return s + mass[None, :, None] * correction
 
 
-def _require_shapes(preds, rows, pi, nu):
-    n, k, j = preds.probs.shape
-    if rows.shape != (n, j):
-        raise ValueError(f"posterior shape {rows.shape} does not match ({n}, {j})")
+def _adamw_pi(s, mass, pi, config, state):
+    """``config.inner_steps`` AdamW updates of pi minimizing -Q with the
+    analytic gradient, clamping entries to ``config.pi_floor`` after
+    every step.  Returns ``(pi', state')``."""
+    params = pi.ravel().copy()
+    for _ in range(config.inner_steps):
+        grad_q = _grad_from_stats(s, mass, params.reshape(pi.shape))
+        params, state = adamw_step(
+            params, -grad_q.ravel(), state,
+            lr=config.learning_rate,
+            beta1=config.adam_beta1, beta2=config.adam_beta2,
+            eps=config.adam_epsilon, weight_decay=config.weight_decay,
+        )
+        params = np.maximum(params, config.pi_floor)
+        # One sum catches a non-finite entry and any row sum that would
+        # overflow in the next gradient's digamma.
+        if not np.isfinite(params.sum()):
+            raise NumericError("confusion tensor overflowed in the AdamW M-step")
+    return params.reshape(pi.shape), state
+
+
+def _checked_model(preds, model):
+    """Model arrays checked against the predictions' (K, J)."""
+    pi, nu = _model_arrays(model)
+    _check_pi(pi)
+    _, k, j = preds.probs.shape
     if pi.shape != (k, j, j):
         raise ValueError(f"confusion shape {pi.shape} does not match ({k}, {j}, {j})")
     if nu.shape != (j,):
         raise ValueError(f"class prior length {nu.shape} does not match J={j}")
+    return pi, nu
+
+
+def _checked_stats(preds, post, model):
+    """Input checks shared by the public M-step and Q functions, then the
+    evidence statistics of ``post``.  Returns ``(S, mass, pi, nu)``."""
+    pi, nu = _checked_model(preds, model)
+    rows = _posterior_rows(post)
+    if rows.shape != (preds.n_items, preds.n_classes):
+        raise ValueError(f"posterior shape {rows.shape} does not match "
+                         f"({preds.n_items}, {preds.n_classes})")
+    s, mass = _evidence_stats(np.log(preds.probs), rows)
+    return s, mass, pi, nu
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def q_function(preds: PredictionSet, post, model, threads=1) -> float:
+def q_function(preds: PredictionSet, post, model) -> float:
     """Expected complete-data log likelihood
 
         Q = sum_i sum_j post[i,j] * ( ln nu_j
@@ -268,31 +304,20 @@ def q_function(preds: PredictionSet, post, model, threads=1) -> float:
     Raises ValueError if any pi entry is <= 0 or the prior puts zero mass
     on a class that carries posterior weight.
     """
-    pi, nu = _model_arrays(model)
-    _check_pi(pi)
-    rows = _posterior_rows(post)
-    _require_shapes(preds, rows, pi, nu)
-    mass = rows.sum(axis=0)
+    s, mass, pi, nu = _checked_stats(preds, post, model)
     if np.any((nu <= 0.0) & (mass > 0.0)):
         raise ValueError("class prior is zero on a class with posterior mass")
-    log_c = np.log(preds.probs)
-    s, mass = _evidence_stats(log_c, rows, threads)
     return _q_from_stats(s, mass, pi, nu)
 
 
-def q_grad_pi(preds: PredictionSet, post, model, threads=1) -> np.ndarray:
+def q_grad_pi(preds: PredictionSet, post, model) -> np.ndarray:
     """Gradient of :func:`q_function` with respect to the confusion
     tensor:
 
         d Q / d pi_kjl = sum_i post[i,j] *
             ( ln c_ikl - psi(pi_kjl) + psi(sum_l' pi_kjl') )
     """
-    pi, nu = _model_arrays(model)
-    _check_pi(pi)
-    rows = _posterior_rows(post)
-    _require_shapes(preds, rows, pi, nu)
-    log_c = np.log(preds.probs)
-    s, mass = _evidence_stats(log_c, rows, threads)
+    s, mass, pi, _ = _checked_stats(preds, post, model)
     return _grad_from_stats(s, mass, pi)
 
 
@@ -307,7 +332,7 @@ def m_step_nu(post) -> ClassPrior:
 
 
 def m_step_pi(preds: PredictionSet, post, model, config: SdsConfig,
-              state: AdamState, threads=1):
+              state: AdamState):
     """Run ``config.inner_steps`` AdamW updates on the flattened
     confusion tensor, minimizing -Q with the analytic gradient, clamping
     entries to ``config.pi_floor`` after every step.
@@ -315,36 +340,17 @@ def m_step_pi(preds: PredictionSet, post, model, config: SdsConfig,
     The optimizer state is carried, so it can persist across EM
     iterations.  Returns ``(ConfusionTensor, AdamState)``.
     """
-    pi, nu = _model_arrays(model)
-    _check_pi(pi)
-    rows = _posterior_rows(post)
-    _require_shapes(preds, rows, pi, nu)
-    log_c = np.log(preds.probs)
-    s, mass = _evidence_stats(log_c, rows, threads)
-    shape = pi.shape
-    params = pi.ravel().copy()
-    for _ in range(config.inner_steps):
-        grad_q = _grad_from_stats(s, mass, params.reshape(shape))
-        params, state = adamw_step(
-            params, -grad_q.ravel(), state,
-            lr=config.learning_rate,
-            beta1=config.adam_beta1, beta2=config.adam_beta2,
-            eps=config.adam_epsilon, weight_decay=config.weight_decay,
-        )
-        params = np.maximum(params, config.pi_floor)
-    return ConfusionTensor(params.reshape(shape), config.pi_floor), state
+    s, mass, pi, _ = _checked_stats(preds, post, model)
+    pi, state = _adamw_pi(s, mass, pi, config, state)
+    return ConfusionTensor(pi, config.pi_floor), state
 
 
-def e_step_raw(preds: PredictionSet, model, threads=1) -> PosteriorMatrix:
+def e_step_raw(preds: PredictionSet, model) -> PosteriorMatrix:
     """Posterior over the latent class of every item under the current
     parameters: row i is the normalized exponential of the log weights of
     :func:`_log_weight_matrix`.  No damping is applied here."""
-    pi, nu = _model_arrays(model)
-    _check_pi(pi)
-    n, k, j = preds.probs.shape
-    if pi.shape != (k, j, j) or nu.shape != (j,):
-        raise ValueError("model shape does not match predictions")
-    w = _log_weight_matrix(np.log(preds.probs), pi, nu, threads)
+    pi, nu = _checked_model(preds, model)
+    w = _log_weight_matrix(np.log(preds.probs), pi, nu)
     return PosteriorMatrix(_normalize_log_rows(w), list(preds.item_ids))
 
 
@@ -366,13 +372,9 @@ def polyak_update(old, new, alpha: float) -> PosteriorMatrix:
 
 
 def _alpha_at(schedule, iteration):
-    current = None
-    for start, alpha in schedule:
-        if start <= iteration:
-            current = alpha
-    if current is None:
-        raise FormatError("alpha_schedule does not cover iteration 0")
-    return current
+    """Alpha of the last schedule entry starting at or before
+    ``iteration``; a validated schedule always covers iteration 0."""
+    return [alpha for start, alpha in schedule if start <= iteration][-1]
 
 
 def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
@@ -384,42 +386,59 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     ``ds_init_concentration * (D + ds_init_smoothing)`` (clamped to
     ``pi_floor``), and the posterior starts from the ensemble average.
 
-    Each iteration then runs the damped E-step (:func:`e_step_raw` mixed
-    in with the alpha active per ``alpha_schedule``) and the M-step
-    (:func:`m_step_nu`, then :func:`m_step_pi` with optimizer state
-    carried across iterations unless ``reset_optimizer_each_m_step``).
+    Each iteration is one pass over plain arrays, with ``log c`` taken
+    once per fit:
+
+    1. the undamped E-step posterior (as :func:`e_step_raw`), mixed into
+       the previous posterior with the alpha active per
+       ``alpha_schedule`` (as :func:`polyak_update`);
+    2. the evidence statistics S/mass of that posterior, computed once;
+    3. the prior ``nu = mass / sum(mass)`` (as :func:`m_step_nu`);
+    4. ``inner_steps`` AdamW steps on pi (as :func:`m_step_pi`), with the
+       optimizer state carried across iterations unless
+       ``reset_optimizer_each_m_step``;
+    5. Q of the updated model on the same statistics (as
+       :func:`q_function`).
+
     Q is recorded after every iteration; when ``q_rel_tolerance > 0`` the
-    loop stops early once |dQ| / |Q| falls below it.
+    loop stops early once |dQ| / |Q| falls below it.  The model and
+    posterior containers are built once, after the loop.  A posterior,
+    confusion tensor or Q that stops being finite raises
+    :class:`NumericError`.
 
     Returns ``(SdsModel, PosteriorMatrix, FitTrace)``.  Deterministic:
     identical inputs and config produce bitwise identical results for any
-    ``threads``.
+    ``threads``, and the same results as chaining the public step
+    functions.
     """
     cfg = config if config is not None else SdsConfig()
     cfg.validate()
 
     ds_model, _ = ds_em(harden(preds), 1, cfg.ds_init_smoothing)
-    pi0 = np.maximum(
+    pi = np.maximum(
         cfg.ds_init_concentration * (ds_model.confusion + cfg.ds_init_smoothing),
         cfg.pi_floor,
     )
-    model = SdsModel(ConfusionTensor(pi0, cfg.pi_floor), ds_model.prior)
-    post = ensemble_average(preds)
-    state = AdamState.zeros(pi0.size)
+    nu = ds_model.prior.nu
+    post = ensemble_average(preds).rows
+    log_c = np.log(preds.probs)
+    state = AdamState.zeros(pi.size)
 
     iters, qs, alphas, millis = [], [], [], []
     prev_q = None
     for it in range(cfg.em_iterations):
         t0 = time.perf_counter()
         alpha = _alpha_at(cfg.alpha_schedule, it)
-        post = polyak_update(post, e_step_raw(preds, model, threads), alpha)
-        nu = m_step_nu(post)
+        fresh = _normalize_log_rows(_log_weight_matrix(log_c, pi, nu, threads))
+        post = (1.0 - alpha) * post + alpha * fresh
+        if not np.all(np.isfinite(post)):
+            raise NumericError(f"posterior became non-finite at iteration {it}")
+        s, mass = _evidence_stats(log_c, post, threads)
+        nu = mass / mass.sum()
         if cfg.reset_optimizer_each_m_step:
-            state = AdamState.zeros(pi0.size)
-        new_pi, state = m_step_pi(preds, post, SdsModel(model.pi, nu), cfg,
-                                  state, threads)
-        model = SdsModel(new_pi, nu)
-        q = q_function(preds, post, model, threads)
+            state = AdamState.zeros(pi.size)
+        pi, state = _adamw_pi(s, mass, pi, cfg, state)
+        q = _q_from_stats(s, mass, pi, nu)
         if not np.isfinite(q):
             raise NumericError(f"Q became non-finite at iteration {it}")
         iters.append(it)
@@ -431,9 +450,10 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
             break
         prev_q = q
 
+    model = SdsModel(ConfusionTensor(pi, cfg.pi_floor), ClassPrior(nu))
     trace = FitTrace(np.asarray(iters), np.asarray(qs), np.asarray(alphas),
                      np.asarray(millis))
-    return model, PosteriorMatrix(post.rows, list(preds.item_ids)), trace
+    return model, PosteriorMatrix(post, list(preds.item_ids)), trace
 
 
 def online_infer(item_probs, model, prob_floor=PROB_FLOOR_DEFAULT) -> np.ndarray:
@@ -499,10 +519,7 @@ def explain(preds: PredictionSet, model, item_index: int) -> Explanation:
     unnormalized log posterior."""
     if not 0 <= item_index < preds.n_items:
         raise IndexError(f"item index {item_index} out of range [0, {preds.n_items})")
-    pi, nu = _model_arrays(model)
-    _check_pi(pi)
-    if pi.shape[0] != preds.n_members or pi.shape[1] != preds.n_classes:
-        raise ValueError("model shape does not match predictions")
+    pi, nu = _checked_model(preds, model)
     log_c = np.log(preds.probs[item_index])  # (K, J)
     evidence = ((pi - 1.0) * log_c[:, None, :]).sum(axis=2)  # (K, J)
     normalizer = -_normalizer_per_member(pi)  # (K, J)
@@ -535,15 +552,9 @@ def save_model(model: SdsModel, path):
 
 
 def load_model(path) -> SdsModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict) or "nu" not in obj or "members" not in obj:
+    obj = _load_json(path, "model")
+    if "nu" not in obj or "members" not in obj:
         raise FormatError(f"{path}: model must be an object with nu and members")
-    from .data import _parse_members_pi  # shared schema parsing
-
     pi = _parse_members_pi(obj, path)
     floor = float(obj.get("pi_floor", np.min(pi)))
     try:

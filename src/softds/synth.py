@@ -18,6 +18,7 @@ from .data import (
     GroundTruth,
     PosteriorMatrix,
     PredictionSet,
+    _load_json,
 )
 from .mathutils import dirichlet_log_density, normalize_log
 
@@ -48,13 +49,9 @@ class GenerativeSpec:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: invalid JSON ({exc})") from None
+        obj = _load_json(path, "generative spec")
         required = {"n_items", "n_members", "n_classes", "nu_true", "pi_true", "seed"}
-        if not isinstance(obj, dict) or not required.issubset(obj):
+        if not required.issubset(obj):
             raise FormatError(
                 f"{path}: generative spec needs keys {sorted(required)}"
             )

@@ -96,13 +96,21 @@ class TestAggregate:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
-    def test_bad_config_exits_1(self, sim_dir, tmp_path):
+    @pytest.mark.parametrize("config,code", [
+        ({"em_iterations": 0}, 1),
+        ({"weight_decay": float("inf"), "em_iterations": 3}, 1),
+        ({"learning_rate": float("nan")}, 1),
+        # pi overflows in the first AdamW step: a numeric failure
+        ({"learning_rate": 1e308, "em_iterations": 3}, 3),
+    ], ids=["em_iterations_zero", "weight_decay_inf", "learning_rate_nan",
+            "learning_rate_overflow"])
+    def test_bad_config_exit_code(self, sim_dir, tmp_path, config, code):
         _, out_dir = sim_dir
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"em_iterations": 0}))
+        cfg.write_text(json.dumps(config))
         assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
                      "--config", str(cfg),
-                     "--out", str(tmp_path / "o.csv")]) == 1
+                     "--out", str(tmp_path / "o.csv")]) == code
 
     def test_thread_counts_agree(self, sim_dir, tmp_path):
         _, out_dir = sim_dir

@@ -211,13 +211,6 @@ class TestRoundTrips:
         again = s.load_confusion_tensor(path)
         assert np.array_equal(tensor.pi, again.pi)
 
-    def test_class_prior(self, tmp_path):
-        prior = s.ClassPrior(np.array([0.125, 0.375, 0.5]))
-        path = tmp_path / "nu.json"
-        from softds.data import load_class_prior, save_class_prior
-        save_class_prior(prior, path)
-        assert np.array_equal(prior.nu, load_class_prior(path).nu)
-
     def test_ground_truth(self, tmp_path):
         truth = s.GroundTruth(np.array([0, 2, 1]), ["a", "b", "c"])
         path = tmp_path / "t.csv"

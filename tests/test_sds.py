@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import softds as s
 from softds.mathutils import dirichlet_log_density, normalize_log
 from softds.optim import AdamState
-from util import diagonal_spec, random_instance
+from util import diagonal_spec, random_instance, reference_fit
 
 LN_HALF = -0.6931471805599453
 LN_THREE_QUARTERS = -0.2876820724517809  # ln 0.5 + 2 ln 0.5 + ln 6
@@ -179,23 +179,13 @@ class TestMStepPi:
         # monitored along a seeded fit trajectory
         spec = diagonal_spec(3.0, 0.4, seed=21, n_items=400, n_classes=4)
         preds, _ = s.sample(spec)
-        cfg = s.SdsConfig(em_iterations=25).validate()
-        ds_model, _ = s.ds_em(s.harden(preds), 1, cfg.ds_init_smoothing)
-        pi = np.maximum(cfg.ds_init_concentration
-                        * (ds_model.confusion + cfg.ds_init_smoothing),
-                        cfg.pi_floor)
-        model = s.SdsModel(s.ConfusionTensor(pi, cfg.pi_floor), ds_model.prior)
-        post = s.ensemble_average(preds)
-        state = AdamState.zeros(pi.size)
-        for _ in range(cfg.em_iterations):
-            post = s.polyak_update(post, s.e_step_raw(preds, model), 1e-3)
-            nu = s.m_step_nu(post)
-            q_before = s.q_function(preds, post, (model.pi.pi, nu.nu))
-            new_pi, state = s.m_step_pi(preds, post, s.SdsModel(model.pi, nu),
-                                        cfg, state)
-            model = s.SdsModel(new_pi, nu)
-            q_after = s.q_function(preds, post, model)
+
+        def check(post, before, after):
+            q_before = s.q_function(preds, post, before)
+            q_after = s.q_function(preds, post, after)
             assert q_after >= q_before - 1e-6 * abs(q_before)
+
+        reference_fit(preds, s.SdsConfig(em_iterations=25), on_m_step=check)
 
 
 class TestEStepRaw:
@@ -277,6 +267,15 @@ class TestPolyakUpdate:
                 s.polyak_update(rows, rows, alpha)
 
 
+@pytest.fixture(scope="module")
+def chunked_preds():
+    """Predictions large enough that the E-step and the statistics run
+    over two item chunks, so a thread pool has work to split."""
+    spec = diagonal_spec(3.0, 0.4, seed=30, n_items=1000, n_classes=20)
+    preds, _ = s.sample(spec)
+    return preds
+
+
 class TestFit:
     def test_single_perfect_member_is_followed(self):
         spec = diagonal_spec(60.0, 0.05, seed=31, n_items=300, n_members=1,
@@ -316,6 +315,22 @@ class TestFit:
         m8, p8, _ = s.fit(preds, cfg, threads=8)
         assert np.array_equal(m1.pi.pi, m8.pi.pi)
         assert np.array_equal(p1.rows, p8.rows)
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    @pytest.mark.parametrize("cfg", [
+        s.SdsConfig(),
+        s.SdsConfig(alpha_schedule=[(0, 1e-3), (10, 0.5)], em_iterations=20,
+                    reset_optimizer_each_m_step=True),
+        # stops after 25 of the 100 iterations on this data
+        s.SdsConfig(alpha_schedule=[(0, 1.0)], q_rel_tolerance=3.5e-4),
+    ], ids=["default", "schedule_reset", "early_stop"])
+    def test_equals_reference_steps_bitwise(self, chunked_preds, cfg, threads):
+        model, post, trace = s.fit(chunked_preds, cfg, threads=threads)
+        ref_model, ref_post, ref_q = reference_fit(chunked_preds, cfg)
+        assert np.array_equal(model.pi.pi, ref_model.pi.pi)
+        assert np.array_equal(model.nu.nu, ref_model.nu.nu)
+        assert np.array_equal(post.rows, ref_post.rows)
+        assert np.array_equal(trace.q, ref_q)
 
     def test_member_permutation_equivariance(self):
         spec = diagonal_spec(4.0, 0.4, seed=35, n_items=150, n_classes=4)

@@ -3,6 +3,7 @@
 import numpy as np
 
 import softds as s
+from softds.optim import AdamState
 
 
 def random_instance(rng, n_items, n_members, n_classes):
@@ -38,3 +39,37 @@ def accurate_hard_labels(rng, n_items, n_members, accuracy=0.9, n_classes=2):
     flips = rng.random((n_items, n_members)) > accuracy
     labels = np.where(flips, (truth[:, None] + 1) % n_classes, truth[:, None])
     return s.HardLabelSet(labels, n_classes), truth
+
+
+def reference_fit(preds, cfg, on_m_step=None):
+    """The EM loop of ``s.fit`` spelled out with the public step
+    functions, single-threaded.  ``on_m_step(post, before, after)``, if
+    given, sees each M-step's posterior and the models (new prior) with
+    the confusion tensor before and after the AdamW steps.
+
+    Returns ``(SdsModel, PosteriorMatrix, q values)``."""
+    cfg = cfg.validate()
+    ds_model, _ = s.ds_em(s.harden(preds), 1, cfg.ds_init_smoothing)
+    pi = np.maximum(cfg.ds_init_concentration
+                    * (ds_model.confusion + cfg.ds_init_smoothing),
+                    cfg.pi_floor)
+    model = s.SdsModel(s.ConfusionTensor(pi, cfg.pi_floor), ds_model.prior)
+    post = s.ensemble_average(preds)
+    state = AdamState.zeros(pi.size)
+    qs = []
+    for it in range(cfg.em_iterations):
+        alpha = [a for start, a in cfg.alpha_schedule if start <= it][-1]
+        post = s.polyak_update(post, s.e_step_raw(preds, model), alpha)
+        nu = s.m_step_nu(post)
+        if cfg.reset_optimizer_each_m_step:
+            state = AdamState.zeros(pi.size)
+        before = s.SdsModel(model.pi, nu)
+        new_pi, state = s.m_step_pi(preds, post, before, cfg, state)
+        model = s.SdsModel(new_pi, nu)
+        if on_m_step is not None:
+            on_m_step(post, before, model)
+        qs.append(s.q_function(preds, post, model))
+        if (cfg.q_rel_tolerance > 0.0 and len(qs) > 1 and qs[-1] != 0.0
+                and abs(qs[-1] - qs[-2]) / abs(qs[-1]) < cfg.q_rel_tolerance):
+            break
+    return model, post, qs
