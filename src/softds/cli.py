@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -27,6 +26,9 @@ from .data import (
     FormatError,
     PosteriorMatrix,
     SdsConfig,
+    _json_text,
+    _save_json,
+    _write_csv,
     harden,
     load_ground_truth,
     load_posterior,
@@ -40,7 +42,6 @@ from .metrics import auroc, evaluate_posterior, ood_score, reliability_bins, tru
 from .sds import (
     NumericError,
     SdsModel,
-    e_step_raw,
     explain,
     fit,
     load_model,
@@ -71,21 +72,22 @@ def _resolve_threads(value):
     return threads
 
 
-def _load_config(args):
-    config = SdsConfig.from_json(args.config) if args.config else SdsConfig()
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    return config.validate()
-
-
 def _derived_path(out_path, suffix):
     base, _ = os.path.splitext(out_path)
     return base + suffix
 
 
+def _write_report(report, out):
+    """A JSON report to the file ``out``, or to stdout without one."""
+    if out:
+        _save_json(report, out)
+    else:
+        sys.stdout.write(_json_text(report))
+
+
 def _cmd_aggregate(args):
     threads = _resolve_threads(args.threads)
-    config = _load_config(args)
+    config = SdsConfig.from_json(args.config) if args.config else SdsConfig()
     preds = load_predictions(args.manifest, prob_floor=config.prob_floor)
     _log(f"loaded {preds.n_items} items x {preds.n_members} members x "
          f"{preds.n_classes} classes")
@@ -112,8 +114,6 @@ def _cmd_aggregate(args):
         _log(f"model -> {model_path}; trace -> {trace_path} "
              f"({len(trace)} iterations, final q={trace.q[-1]:.6g})")
 
-    if not np.all(np.isfinite(post.rows)):
-        raise NumericError("aggregated posterior contains non-finite values")
     save_posterior(post, args.out)
     _log(f"posterior -> {args.out}")
     return 0
@@ -131,12 +131,9 @@ def _cmd_evaluate(args):
         report.update(evaluate_posterior(post, truth, n_bins=args.bins).to_dict())
         if args.ece_bins_out:
             conf, acc, count = reliability_bins(post, truth, args.bins)
-            with open(args.ece_bins_out, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["bin", "conf", "acc", "count"])
-                for b in range(args.bins):
-                    writer.writerow([b, repr(float(conf[b])), repr(float(acc[b])),
-                                     int(count[b])])
+            _write_csv(args.ece_bins_out, ["bin", "conf", "acc", "count"],
+                       zip(range(args.bins), conf.tolist(), acc.tolist(),
+                           count.astype(np.int64).tolist()))
         if args.confusion_out:
             if args.manifest:
                 source = load_predictions(args.manifest)
@@ -165,12 +162,7 @@ def _cmd_evaluate(args):
         raise FormatError(
             "nothing to evaluate: pass --posterior/--truth and/or --ood-in/--ood-out"
         )
-    payload = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write_report(report, args.out)
     return 0
 
 
@@ -253,17 +245,7 @@ def _cmd_explain(args):
         index = preds.item_ids.index(args.item)
     except ValueError:
         raise FormatError(f"unknown item id {args.item!r}") from None
-    breakdown = explain(preds, model, index)
-    # sanity: the decomposition must reproduce the batch posterior
-    batch_row = e_step_raw(preds, model).rows[index]
-    if np.max(np.abs(batch_row - breakdown.posterior)) > 1e-8:
-        raise NumericError("explanation does not reproduce the posterior")
-    payload = json.dumps(breakdown.to_dict(), indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write_report(explain(preds, model, index).to_dict(), args.out)
     return 0
 
 
@@ -286,7 +268,6 @@ def build_parser():
                                          "from --out)")
     agg.add_argument("--threads", type=int, default=None,
                      help="worker cap (default: SOFTDS_THREADS or all cores)")
-    agg.add_argument("--seed", type=int, default=None, help="config seed override")
     agg.set_defaults(func=_cmd_aggregate)
 
     ev = sub.add_parser("evaluate", help="score a posterior against ground truth")

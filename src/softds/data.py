@@ -46,7 +46,6 @@ __all__ = [
     "save_posterior",
     "load_ground_truth",
     "save_ground_truth",
-    "load_confusion_tensor",
     "save_confusion_tensor",
 ]
 
@@ -319,7 +318,6 @@ class SdsConfig:
     ds_init_concentration: float = 10.0
     ds_init_smoothing: float = 0.01
     q_rel_tolerance: float = 0.0
-    seed: int = 0
     reset_optimizer_each_m_step: bool = False
 
     def validate(self):
@@ -353,11 +351,6 @@ class SdsConfig:
         self.alpha_schedule = sched
         return self
 
-    def to_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["alpha_schedule"] = [[int(s), float(a)] for s, a in self.alpha_schedule]
-        return out
-
     @classmethod
     def from_dict(cls, d):
         known = {f.name for f in fields(cls)}
@@ -380,11 +373,6 @@ class SdsConfig:
     def from_json(cls, path):
         return cls.from_dict(_load_json(path, "config"))
 
-    def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -406,7 +394,7 @@ def harden(preds: PredictionSet) -> HardLabelSet:
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON I/O
+# CSV / JSON I/O: the only places that open a file for a format
 
 
 def _read_csv(path):
@@ -415,6 +403,37 @@ def _read_csv(path):
     if not rows:
         raise FormatError(f"{path}: empty file")
     return rows
+
+
+def _write_csv(path, header, rows):
+    """A header line, then one line per row; lines end with ``\\r\\n`` and
+    floats are written with ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _load_json(path, what):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
+def _json_text(obj):
+    """The text of every JSON file and report: two-space indent, one
+    trailing newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _save_json(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json_text(obj))
 
 
 def _check_prob_header(header, path):
@@ -453,22 +472,8 @@ def _parse_prob_file(path, expect_classes=None):
 
 
 def _write_prob_file(path, ids, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id"] + [f"p_{j}" for j in range(rows.shape[1])])
-        for item_id, row in zip(ids, rows):
-            writer.writerow([item_id] + [repr(float(v)) for v in row])
-
-
-def _load_json(path, what):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise FormatError(f"{path}: {what} must be a JSON object")
-    return obj
+    _write_csv(path, ["item_id"] + [f"p_{j}" for j in range(rows.shape[1])],
+               ([item_id, *row] for item_id, row in zip(ids, rows.tolist())))
 
 
 def load_predictions(manifest_path, prob_floor=PROB_FLOOR_DEFAULT, sum_tol=1e-3):
@@ -477,8 +482,9 @@ def load_predictions(manifest_path, prob_floor=PROB_FLOOR_DEFAULT, sum_tol=1e-3)
 
     Item order follows member file 0; all member files must list the
     same item ids in the same order.  A row whose probabilities sum
-    further than ``sum_tol`` from 1, a negative entry, or a missing
-    column raises :class:`FormatError` naming the file and line.
+    further than ``sum_tol`` from 1, a negative or non-finite entry, or
+    a missing column raises :class:`FormatError` naming the file and
+    line.
     """
     manifest = _load_json(manifest_path, "manifest")
     n_classes = manifest.get("n_classes")
@@ -494,9 +500,10 @@ def load_predictions(manifest_path, prob_floor=PROB_FLOOR_DEFAULT, sum_tol=1e-3)
     for member_path in members:
         full = member_path if os.path.isabs(member_path) else os.path.join(base, member_path)
         ids, mat = _parse_prob_file(full, expect_classes=n_classes)
-        if np.any(mat < 0.0):
-            rn = int(np.argwhere(mat < 0.0)[0][0]) + 2
-            raise FormatError(f"{full}, line {rn}: negative probability")
+        bad = ~(np.isfinite(mat) & (mat >= 0.0))
+        if np.any(bad):
+            rn = int(np.argwhere(bad)[0][0]) + 2
+            raise FormatError(f"{full}, line {rn}: negative or non-finite probability")
         dev = np.abs(mat.sum(axis=1) - 1.0)
         if np.any(dev > sum_tol):
             bad = int(np.argmax(dev))
@@ -539,9 +546,7 @@ def save_predictions(preds: PredictionSet, out_dir, manifest_name="manifest.json
     if labels_filename is not None:
         manifest["labels"] = labels_filename
     manifest_path = os.path.join(out_dir, manifest_name)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _save_json(manifest, manifest_path)
     return manifest_path
 
 
@@ -579,11 +584,12 @@ def load_ground_truth(path) -> GroundTruth:
 
 
 def save_ground_truth(truth: GroundTruth, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id", "label"])
-        for item_id, label in zip(truth.item_ids, truth.labels):
-            writer.writerow([item_id, int(label)])
+    _write_csv(path, ["item_id", "label"], zip(truth.item_ids, truth.labels.tolist()))
+
+
+def _members_pi(pi):
+    """The ``members`` list of the confusion schema for K x J x J ``pi``."""
+    return [{"pi": mat.tolist()} for mat in np.asarray(pi, dtype=np.float64)]
 
 
 def _parse_members_pi(obj, path):
@@ -603,19 +609,7 @@ def _parse_members_pi(obj, path):
     return np.stack(mats, axis=0)
 
 
-def load_confusion_tensor(path, pi_floor=PI_FLOOR_DEFAULT) -> ConfusionTensor:
-    obj = _load_json(path, "confusion tensor")
-    try:
-        return ConfusionTensor(_parse_members_pi(obj, path), pi_floor)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
 def save_confusion_tensor(pi, path):
     """Write K stacked J x J matrices (a ConfusionTensor or raw array)."""
-    arr = pi.pi if isinstance(pi, ConfusionTensor) else np.asarray(pi, dtype=np.float64)
-    obj = {"members": [{"pi": [[float(v) for v in row] for row in mat]}
-                       for mat in arr]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    _save_json({"members": _members_pi(pi.pi if isinstance(pi, ConfusionTensor) else pi)},
+               path)

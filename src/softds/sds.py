@@ -22,8 +22,6 @@ thread pool; the public step functions are single-threaded.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,12 +38,16 @@ from .data import (
     PredictionSet,
     SdsConfig,
     _load_json,
+    _members_pi,
     _parse_members_pi,
     _posterior_rows,
+    _read_csv,
+    _save_json,
+    _write_csv,
     floor_and_renormalize,
     harden,
 )
-from .mathutils import digamma, log_gamma, normalize_log, sorted_sum
+from .mathutils import digamma, log_gamma, sorted_sum
 from .optim import AdamState, adamw_step
 
 __all__ = [
@@ -69,6 +71,8 @@ __all__ = [
 # Floor applied to the class prior inside logarithms only, so that a
 # prior entry that collapsed to exactly 0 keeps the E-step finite.
 NU_LOG_FLOOR = 1e-300
+
+_TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 
 # Target float64 element count of the per-chunk (chunk, J, K, J) scratch
 # block.  Chunk boundaries depend only on array shapes - never on the
@@ -123,18 +127,14 @@ class FitTrace:
         return self.iteration.size
 
     def save_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "q", "alpha", "millis"])
-            for it, q, a, ms in zip(self.iteration, self.q, self.alpha, self.millis):
-                writer.writerow([int(it), repr(float(q)), repr(float(a)),
-                                 repr(float(ms))])
+        _write_csv(path, _TRACE_HEADER,
+                   zip(self.iteration.tolist(), self.q.tolist(), self.alpha.tolist(),
+                       self.millis.tolist()))
 
     @classmethod
     def load_csv(cls, path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["iteration", "q", "alpha", "millis"]:
+        rows = _read_csv(path)
+        if rows[0] != _TRACE_HEADER:
             raise FormatError(f"{path}: header must be iteration,q,alpha,millis")
         data = [[], [], [], []]
         for rn, row in enumerate(rows[1:], start=2):
@@ -490,7 +490,8 @@ class Explanation:
     is sum_l (pi_kjl - 1) ln c_ikl (the data-dependent vote of member k),
     and ``member_normalizer[k, j]`` is the item-independent term
     ln Gamma(sum_l pi_kjl) - sum_l ln Gamma(pi_kjl).  Their sum is
-    ``log_weights``, and ``posterior`` is its normalized exponential.
+    ``log_weights`` up to rounding, and ``posterior`` is its normalized
+    exponential.
     """
 
     item_id: str
@@ -503,35 +504,34 @@ class Explanation:
     def to_dict(self):
         return {
             "item_id": self.item_id,
-            "log_prior": [float(v) for v in self.log_prior],
-            "member_evidence": [[float(v) for v in row]
-                                for row in self.member_evidence],
-            "member_normalizer": [[float(v) for v in row]
-                                  for row in self.member_normalizer],
-            "log_weights": [float(v) for v in self.log_weights],
-            "posterior": [float(v) for v in self.posterior],
+            "log_prior": self.log_prior.tolist(),
+            "member_evidence": self.member_evidence.tolist(),
+            "member_normalizer": self.member_normalizer.tolist(),
+            "log_weights": self.log_weights.tolist(),
+            "posterior": self.posterior.tolist(),
         }
 
 
 def explain(preds: PredictionSet, model, item_index: int) -> Explanation:
     """Break one item's log posterior into prior, per-member evidence,
     and per-member normalizer terms; summing them reproduces the
-    unnormalized log posterior."""
+    unnormalized log posterior to rounding.
+
+    ``log_weights`` and ``posterior`` come from the batch E-step kernel on
+    the item's row, so ``posterior`` equals the item's :func:`e_step_raw`
+    row bit for bit and does not depend on member order."""
     if not 0 <= item_index < preds.n_items:
         raise IndexError(f"item index {item_index} out of range [0, {preds.n_items})")
     pi, nu = _checked_model(preds, model)
-    log_c = np.log(preds.probs[item_index])  # (K, J)
-    evidence = ((pi - 1.0) * log_c[:, None, :]).sum(axis=2)  # (K, J)
-    normalizer = -_normalizer_per_member(pi)  # (K, J)
-    log_prior = _log_nu(nu)
-    log_weights = log_prior + evidence.sum(axis=0) + normalizer.sum(axis=0)
+    log_c = np.log(preds.probs[item_index:item_index + 1])  # (1, K, J)
+    log_weights = _log_weight_matrix(log_c, pi, nu)
     return Explanation(
         item_id=preds.item_ids[item_index],
-        log_prior=log_prior,
-        member_evidence=evidence,
-        member_normalizer=normalizer,
-        log_weights=log_weights,
-        posterior=normalize_log(log_weights),
+        log_prior=_log_nu(nu),
+        member_evidence=((pi - 1.0) * log_c[0, :, None, :]).sum(axis=2),  # (K, J)
+        member_normalizer=-_normalizer_per_member(pi),  # (K, J)
+        log_weights=log_weights[0],
+        posterior=_normalize_log_rows(log_weights)[0],
     )
 
 
@@ -540,15 +540,8 @@ def explain(preds: PredictionSet, model, item_index: int) -> Explanation:
 
 
 def save_model(model: SdsModel, path):
-    obj = {
-        "nu": [float(v) for v in model.nu.nu],
-        "members": [{"pi": [[float(v) for v in row] for row in mat]}
-                    for mat in model.pi.pi],
-        "pi_floor": float(model.pi.pi_floor),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    _save_json({"nu": model.nu.nu.tolist(), "members": _members_pi(model.pi.pi),
+                "pi_floor": float(model.pi.pi_floor)}, path)
 
 
 def load_model(path) -> SdsModel:

@@ -5,7 +5,6 @@ form the ground-truth oracle used to verify fitting and online inference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .data import (
     PosteriorMatrix,
     PredictionSet,
     _load_json,
+    _save_json,
 )
 from .mathutils import dirichlet_log_density, normalize_log
 
@@ -71,18 +71,14 @@ class GenerativeSpec:
             raise FormatError(f"{path}: {exc}") from None
 
     def to_json(self, path):
-        obj = {
+        _save_json({
             "n_items": self.n_items,
             "n_members": self.n_members,
             "n_classes": self.n_classes,
-            "nu_true": [float(v) for v in self.nu_true.nu],
-            "pi_true": [[[float(v) for v in row] for row in mat]
-                        for mat in self.pi_true.pi],
+            "nu_true": self.nu_true.nu.tolist(),
+            "pi_true": self.pi_true.pi.tolist(),
             "seed": self.seed,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        }, path)
 
 
 def _stream(seed, *key):

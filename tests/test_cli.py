@@ -102,8 +102,10 @@ class TestAggregate:
         ({"learning_rate": float("nan")}, 1),
         # pi overflows in the first AdamW step: a numeric failure
         ({"learning_rate": 1e308, "em_iterations": 3}, 3),
+        # the fit is deterministic and has no seed
+        ({"seed": 0}, 1),
     ], ids=["em_iterations_zero", "weight_decay_inf", "learning_rate_nan",
-            "learning_rate_overflow"])
+            "learning_rate_overflow", "seed_unknown"])
     def test_bad_config_exit_code(self, sim_dir, tmp_path, config, code):
         _, out_dir = sim_dir
         cfg = tmp_path / "cfg.json"

@@ -456,7 +456,15 @@ class TestExplain:
         np.testing.assert_allclose(recomposed, breakdown.log_weights,
                                    atol=1e-10)
         batch = s.e_step_raw(preds, (pi, nu)).rows[2]
-        np.testing.assert_allclose(breakdown.posterior, batch, atol=1e-10)
+        assert np.array_equal(breakdown.posterior, batch)
+        # the same members in another order give the same bits
+        order = [2, 0, 1]
+        permuted = s.explain(s.PredictionSet(preds.probs[:, order, :]),
+                             (pi[order], nu), 2)
+        assert np.array_equal(permuted.log_weights, breakdown.log_weights)
+        assert np.array_equal(permuted.posterior, breakdown.posterior)
+        assert np.array_equal(permuted.member_evidence,
+                              breakdown.member_evidence[order])
 
     def test_uniform_member_votes_equally(self):
         # member 1 outputs 1/J everywhere and has identical confusion rows,
