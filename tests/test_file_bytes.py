@@ -115,8 +115,6 @@ EVALUATE_JSON = """\
 }
 """
 
-# With every pi entry 1 and one member the evidence terms are exact
-# zeros, so the per-member sums and the batch E-step agree bit for bit.
 EXPLAIN_JSON = """\
 {
   "item_id": "a",
