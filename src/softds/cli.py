@@ -88,7 +88,7 @@ def _write_report(report, out):
 def _cmd_aggregate(args):
     threads = _resolve_threads(args.threads)
     config = SdsConfig.from_json(args.config) if args.config else SdsConfig()
-    preds = load_predictions(args.manifest, prob_floor=config.prob_floor)
+    preds = load_predictions(args.manifest)
     _log(f"loaded {preds.n_items} items x {preds.n_members} members x "
          f"{preds.n_classes} classes")
 

@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 __all__ = [
     "FormatError",
-    "PROB_FLOOR_DEFAULT",
+    "PROB_FLOOR",
     "PI_FLOOR_DEFAULT",
     "floor_and_renormalize",
     "PredictionSet",
@@ -49,7 +51,9 @@ __all__ = [
     "save_confusion_tensor",
 ]
 
-PROB_FLOOR_DEFAULT = 1e-12
+# Every load floors probabilities here (then renormalizes), so their logs
+# stay finite; metrics floor at the same value.
+PROB_FLOOR = 1e-12
 PI_FLOOR_DEFAULT = 1e-6
 
 # Rows whose sum is already within this tolerance of 1 are left untouched
@@ -67,24 +71,24 @@ def _frozen(arr, dtype=np.float64):
     return out
 
 
-def floor_and_renormalize(probs, floor=PROB_FLOOR_DEFAULT):
-    """Clamp probabilities to >= floor, then renormalize any row of the
-    trailing axis whose sum drifted from 1.
+def floor_and_renormalize(probs):
+    """Clamp probabilities to >= ``PROB_FLOOR``, then renormalize any row
+    of the trailing axis whose sum drifted from 1.
 
-    The output is a bitwise fixed point: every entry is >= floor exactly
+    The output is a bitwise fixed point: every entry is >= the floor exactly
     (division is followed by a re-clamp) and rows already summing to 1
     within 5e-13 are returned unchanged.  Applying the function to its
     own output therefore reproduces it bit for bit, which keeps batch
     loading, save/load round-trips, and per-item online processing in
     exact agreement.
     """
-    p = np.maximum(np.asarray(probs, dtype=np.float64), floor)
+    p = np.maximum(np.asarray(probs, dtype=np.float64), PROB_FLOOR)
     for _ in range(3):
         sums = p.sum(axis=-1, keepdims=True)
         off = np.abs(sums - 1.0) > _RENORM_SKIP_TOL
         if not np.any(off):
             break
-        p = np.maximum(np.where(off, p / sums, p), floor)
+        p = np.maximum(np.where(off, p / sums, p), PROB_FLOOR)
     return p
 
 
@@ -124,10 +128,9 @@ class PredictionSet:
         self.probs = probs
 
     @classmethod
-    def from_probs(cls, raw, item_ids=None, prob_floor=PROB_FLOOR_DEFAULT,
-                   sum_tol=1e-6):
+    def from_probs(cls, raw, item_ids=None, sum_tol=1e-6):
         """Validate raw probabilities (row sums within ``sum_tol`` of 1,
-        no negatives), floor at ``prob_floor`` and renormalize."""
+        no negatives), floor at ``PROB_FLOOR`` and renormalize."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 3:
             raise FormatError("prediction array must be N x K x J")
@@ -142,7 +145,7 @@ class PredictionSet:
                 f"member {k} item {i}: probabilities sum to "
                 f"{raw[i, k].sum():.6f} (tolerance {sum_tol:g})"
             )
-        return cls(floor_and_renormalize(raw, prob_floor), item_ids)
+        return cls(floor_and_renormalize(raw), item_ids)
 
     @property
     def n_items(self):
@@ -294,6 +297,22 @@ class GroundTruth:
 # configuration
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# Accepted values per SdsConfig annotation: (description, test).  A float
+# field takes a real number that is finite as a float64; the comparison is
+# exact for ints, so one too large to convert fails it, and so does NaN.
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number",
+              lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
 @dataclass
 class SdsConfig:
     """Hyperparameters of the EM fit.
@@ -314,19 +333,26 @@ class SdsConfig:
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
     pi_floor: float = PI_FLOOR_DEFAULT
-    prob_floor: float = PROB_FLOOR_DEFAULT
     ds_init_concentration: float = 10.0
     ds_init_smoothing: float = 0.01
     q_rel_tolerance: float = 0.0
     reset_optimizer_each_m_step: bool = False
 
     def validate(self):
-        infinite = [f.name for f in fields(self)
-                    if isinstance(getattr(self, f.name), float)
-                    and not np.isfinite(getattr(self, f.name))]
-        if infinite:
-            raise FormatError(f"config fields must be finite: {infinite}")
-        sched = [(int(s), float(a)) for s, a in self.alpha_schedule]
+        """Check every field against its annotation and range, and convert
+        ``alpha_schedule`` to ``(int, float)`` pairs; returns ``self``."""
+        for f in fields(self):
+            kind = _FIELD_KINDS.get(f.type)
+            value = getattr(self, f.name)
+            if kind is not None and not kind[1](value):
+                raise FormatError(f"config field {f.name} must be {kind[0]}, "
+                                  f"got {value!r}")
+        try:
+            sched = [(int(s), float(a)) for s, a in self.alpha_schedule]
+        except (TypeError, ValueError, OverflowError):
+            raise FormatError(
+                "alpha_schedule must be a list of [start_iteration, alpha] pairs"
+            ) from None
         if not sched:
             raise FormatError("alpha_schedule must be non-empty")
         if sched[0][0] != 0:
@@ -340,8 +366,8 @@ class SdsConfig:
             raise FormatError("em_iterations and inner_steps must be >= 1")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise FormatError("need learning_rate > 0 and weight_decay >= 0")
-        if self.pi_floor <= 0 or self.prob_floor <= 0:
-            raise FormatError("pi_floor and prob_floor must be > 0")
+        if self.pi_floor <= 0:
+            raise FormatError("pi_floor must be > 0")
         if self.ds_init_concentration <= 0 or self.ds_init_smoothing < 0:
             raise FormatError(
                 "need ds_init_concentration > 0 and ds_init_smoothing >= 0"
@@ -357,17 +383,7 @@ class SdsConfig:
         unknown = set(d) - known
         if unknown:
             raise FormatError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "alpha_schedule" in kwargs:
-            try:
-                kwargs["alpha_schedule"] = [
-                    (int(s), float(a)) for s, a in kwargs["alpha_schedule"]
-                ]
-            except (TypeError, ValueError):
-                raise FormatError(
-                    "alpha_schedule must be a list of [start_iteration, alpha] pairs"
-                ) from None
-        return cls(**kwargs).validate()
+        return cls(**d).validate()
 
     @classmethod
     def from_json(cls, path):
@@ -476,7 +492,7 @@ def _write_prob_file(path, ids, rows):
                ([item_id, *row] for item_id, row in zip(ids, rows.tolist())))
 
 
-def load_predictions(manifest_path, prob_floor=PROB_FLOOR_DEFAULT, sum_tol=1e-3):
+def load_predictions(manifest_path, sum_tol=1e-3):
     """Load the member CSVs referenced by a manifest into a validated,
     floored, renormalized :class:`PredictionSet`.
 
@@ -528,8 +544,7 @@ def load_predictions(manifest_path, prob_floor=PROB_FLOOR_DEFAULT, sum_tol=1e-3)
             mat = np.stack([lookup[item_id] for item_id in ids0])
         stacks.append(mat)
     probs = np.stack(stacks, axis=1)
-    return PredictionSet.from_probs(probs, ids0, prob_floor=prob_floor,
-                                    sum_tol=sum_tol)
+    return PredictionSet.from_probs(probs, ids0, sum_tol=sum_tol)
 
 
 def save_predictions(preds: PredictionSet, out_dir, manifest_name="manifest.json",

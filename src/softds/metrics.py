@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    PROB_FLOOR_DEFAULT,
+    PROB_FLOOR,
     GroundTruth,
     HardLabelSet,
     PredictionSet,
@@ -126,11 +126,11 @@ def brier(post, truth) -> float:
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
-def nll(post, truth, prob_floor=PROB_FLOOR_DEFAULT) -> float:
+def nll(post, truth) -> float:
     """Mean negative natural log of the probability assigned to the true
-    class, with probabilities floored at ``prob_floor``."""
+    class, with probabilities floored at ``PROB_FLOOR``."""
     rows, labels = _aligned(post, truth)
-    p = np.maximum(rows[np.arange(labels.size), labels], prob_floor)
+    p = np.maximum(rows[np.arange(labels.size), labels], PROB_FLOOR)
     return float(np.mean(-np.log(p)))
 
 
@@ -212,14 +212,13 @@ def true_confusion(preds_or_post, truth) -> np.ndarray:
     return out
 
 
-def evaluate_posterior(post, truth, n_bins=300,
-                       prob_floor=PROB_FLOOR_DEFAULT) -> MetricReport:
+def evaluate_posterior(post, truth, n_bins=300) -> MetricReport:
     """Bundle the four headline metrics into a report."""
     rows, labels = _aligned(post, truth)
     return MetricReport(
         accuracy=accuracy(rows, labels),
         ece=ece(rows, labels, n_bins),
         brier=brier(rows, labels),
-        nll=nll(rows, labels, prob_floor),
+        nll=nll(rows, labels),
         n_items=int(labels.size),
     )

@@ -30,7 +30,6 @@ import numpy as np
 
 from .baselines import ds_em, ensemble_average
 from .data import (
-    PROB_FLOOR_DEFAULT,
     ClassPrior,
     ConfusionTensor,
     FormatError,
@@ -44,7 +43,6 @@ from .data import (
     _read_csv,
     _save_json,
     _write_csv,
-    floor_and_renormalize,
     harden,
 )
 from .mathutils import digamma, log_gamma, sorted_sum
@@ -140,9 +138,12 @@ class FitTrace:
         for rn, row in enumerate(rows[1:], start=2):
             if len(row) != 4:
                 raise FormatError(f"{path}, line {rn}: expected 4 columns")
-            data[0].append(int(row[0]))
-            for col in range(1, 4):
-                data[col].append(float(row[col]))
+            try:
+                data[0].append(int(row[0]))
+                for col in range(1, 4):
+                    data[col].append(float(row[col]))
+            except ValueError:
+                raise FormatError(f"{path}, line {rn}: non-numeric value") from None
         return cls(*data)
 
 
@@ -150,34 +151,11 @@ class FitTrace:
 # internal kernels
 
 
-def _model_arrays(model):
-    """Accept an SdsModel or a raw (pi, nu) pair; return float64 arrays."""
-    if isinstance(model, SdsModel):
-        return model.pi.pi, model.nu.nu
-    pi, nu = model
-    return np.asarray(pi, dtype=np.float64), np.asarray(nu, dtype=np.float64)
-
-
-def _check_pi(pi):
-    if pi.ndim != 3 or pi.shape[1] != pi.shape[2]:
-        raise ValueError("confusion tensor must be K x J x J")
-    if not np.all(np.isfinite(pi)) or np.any(pi <= 0.0):
-        raise ValueError("confusion entries must be finite and > 0")
-
-
-def _chunk_bounds(n_items, n_members, n_classes):
+def _chunks(n_items, n_members, n_classes):
+    """Item slices of the fixed-size chunks."""
     per_item = max(1, n_members * n_classes * n_classes)
     step = max(1, _CHUNK_TARGET // per_item)
-    return [(lo, min(lo + step, n_items)) for lo in range(0, n_items, step)]
-
-
-def _map_chunks(fn, bounds, threads):
-    """Apply ``fn(lo, hi)`` to every chunk; results come back in chunk
-    order regardless of the worker count."""
-    if threads <= 1 or len(bounds) == 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda b: fn(b[0], b[1]), bounds))
+    return [slice(lo, min(lo + step, n_items)) for lo in range(0, n_items, step)]
 
 
 def _log_nu(nu):
@@ -189,46 +167,53 @@ def _normalizer_per_member(pi):
     return log_gamma(pi).sum(axis=2) - log_gamma(pi.sum(axis=2))
 
 
-def _log_weight_matrix(log_c, pi, nu, threads=1):
+def _log_weight_matrix(log_c, pi, nu, map_chunks=map):
     """Unnormalized per-item log posteriors, shape (N, J):
 
         w[i, j] = ln nu_j + sum_{k,l} (pi_kjl - 1) ln c_ikl
                   - sum_k (sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl))
 
     Each row's value is independent of the batch it is computed in.
+    ``map_chunks`` is ``map`` or a thread pool's ``map``; either returns
+    the chunks in order.
     """
     n = log_c.shape[0]
     pim1_by_class = np.swapaxes(pi, 0, 1) - 1.0  # (J, K, L)
     const = _log_nu(nu) - sorted_sum(_normalizer_per_member(pi), axis=0)
     w = np.empty((n, pi.shape[1]))
 
-    def chunk(lo, hi):
-        prod = log_c[lo:hi, None, :, :] * pim1_by_class[None, :, :, :]
+    def chunk(rows):
+        prod = log_c[rows, None, :, :] * pim1_by_class[None, :, :, :]
         return sorted_sum(prod.sum(axis=3), axis=2)
 
-    bounds = _chunk_bounds(*log_c.shape)
-    for (lo, hi), block in zip(bounds, _map_chunks(chunk, bounds, threads)):
-        w[lo:hi] = block + const[None, :]
+    chunks = _chunks(*log_c.shape)
+    for rows, block in zip(chunks, map_chunks(chunk, chunks)):
+        w[rows] = block + const[None, :]
     return w
 
 
 def _normalize_log_rows(w):
     """Row-wise exp(w - log_sum_exp(w)); per-row results do not depend on
-    the other rows."""
+    the other rows.  Raises :class:`NumericError` when a row is
+    non-finite or does not sum to 1 within 1e-9, as happens once the log
+    weights are so large that adding ln J to their maximum rounds away."""
     m = w.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(w - m).sum(axis=1, keepdims=True))
-    return np.exp(w - lse)
+    rows = np.exp(w - lse)
+    # written so that a NaN sum fails too
+    if not np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9):
+        raise NumericError("posterior rows are non-finite or do not sum to 1")
+    return rows
 
 
-def _evidence_stats(log_c, post_rows, threads=1):
+def _evidence_stats(log_c, post_rows, map_chunks=map):
     """S[k, j, l] = sum_i post[i, j] * ln c_ikl and the per-class mass
     vector sum_i post[i, j], accumulated over chunks in fixed order."""
-    bounds = _chunk_bounds(*log_c.shape)
 
-    def chunk(lo, hi):
-        return np.einsum("cj,ckl->kjl", post_rows[lo:hi], log_c[lo:hi])
+    def chunk(rows):
+        return np.einsum("cj,ckl->kjl", post_rows[rows], log_c[rows])
 
-    parts = _map_chunks(chunk, bounds, threads)
+    parts = list(map_chunks(chunk, _chunks(*log_c.shape)))
     s = parts[0]
     for p in parts[1:]:
         s = s + p
@@ -266,16 +251,13 @@ def _adamw_pi(s, mass, pi, config, state):
     return params.reshape(pi.shape), state
 
 
-def _checked_model(preds, model):
-    """Model arrays checked against the predictions' (K, J)."""
-    pi, nu = _model_arrays(model)
-    _check_pi(pi)
-    _, k, j = preds.probs.shape
-    if pi.shape != (k, j, j):
-        raise ValueError(f"confusion shape {pi.shape} does not match ({k}, {j}, {j})")
-    if nu.shape != (j,):
-        raise ValueError(f"class prior length {nu.shape} does not match J={j}")
-    return pi, nu
+def _checked_model(preds, model: SdsModel):
+    """The model's ``(pi, nu)`` arrays, once its (K, J) matches the
+    predictions'."""
+    if (model.n_members, model.n_classes) != preds.probs.shape[1:]:
+        raise ValueError(f"model (K, J) = ({model.n_members}, {model.n_classes}) "
+                         f"does not match the predictions' {preds.probs.shape[1:]}")
+    return model.pi.pi, model.nu.nu
 
 
 def _checked_stats(preds, post, model):
@@ -294,15 +276,15 @@ def _checked_stats(preds, post, model):
 # public operations
 
 
-def q_function(preds: PredictionSet, post, model) -> float:
+def q_function(preds: PredictionSet, post, model: SdsModel) -> float:
     """Expected complete-data log likelihood
 
         Q = sum_i sum_j post[i,j] * ( ln nu_j
               + sum_k sum_l (pi_kjl - 1) ln c_ikl
               - sum_k ( sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl) ) )
 
-    Raises ValueError if any pi entry is <= 0 or the prior puts zero mass
-    on a class that carries posterior weight.
+    Raises ValueError if the prior puts zero mass on a class that carries
+    posterior weight.
     """
     s, mass, pi, nu = _checked_stats(preds, post, model)
     if np.any((nu <= 0.0) & (mass > 0.0)):
@@ -310,7 +292,7 @@ def q_function(preds: PredictionSet, post, model) -> float:
     return _q_from_stats(s, mass, pi, nu)
 
 
-def q_grad_pi(preds: PredictionSet, post, model) -> np.ndarray:
+def q_grad_pi(preds: PredictionSet, post, model: SdsModel) -> np.ndarray:
     """Gradient of :func:`q_function` with respect to the confusion
     tensor:
 
@@ -331,7 +313,7 @@ def m_step_nu(post) -> ClassPrior:
     return ClassPrior(mass / total)
 
 
-def m_step_pi(preds: PredictionSet, post, model, config: SdsConfig,
+def m_step_pi(preds: PredictionSet, post, model: SdsModel, config: SdsConfig,
               state: AdamState):
     """Run ``config.inner_steps`` AdamW updates on the flattened
     confusion tensor, minimizing -Q with the analytic gradient, clamping
@@ -345,7 +327,7 @@ def m_step_pi(preds: PredictionSet, post, model, config: SdsConfig,
     return ConfusionTensor(pi, config.pi_floor), state
 
 
-def e_step_raw(preds: PredictionSet, model) -> PosteriorMatrix:
+def e_step_raw(preds: PredictionSet, model: SdsModel) -> PosteriorMatrix:
     """Posterior over the latent class of every item under the current
     parameters: row i is the normalized exponential of the log weights of
     :func:`_log_weight_matrix`.  No damping is applied here."""
@@ -402,9 +384,10 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
 
     Q is recorded after every iteration; when ``q_rel_tolerance > 0`` the
     loop stops early once |dQ| / |Q| falls below it.  The model and
-    posterior containers are built once, after the loop.  A posterior,
-    confusion tensor or Q that stops being finite raises
-    :class:`NumericError`.
+    posterior containers are built once, after the loop.  An E-step
+    posterior, confusion tensor or Q that stops being finite raises
+    :class:`NumericError`.  With ``threads > 1`` the item chunks run on
+    one thread pool, opened for the whole fit.
 
     Returns ``(SdsModel, PosteriorMatrix, FitTrace)``.  Deterministic:
     identical inputs and config produce bitwise identical results for any
@@ -426,29 +409,30 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
 
     iters, qs, alphas, millis = [], [], [], []
     prev_q = None
-    for it in range(cfg.em_iterations):
-        t0 = time.perf_counter()
-        alpha = _alpha_at(cfg.alpha_schedule, it)
-        fresh = _normalize_log_rows(_log_weight_matrix(log_c, pi, nu, threads))
-        post = (1.0 - alpha) * post + alpha * fresh
-        if not np.all(np.isfinite(post)):
-            raise NumericError(f"posterior became non-finite at iteration {it}")
-        s, mass = _evidence_stats(log_c, post, threads)
-        nu = mass / mass.sum()
-        if cfg.reset_optimizer_each_m_step:
-            state = AdamState.zeros(pi.size)
-        pi, state = _adamw_pi(s, mass, pi, cfg, state)
-        q = _q_from_stats(s, mass, pi, nu)
-        if not np.isfinite(q):
-            raise NumericError(f"Q became non-finite at iteration {it}")
-        iters.append(it)
-        qs.append(q)
-        alphas.append(alpha)
-        millis.append((time.perf_counter() - t0) * 1e3)
-        if (cfg.q_rel_tolerance > 0.0 and prev_q is not None and q != 0.0
-                and abs(q - prev_q) / abs(q) < cfg.q_rel_tolerance):
-            break
-        prev_q = q
+    # the executor starts no thread until the first task is submitted
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        map_chunks = pool.map if threads > 1 else map
+        for it in range(cfg.em_iterations):
+            t0 = time.perf_counter()
+            alpha = _alpha_at(cfg.alpha_schedule, it)
+            fresh = _normalize_log_rows(_log_weight_matrix(log_c, pi, nu, map_chunks))
+            post = (1.0 - alpha) * post + alpha * fresh
+            s, mass = _evidence_stats(log_c, post, map_chunks)
+            nu = mass / mass.sum()
+            if cfg.reset_optimizer_each_m_step:
+                state = AdamState.zeros(pi.size)
+            pi, state = _adamw_pi(s, mass, pi, cfg, state)
+            q = _q_from_stats(s, mass, pi, nu)
+            if not np.isfinite(q):
+                raise NumericError(f"Q became non-finite at iteration {it}")
+            iters.append(it)
+            qs.append(q)
+            alphas.append(alpha)
+            millis.append((time.perf_counter() - t0) * 1e3)
+            if (cfg.q_rel_tolerance > 0.0 and prev_q is not None and q != 0.0
+                    and abs(q - prev_q) / abs(q) < cfg.q_rel_tolerance):
+                break
+            prev_q = q
 
     model = SdsModel(ConfusionTensor(pi, cfg.pi_floor), ClassPrior(nu))
     trace = FitTrace(np.asarray(iters), np.asarray(qs), np.asarray(alphas),
@@ -456,30 +440,19 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     return model, PosteriorMatrix(post, list(preds.item_ids)), trace
 
 
-def online_infer(item_probs, model, prob_floor=PROB_FLOOR_DEFAULT) -> np.ndarray:
-    """Posterior for a single arriving item under a frozen model: one
-    undamped E-step on that item alone, with no parameter updates.
+def online_infer(item_probs, model: SdsModel) -> np.ndarray:
+    """Posterior for a single arriving item under a frozen model: the
+    :func:`e_step_raw` row of a one-item batch, with no parameter updates.
 
     ``item_probs`` is the K x J matrix of raw member probabilities for
-    the item; it is floored and renormalized exactly as batch loading
-    does, so the result is bitwise identical to the corresponding row of
-    :func:`e_step_raw` on a batch containing the same raw values.
+    the item.  It is checked, floored and renormalized by
+    :meth:`PredictionSet.from_probs` with the row-sum tolerance of
+    :func:`load_predictions` (1e-3), so the result is bitwise identical
+    to the item's row of :func:`e_step_raw` on any batch holding the
+    same raw values.
     """
-    arr = np.asarray(item_probs, dtype=np.float64)
-    pi, nu = _model_arrays(model)
-    _check_pi(pi)
-    if arr.shape != (pi.shape[0], pi.shape[1]):
-        raise ValueError(
-            f"expected a {pi.shape[0]} x {pi.shape[1]} probability matrix, "
-            f"got {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("probabilities must be finite and >= 0")
-    if np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-3):
-        raise ValueError("member rows must sum to 1 within 1e-3")
-    log_c = np.log(floor_and_renormalize(arr, prob_floor))[None, :, :]
-    w = _log_weight_matrix(log_c, pi, nu)
-    return _normalize_log_rows(w)[0]
+    item = PredictionSet.from_probs(np.asarray(item_probs)[None], sum_tol=1e-3)
+    return e_step_raw(item, model).rows[0]
 
 
 @dataclass
@@ -512,7 +485,7 @@ class Explanation:
         }
 
 
-def explain(preds: PredictionSet, model, item_index: int) -> Explanation:
+def explain(preds: PredictionSet, model: SdsModel, item_index: int) -> Explanation:
     """Break one item's log posterior into prior, per-member evidence,
     and per-member normalizer terms; summing them reproduces the
     unnormalized log posterior to rounding.

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    PROB_FLOOR_DEFAULT,
     ClassPrior,
     ConfusionTensor,
     FormatError,
@@ -92,7 +91,7 @@ def _stream(seed, *key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def sample(spec: GenerativeSpec, prob_floor=PROB_FLOOR_DEFAULT):
+def sample(spec: GenerativeSpec):
     """Draw a dataset from the generative model.
 
     Per item: the latent class comes from the true prior (inverse-CDF on
@@ -118,7 +117,7 @@ def sample(spec: GenerativeSpec, prob_floor=PROB_FLOOR_DEFAULT):
             total = gam.sum()
             probs[i, m] = gam / total if total > 0.0 else np.full(j, 1.0 / j)
     item_ids = [str(i) for i in range(n)]
-    preds = PredictionSet.from_probs(probs, item_ids, prob_floor=prob_floor)
+    preds = PredictionSet.from_probs(probs, item_ids)
     return preds, GroundTruth(labels, list(item_ids), n_classes=j)
 
 

@@ -104,8 +104,14 @@ class TestAggregate:
         ({"learning_rate": 1e308, "em_iterations": 3}, 3),
         # the fit is deterministic and has no seed
         ({"seed": 0}, 1),
+        # the probability floor is a constant, not a field
+        ({"prob_floor": 1e-5}, 1),
+        ({"em_iterations": 5.5}, 1),
+        ({"learning_rate": "0.1"}, 1),
+        ({"em_iterations": True}, 1),
     ], ids=["em_iterations_zero", "weight_decay_inf", "learning_rate_nan",
-            "learning_rate_overflow", "seed_unknown"])
+            "learning_rate_overflow", "seed_unknown", "prob_floor_unknown",
+            "em_iterations_float", "learning_rate_string", "em_iterations_bool"])
     def test_bad_config_exit_code(self, sim_dir, tmp_path, config, code):
         _, out_dir = sim_dir
         cfg = tmp_path / "cfg.json"
@@ -269,6 +275,19 @@ class TestOnline:
                      "--input", str(stream_in), "--out", str(stream_out)]) == 1
         assert "skipped" in capsys.readouterr().err
         assert s.load_posterior(stream_out).n_items == 3
+
+    def test_huge_log_weights_exit_3(self, tmp_path):
+        # ln J is lost when added to log weights of ~1e287, so the row
+        # cannot be normalized: a numeric failure, and no row is written
+        model_path = tmp_path / "huge.model.json"
+        s.save_model(s.SdsModel(s.ConfusionTensor(np.full((1, 2, 2), 1e300)),
+                                s.ClassPrior(np.array([0.5, 0.5]))), model_path)
+        stream_in = tmp_path / "stream.csv"
+        stream_in.write_text("item_id,m0_p0,m0_p1\na,0.5,0.5\n")
+        stream_out = tmp_path / "o.csv"
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(stream_out)]) == 3
+        assert stream_out.read_text() == "item_id,p_0,p_1\n"
 
 
 class TestExplain:

@@ -263,7 +263,6 @@ class TestSdsConfig:
         assert cfg.learning_rate == 1e-4
         assert cfg.weight_decay == 1e-4
         assert cfg.pi_floor == 1e-6
-        assert cfg.prob_floor == 1e-12
 
     def test_json_round_trip_with_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import softds as s
 from softds.mathutils import dirichlet_log_density, normalize_log
 from softds.optim import AdamState
-from util import diagonal_spec, random_instance, reference_fit
+from util import diagonal_spec, model, random_instance, reference_fit
 
 LN_HALF = -0.6931471805599453
 LN_THREE_QUARTERS = -0.2876820724517809  # ln 0.5 + 2 ln 0.5 + ln 6
@@ -27,32 +27,32 @@ class TestQFunction:
     def test_uniform_dirichlet_row(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[1.0, 1.0], [1.0, 1.0]]])
-        assert s.q_function(preds, post, (pi, nu)) == pytest.approx(
+        assert s.q_function(preds, post, model(pi, nu)) == pytest.approx(
             LN_HALF, abs=1e-12)
 
     def test_symmetric_beta_row(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[2.0, 2.0], [1.0, 1.0]]])
-        assert s.q_function(preds, post, (pi, nu)) == pytest.approx(
+        assert s.q_function(preds, post, model(pi, nu)) == pytest.approx(
             LN_THREE_QUARTERS, abs=1e-12)
 
     def test_zero_mass_class_ignores_its_row(self):
         preds, post, nu = single_item_instance()
         pi_a = np.array([[[1.5, 0.5], [1.0, 1.0]]])
         pi_b = np.array([[[1.5, 0.5], [9.0, 0.2]]])  # row 1 changed
-        assert s.q_function(preds, post, (pi_a, nu)) == \
-            s.q_function(preds, post, (pi_b, nu))
+        assert s.q_function(preds, post, model(pi_a, nu)) == \
+            s.q_function(preds, post, model(pi_b, nu))
 
     def test_rejects_nonpositive_pi(self):
         preds, post, nu = single_item_instance()
         with pytest.raises(ValueError):
-            s.q_function(preds, post, (np.zeros((1, 2, 2)), nu))
+            s.q_function(preds, post, model(np.zeros((1, 2, 2)), nu))
 
     def test_rejects_zero_prior_with_mass(self):
         preds, post, _ = single_item_instance()
         pi = np.ones((1, 2, 2))
         with pytest.raises(ValueError, match="zero"):
-            s.q_function(preds, post, (pi, np.array([0.0, 1.0])))
+            s.q_function(preds, post, model(pi, np.array([0.0, 1.0])))
 
     def test_matches_extended_precision_oracle(self):
         # brute-force evaluation of the objective in 50-digit arithmetic
@@ -75,7 +75,7 @@ class TestQFunction:
                         row_sum += p_kjl
                     term += mpmath.loggamma(row_sum)
                 expected += mpmath.mpf(float(post[i, j])) * term
-        got = s.q_function(preds, post, (pi, nu))
+        got = s.q_function(preds, post, model(pi, nu))
         assert abs(got - float(expected)) <= 1e-12 * abs(float(expected))
 
 
@@ -83,7 +83,7 @@ class TestQGradPi:
     def test_hand_computed_entry(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[1.0, 1.0], [1.0, 1.0]]])
-        grad = s.q_grad_pi(preds, post, (pi, nu))
+        grad = s.q_grad_pi(preds, post, model(pi, nu))
         # ln 0.5 - psi(1) + psi(2) = ln 0.5 + 1
         expected = LN_HALF + 1.0
         np.testing.assert_allclose(grad[0, 0], expected, atol=1e-12)
@@ -91,7 +91,7 @@ class TestQGradPi:
     def test_zero_mass_rows_have_zero_gradient(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[1.0, 1.0], [2.0, 0.7]]])
-        grad = s.q_grad_pi(preds, post, (pi, nu))
+        grad = s.q_grad_pi(preds, post, model(pi, nu))
         np.testing.assert_array_equal(grad[0, 1], 0.0)
 
     def test_matches_finite_differences(self):
@@ -102,15 +102,15 @@ class TestQGradPi:
             k = int(rng.integers(1, 4))
             j = int(rng.integers(2, 5))
             preds, post, pi, nu = random_instance(rng, n, k, j)
-            grad = s.q_grad_pi(preds, post, (pi, nu))
+            grad = s.q_grad_pi(preds, post, model(pi, nu))
             fd = np.empty_like(grad)
             for idx in np.ndindex(pi.shape):
                 up = pi.copy()
                 up[idx] += h
                 dn = pi.copy()
                 dn[idx] -= h
-                fd[idx] = (s.q_function(preds, post, (up, nu))
-                           - s.q_function(preds, post, (dn, nu))) / (2 * h)
+                fd[idx] = (s.q_function(preds, post, model(up, nu))
+                           - s.q_function(preds, post, model(dn, nu))) / (2 * h)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(grad)), 1e-8)
             assert np.max(np.abs(grad - fd) / denom) <= 1e-5
 
@@ -138,11 +138,11 @@ class TestMStepNu:
         for _ in range(20):
             preds, post, pi, _ = random_instance(rng, 6, 2, 3)
             nu_star = s.m_step_nu(post).nu
-            q_star = s.q_function(preds, post, (pi, nu_star))
+            q_star = s.q_function(preds, post, model(pi, nu_star))
             for _ in range(100):
                 other = np.maximum(nu_star + rng.normal(0, 0.05, size=3), 1e-9)
                 other = other / other.sum()
-                assert s.q_function(preds, post, (pi, other)) <= q_star + 1e-12
+                assert s.q_function(preds, post, model(pi, other)) <= q_star + 1e-12
 
 
 class TestMStepPi:
@@ -151,7 +151,7 @@ class TestMStepPi:
         pi = np.array([[[1.2, 0.8], [0.5, 1.5]]])
         cfg = s.SdsConfig(weight_decay=0.0).validate()
         post = np.zeros((1, 2))
-        tensor, state = s.m_step_pi(preds, post, (pi, nu), cfg,
+        tensor, state = s.m_step_pi(preds, post, model(pi, nu), cfg,
                                     AdamState.zeros(pi.size))
         np.testing.assert_array_equal(tensor.pi, pi)
         assert state.step == cfg.inner_steps
@@ -161,7 +161,7 @@ class TestMStepPi:
         pi = np.array([[[1.0, 1.0], [1.0, 1.0]]])
         cfg = s.SdsConfig(inner_steps=1, learning_rate=0.1,
                           weight_decay=0.0).validate()
-        tensor, _ = s.m_step_pi(preds, post, (pi, nu), cfg,
+        tensor, _ = s.m_step_pi(preds, post, model(pi, nu), cfg,
                                 AdamState.zeros(pi.size))
         # gradient is positive on row 0, so entries rise by ~lr
         np.testing.assert_allclose(tensor.pi[0, 0], 1.1, rtol=1e-5)
@@ -171,7 +171,7 @@ class TestMStepPi:
         preds, post, nu = single_item_instance()
         pi = np.full((1, 2, 2), 2e-6)
         cfg = s.SdsConfig(inner_steps=3, learning_rate=0.1).validate()
-        tensor, _ = s.m_step_pi(preds, post, (pi, nu), cfg,
+        tensor, _ = s.m_step_pi(preds, post, model(pi, nu), cfg,
                                 AdamState.zeros(pi.size))
         assert np.all(tensor.pi >= cfg.pi_floor)
 
@@ -196,18 +196,18 @@ class TestEStepRaw:
 
     def test_center_is_uninformative(self):
         preds = s.PredictionSet.from_probs(np.array([[[0.5, 0.5]]]))
-        post = s.e_step_raw(preds, self.e_model())
+        post = s.e_step_raw(preds, model(*self.e_model()))
         np.testing.assert_allclose(post.rows, [[0.5, 0.5]], atol=1e-12)
 
     def test_density_ratio(self):
         preds = s.PredictionSet.from_probs(np.array([[[0.9, 0.1]]]))
-        post = s.e_step_raw(preds, self.e_model())
+        post = s.e_step_raw(preds, model(*self.e_model()))
         np.testing.assert_allclose(post.rows, [[0.9, 0.1]], atol=1e-10)
 
     def test_one_hot_prior_dominates(self):
         preds = s.PredictionSet.from_probs(np.array([[[0.7, 0.3]]]))
         pi, _ = self.e_model()
-        post = s.e_step_raw(preds, (pi, np.array([0.0, 1.0])))
+        post = s.e_step_raw(preds, model(pi, np.array([0.0, 1.0])))
         np.testing.assert_allclose(post.rows, [[0.0, 1.0]], atol=1e-12)
 
     def test_matches_dirichlet_density_oracle(self):
@@ -217,7 +217,7 @@ class TestEStepRaw:
             k = int(rng.integers(1, 4))
             j = int(rng.integers(2, 5))
             preds, _, pi, nu = random_instance(rng, n, k, j)
-            got = s.e_step_raw(preds, (pi, nu)).rows
+            got = s.e_step_raw(preds, model(pi, nu)).rows
             for i in range(n):
                 w = np.log(np.maximum(nu, 1e-300)).copy()
                 for cls in range(j):
@@ -229,14 +229,14 @@ class TestEStepRaw:
     def test_rows_are_on_simplex(self):
         rng = np.random.default_rng(24)
         preds, _, pi, nu = random_instance(rng, 50, 3, 4)
-        rows = s.e_step_raw(preds, (pi, nu)).rows
+        rows = s.e_step_raw(preds, model(pi, nu)).rows
         assert np.all(rows >= 0.0)
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-9
 
     def test_rejects_nonpositive_pi(self):
         preds = s.PredictionSet.from_probs(np.array([[[0.5, 0.5]]]))
         with pytest.raises(ValueError):
-            s.e_step_raw(preds, (np.zeros((1, 2, 2)), np.array([0.5, 0.5])))
+            s.e_step_raw(preds, model(np.zeros((1, 2, 2)), np.array([0.5, 0.5])))
 
 
 class TestPolyakUpdate:
@@ -449,18 +449,18 @@ class TestExplain:
     def test_terms_reproduce_posterior(self):
         rng = np.random.default_rng(40)
         preds, _, pi, nu = random_instance(rng, 6, 3, 4)
-        breakdown = s.explain(preds, (pi, nu), 2)
+        breakdown = s.explain(preds, model(pi, nu), 2)
         recomposed = (breakdown.log_prior
                       + breakdown.member_evidence.sum(axis=0)
                       + breakdown.member_normalizer.sum(axis=0))
         np.testing.assert_allclose(recomposed, breakdown.log_weights,
                                    atol=1e-10)
-        batch = s.e_step_raw(preds, (pi, nu)).rows[2]
+        batch = s.e_step_raw(preds, model(pi, nu)).rows[2]
         assert np.array_equal(breakdown.posterior, batch)
         # the same members in another order give the same bits
         order = [2, 0, 1]
         permuted = s.explain(s.PredictionSet(preds.probs[:, order, :]),
-                             (pi[order], nu), 2)
+                             model(pi[order], nu), 2)
         assert np.array_equal(permuted.log_weights, breakdown.log_weights)
         assert np.array_equal(permuted.posterior, breakdown.posterior)
         assert np.array_equal(permuted.member_evidence,
@@ -474,7 +474,7 @@ class TestExplain:
         preds = s.PredictionSet.from_probs(probs[None])
         pi = np.stack([np.eye(j) * 2.0 + 0.5, np.tile(np.full(j, 1.3), (j, 1))])
         nu = np.full(j, 0.25)
-        breakdown = s.explain(preds, (pi, nu), 0)
+        breakdown = s.explain(preds, model(pi, nu), 0)
         spread = np.ptp(breakdown.member_evidence[1])
         assert spread <= 1e-12
 
@@ -482,7 +482,7 @@ class TestExplain:
         rng = np.random.default_rng(41)
         for _ in range(20):
             preds, _, pi, nu = random_instance(rng, 3, 2, 4)
-            breakdown = s.explain(preds, (pi, nu), 1)
+            breakdown = s.explain(preds, model(pi, nu), 1)
             w = np.log(np.maximum(nu, 1e-300)).copy()
             for cls in range(4):
                 for m in range(2):
@@ -494,7 +494,7 @@ class TestExplain:
         rng = np.random.default_rng(42)
         preds, _, pi, nu = random_instance(rng, 2, 1, 3)
         with pytest.raises(IndexError):
-            s.explain(preds, (pi, nu), 2)
+            s.explain(preds, model(pi, nu), 2)
 
 
 class TestSerialization:
@@ -518,6 +518,12 @@ class TestSerialization:
         again = s.load_model(path)
         assert np.array_equal(model.pi.pi, again.pi.pi)
         assert np.array_equal(model.nu.nu, again.nu.nu)
+
+    def test_trace_loader_names_file_and_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iteration,q,alpha,millis\n0,abc,0.001,1.0\n")
+        with pytest.raises(s.FormatError, match="trace.csv, line 2"):
+            s.FitTrace.load_csv(path)
 
     def test_trace_requires_increasing_iterations(self):
         with pytest.raises(s.FormatError):

@@ -18,6 +18,11 @@ def random_instance(rng, n_items, n_members, n_classes):
     return preds, post, pi, nu
 
 
+def model(pi, nu):
+    """An :class:`SdsModel` from raw confusion and prior arrays."""
+    return s.SdsModel(s.ConfusionTensor(pi), s.ClassPrior(nu))
+
+
 def diagonal_spec(diag, off, seed, n_items, n_members=3, n_classes=5):
     """Generative spec with identical diagonally dominant members."""
     eye = np.eye(n_classes, dtype=bool)
