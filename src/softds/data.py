@@ -347,12 +347,15 @@ class SdsConfig:
             if kind is not None and not kind[1](value):
                 raise FormatError(f"config field {f.name} must be {kind[0]}, "
                                   f"got {value!r}")
+        is_int, is_float = _FIELD_KINDS["int"][1], _FIELD_KINDS["float"][1]
         try:
-            sched = [(int(s), float(a)) for s, a in self.alpha_schedule]
-        except (TypeError, ValueError, OverflowError):
-            raise FormatError(
-                "alpha_schedule must be a list of [start_iteration, alpha] pairs"
-            ) from None
+            typed = all(is_int(s) and is_float(a) for s, a in self.alpha_schedule)
+        except (TypeError, ValueError):
+            typed = False
+        if not typed:
+            raise FormatError("alpha_schedule must be a list of [start_iteration, "
+                              "alpha] pairs of an integer and a finite number")
+        sched = [(int(s), float(a)) for s, a in self.alpha_schedule]
         if not sched:
             raise FormatError("alpha_schedule must be non-empty")
         if sched[0][0] != 0:

@@ -72,9 +72,10 @@ NU_LOG_FLOOR = 1e-300
 
 _TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 
-# Target float64 element count of the per-chunk (chunk, J, K, J) scratch
-# block.  Chunk boundaries depend only on array shapes - never on the
-# thread count - which is what makes threaded runs byte-identical.
+# Items per chunk are this many float64 elements over K*J*J, the
+# multiply-adds one item costs in the E-step.  Chunk boundaries depend
+# only on array shapes - never on the thread count - which is what makes
+# threaded runs byte-identical.
 _CHUNK_TARGET = 1 << 20
 
 
@@ -183,8 +184,10 @@ def _log_weight_matrix(log_c, pi, nu, map_chunks=map):
     w = np.empty((n, pi.shape[1]))
 
     def chunk(rows):
-        prod = log_c[rows, None, :, :] * pim1_by_class[None, :, :, :]
-        return sorted_sum(prod.sum(axis=3), axis=2)
+        # numpy's own einsum loop, not BLAS: each row's sums over l then
+        # run in one order, whatever the batch around it
+        return sorted_sum(np.einsum("ikl,jkl->kij", log_c[rows], pim1_by_class),
+                          axis=0)
 
     chunks = _chunks(*log_c.shape)
     for rows, block in zip(chunks, map_chunks(chunk, chunks)):
@@ -206,17 +209,30 @@ def _normalize_log_rows(w):
     return rows
 
 
-def _evidence_stats(log_c, post_rows, map_chunks=map):
+def _transposed(log_c):
+    """``log c`` as a (K, J, N) array, item axis contiguous."""
+    return np.ascontiguousarray(log_c.transpose(1, 2, 0))
+
+
+def _evidence_stats(log_c_t, post_rows, map_chunks=map):
     """S[k, j, l] = sum_i post[i, j] * ln c_ikl and the per-class mass
-    vector sum_i post[i, j], accumulated over chunks in fixed order."""
+    vector sum_i post[i, j], accumulated over chunks in fixed order.
+    ``log_c_t`` is ``log c`` in the item-last layout of
+    :func:`_transposed`, so each sum over items runs over contiguous
+    memory.  numpy's einsum loop, not BLAS: a BLAS product's sums change
+    with the member order and with its thread count."""
+    n_members, n_classes, n_items = log_c_t.shape
+    post_t = np.ascontiguousarray(post_rows.T)
 
     def chunk(rows):
-        return np.einsum("cj,ckl->kjl", post_rows[rows], log_c[rows])
+        return np.einsum("jc,klc->kjl", post_t[:, rows], log_c_t[:, :, rows])
 
-    parts = list(map_chunks(chunk, _chunks(*log_c.shape)))
-    s = parts[0]
-    for p in parts[1:]:
-        s = s + p
+    # summed as the chunks arrive, so that one (K, J, J) part per chunk
+    # is not held at once
+    parts = map_chunks(chunk, _chunks(n_items, n_members, n_classes))
+    s = next(parts)
+    for p in parts:
+        s += p
     return s, post_rows.sum(axis=0)
 
 
@@ -268,7 +284,7 @@ def _checked_stats(preds, post, model):
     if rows.shape != (preds.n_items, preds.n_classes):
         raise ValueError(f"posterior shape {rows.shape} does not match "
                          f"({preds.n_items}, {preds.n_classes})")
-    s, mass = _evidence_stats(np.log(preds.probs), rows)
+    s, mass = _evidence_stats(_transposed(np.log(preds.probs)), rows)
     return s, mass, pi, nu
 
 
@@ -405,6 +421,7 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     nu = ds_model.prior.nu
     post = ensemble_average(preds).rows
     log_c = np.log(preds.probs)
+    log_c_t = _transposed(log_c)
     state = AdamState.zeros(pi.size)
 
     iters, qs, alphas, millis = [], [], [], []
@@ -417,7 +434,7 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
             alpha = _alpha_at(cfg.alpha_schedule, it)
             fresh = _normalize_log_rows(_log_weight_matrix(log_c, pi, nu, map_chunks))
             post = (1.0 - alpha) * post + alpha * fresh
-            s, mass = _evidence_stats(log_c, post, map_chunks)
+            s, mass = _evidence_stats(log_c_t, post, map_chunks)
             nu = mass / mass.sum()
             if cfg.reset_optimizer_each_m_step:
                 state = AdamState.zeros(pi.size)

@@ -109,9 +109,13 @@ class TestAggregate:
         ({"em_iterations": 5.5}, 1),
         ({"learning_rate": "0.1"}, 1),
         ({"em_iterations": True}, 1),
+        ({"alpha_schedule": [[0.7, 0.5]]}, 1),
+        ({"alpha_schedule": [[0, "0.5"]]}, 1),
+        ({"alpha_schedule": [[0, 0.5], [3, True]]}, 1),
     ], ids=["em_iterations_zero", "weight_decay_inf", "learning_rate_nan",
             "learning_rate_overflow", "seed_unknown", "prob_floor_unknown",
-            "em_iterations_float", "learning_rate_string", "em_iterations_bool"])
+            "em_iterations_float", "learning_rate_string", "em_iterations_bool",
+            "schedule_start_float", "schedule_alpha_string", "schedule_alpha_bool"])
     def test_bad_config_exit_code(self, sim_dir, tmp_path, config, code):
         _, out_dir = sim_dir
         cfg = tmp_path / "cfg.json"

@@ -197,3 +197,41 @@ class TestSortedSum:
         perm = rng.permutation(7)
         assert np.array_equal(sorted_sum(a, axis=1),
                               sorted_sum(a[:, perm, :], axis=1))
+
+    @staticmethod
+    def with_ties_and_zeros(k, axis):
+        """A (6, 5, 4) array, ``k`` long on ``axis``, holding repeated
+        values and both signed zeros, including columns of zeros only."""
+        shape = [6, 5, 4]
+        shape[axis] = k
+        rng = np.random.default_rng(k * 3 + axis)
+        a = rng.choice([0.0, -0.0, 1.5, -1.5, 2.0 ** -30, 1e300], size=shape)
+        a = np.where(rng.random(shape) < 0.3, rng.standard_normal(shape), a)
+        zero_col = [slice(None)] * 3
+        zero_col[(axis + 1) % 3] = 0
+        a[tuple(zero_col)] = rng.choice([0.0, -0.0], size=a[tuple(zero_col)].shape)
+        return a
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_permutation_invariant_with_ties_and_signed_zeros(self, k, axis):
+        a = self.with_ties_and_zeros(k, axis)
+        ref = sorted_sum(a, axis).view(np.int64)
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            perm = rng.permutation(k)
+            assert np.array_equal(sorted_sum(np.take(a, perm, axis=axis), axis)
+                                  .view(np.int64), ref)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_equals_sort_then_sum_below_eight(self, k, axis):
+        a = self.with_ties_and_zeros(k, axis)
+        assert np.array_equal(sorted_sum(a, axis).view(np.int64),
+                              np.sort(a, axis).sum(axis).view(np.int64))
+
+    def test_leaves_input_unchanged(self):
+        a = np.array([[3.0, -1.0], [2.0, 0.5], [-4.0, 7.0]])
+        before = a.copy()
+        sorted_sum(a, 0)
+        assert np.array_equal(a, before)

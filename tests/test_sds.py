@@ -239,6 +239,42 @@ class TestEStepRaw:
             s.e_step_raw(preds, model(np.zeros((1, 2, 2)), np.array([0.5, 0.5])))
 
 
+# (N, K, J): one member, a typical ensemble, J in the hundreds, K past
+# numpy's eight-term pairwise-sum threshold, and J = 1000.
+KERNEL_SHAPES = [(50, 1, 2), (200, 3, 10), (60, 5, 100), (40, 9, 7), (10, 2, 1000)]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda sh: "x".join(map(str, sh)))
+class TestEStepContracts:
+    """Bitwise contracts of the E-step kernel at the shapes that change how
+    its einsum and member reduction run."""
+
+    def instance(self, shape):
+        preds, _, pi, nu = random_instance(np.random.default_rng(sum(shape)), *shape)
+        return preds, model(pi, nu)
+
+    def test_online_row_equals_batch_row(self, shape):
+        preds, m = self.instance(shape)
+        batch = s.e_step_raw(preds, m).rows
+        stream = np.stack([s.online_infer(preds.probs[i], m)
+                           for i in range(preds.n_items)])
+        assert np.array_equal(stream, batch)
+
+    def test_sub_batches_equal_full_batch(self, shape):
+        preds, m = self.instance(shape)
+        batch = s.e_step_raw(preds, m).rows
+        parts = [s.e_step_raw(s.PredictionSet(preds.probs[lo:lo + 7]), m).rows
+                 for lo in range(0, preds.n_items, 7)]
+        assert np.array_equal(np.concatenate(parts), batch)
+
+    def test_member_permutation_invariant(self, shape):
+        preds, m = self.instance(shape)
+        perm = np.arange(shape[1])[::-1]
+        permuted = s.e_step_raw(s.PredictionSet(preds.probs[:, perm]),
+                                model(m.pi.pi[perm], m.nu.nu))
+        assert np.array_equal(permuted.rows, s.e_step_raw(preds, m).rows)
+
+
 class TestPolyakUpdate:
     def test_alpha_one_returns_new_exactly(self):
         rng = np.random.default_rng(25)
