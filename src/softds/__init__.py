@@ -30,8 +30,6 @@ from .mathutils import (
     digamma,
     dirichlet_log_density,
     log_gamma,
-    log_sum_exp,
-    normalize_log,
 )
 from .metrics import (
     MetricReport,
@@ -105,12 +103,10 @@ __all__ = [
     "load_posterior",
     "load_predictions",
     "log_gamma",
-    "log_sum_exp",
     "m_step_nu",
     "m_step_pi",
     "majority_vote",
     "nll",
-    "normalize_log",
     "online_infer",
     "ood_score",
     "polyak_update",

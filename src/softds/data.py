@@ -15,7 +15,8 @@ config JSON : keys mirror :class:`SdsConfig` field names; absent fields
 
 Floats are serialized with ``repr`` so save -> load round-trips are
 bit-exact.  Containers validate on construction and mark their arrays
-read-only, which makes instances safe to share across threads.
+read-only, which makes instances safe to share across threads;
+``ConfusionTensor`` and ``ClassPrior`` are frozen as well.
 """
 
 from __future__ import annotations
@@ -134,8 +135,7 @@ class PredictionSet:
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 3:
             raise FormatError("prediction array must be N x K x J")
-        if not np.all(np.isfinite(raw)):
-            raise FormatError("non-finite probability value")
+        # a NaN passes these checks and the flooring; the constructor rejects it
         if np.any(raw < 0.0):
             raise FormatError("negative probability value")
         dev = np.abs(raw.sum(axis=2) - 1.0)
@@ -186,7 +186,7 @@ class HardLabelSet:
         return self.labels.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfusionTensor:
     """K stacked J x J positive Dirichlet parameter matrices; row j of
     member k parameterizes that member's output when the true class is j."""
@@ -198,11 +198,11 @@ class ConfusionTensor:
         pi = _frozen(self.pi)
         if pi.ndim != 3 or pi.shape[1] != pi.shape[2]:
             raise FormatError("confusion tensor must be K x J x J")
-        if self.pi_floor <= 0.0:
+        if not self.pi_floor > 0.0:  # written so that NaN fails too
             raise FormatError("pi_floor must be > 0")
         if not np.all(np.isfinite(pi)) or np.any(pi < self.pi_floor):
             raise FormatError("confusion entries must be finite and >= pi_floor")
-        self.pi = pi
+        object.__setattr__(self, "pi", pi)
 
     @property
     def n_members(self):
@@ -213,7 +213,7 @@ class ConfusionTensor:
         return self.pi.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassPrior:
     """Probability vector over the J classes."""
 
@@ -227,7 +227,7 @@ class ClassPrior:
             raise FormatError("class prior entries must be finite and >= 0")
         if abs(float(nu.sum()) - 1.0) > 1e-9:
             raise FormatError(f"class prior sums to {float(nu.sum())!r}, expected 1")
-        self.nu = nu
+        object.__setattr__(self, "nu", nu)
 
     @property
     def n_classes(self):
@@ -546,8 +546,8 @@ def load_predictions(manifest_path, sum_tol=1e-3):
             lookup = {item_id: row for item_id, row in zip(ids, mat)}
             mat = np.stack([lookup[item_id] for item_id in ids0])
         stacks.append(mat)
-    probs = np.stack(stacks, axis=1)
-    return PredictionSet.from_probs(probs, ids0, sum_tol=sum_tol)
+    # every row is checked above, with its file and line
+    return PredictionSet(floor_and_renormalize(np.stack(stacks, axis=1)), ids0)
 
 
 def save_predictions(preds: PredictionSet, out_dir, manifest_name="manifest.json",
@@ -618,7 +618,10 @@ def _parse_members_pi(obj, path):
     for k, entry in enumerate(members):
         if not isinstance(entry, dict) or "pi" not in entry:
             raise FormatError(f"{path}: member {k} must be an object with a pi key")
-        mat = np.asarray(entry["pi"], dtype=np.float64)
+        try:
+            mat = np.asarray(entry["pi"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: member {k} pi: {exc}") from None
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise FormatError(f"{path}: member {k} pi must be a square matrix")
         mats.append(mat)

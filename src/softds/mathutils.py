@@ -1,4 +1,4 @@
-"""Special functions and log-space probability helpers.
+"""Special functions, the Dirichlet log density and an order-insensitive sum.
 
 Everything here is a pure function of its inputs, operating on float64
 scalars or numpy arrays.  ``log_gamma`` and ``digamma`` are implemented
@@ -22,8 +22,6 @@ import numpy as np
 __all__ = [
     "log_gamma",
     "digamma",
-    "log_sum_exp",
-    "normalize_log",
     "dirichlet_log_density",
     "sorted_sum",
 ]
@@ -122,45 +120,27 @@ def digamma(x):
     return _match_input(out, x)
 
 
-def log_sum_exp(w):
-    """ln(sum_j exp(w_j)), computed shift-by-max so large entries cannot
-    overflow.  Requires a non-empty array of finite values."""
-    arr = np.asarray(w, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("log_sum_exp of an empty input")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("log_sum_exp requires finite entries")
-    m = float(arr.max())
-    return m + float(np.log(np.exp(arr - m).sum()))
-
-
-def normalize_log(w):
-    """exp(w_j - log_sum_exp(w)): turn unnormalized log scores into a
-    probability vector.  Invariant under adding a constant to w."""
-    arr = np.asarray(w, dtype=np.float64)
-    return np.exp(arr - log_sum_exp(arr))
-
-
 def dirichlet_log_density(c, pi_row):
     """Log density of a Dirichlet with parameter vector ``pi_row``
     evaluated at the probability vector ``c``:
 
         sum_l (pi_l - 1) ln c_l  -  sum_l ln Gamma(pi_l)  +  ln Gamma(sum_l pi_l)
 
-    ``c`` entries must be strictly positive (clamp upstream before
-    calling); ``pi_row`` entries must be strictly positive.
+    over the last axis; leading axes broadcast, and 1-D inputs return a
+    float.  ``c`` and ``pi_row`` entries must be strictly positive (clamp
+    ``c`` upstream before calling).
     """
     cv = np.asarray(c, dtype=np.float64)
     pv = np.asarray(pi_row, dtype=np.float64)
-    if cv.shape != pv.shape or cv.ndim != 1:
-        raise ValueError("c and pi_row must be 1-D vectors of equal length")
+    if cv.ndim < 1 or pv.ndim < 1 or cv.shape[-1] != pv.shape[-1]:
+        raise ValueError("c and pi_row must be vectors of equal length")
     if not np.all(np.isfinite(pv)) or np.any(pv <= 0.0):
         raise ValueError("Dirichlet parameters must be finite and > 0")
     if not np.all(np.isfinite(cv)) or np.any(cv <= 0.0):
         raise ValueError("c entries must be finite and > 0 (floor them first)")
-    return float(
-        ((pv - 1.0) * np.log(cv)).sum() - log_gamma(pv).sum() + log_gamma(pv.sum())
-    )
+    out = (((pv - 1.0) * np.log(cv)).sum(axis=-1) - log_gamma(pv).sum(axis=-1)
+           + log_gamma(pv.sum(axis=-1)))
+    return float(out) if out.ndim == 0 else out
 
 
 def sorted_sum(a, axis):

@@ -13,6 +13,10 @@ sharing one ``log c`` per fit and one set of evidence statistics per
 iteration.  The public step functions check their inputs and call the
 same kernels; they are the reference ``fit`` is tested against, bitwise.
 
+The model's E-step terms (``pi - 1`` and a per-class constant holding the
+log-Gamma normalizer) are computed once per frozen :class:`SdsModel`, and
+in ``fit`` once per iteration, for its Q and the next E-step.
+
 Determinism: all item reductions run over fixed-size chunks combined in
 chunk order, and member reductions use order-insensitive sums, so results
 are bitwise identical for any thread count, any batch size (per-item
@@ -25,6 +29,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,14 +88,21 @@ class NumericError(RuntimeError):
     """A numeric failure (NaN/inf) was detected during fitting."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdsModel:
+    """Frozen, so the E-step terms it computes on first use cannot go stale."""
+
     pi: ConfusionTensor
     nu: ClassPrior
 
     def __post_init__(self):
         if self.pi.n_classes != self.nu.n_classes:
             raise FormatError("confusion tensor and class prior disagree on J")
+
+    @cached_property
+    def _terms(self):
+        """:func:`_log_weight_terms` of the model's parameters."""
+        return _log_weight_terms(self.pi.pi, self.nu.nu)
 
     @property
     def n_members(self):
@@ -168,20 +180,25 @@ def _normalizer_per_member(pi):
     return log_gamma(pi).sum(axis=2) - log_gamma(pi.sum(axis=2))
 
 
-def _log_weight_matrix(log_c, pi, nu, map_chunks=map):
+def _log_weight_terms(pi, nu):
+    """The model's part of the log weights: ``pi - 1`` as (J, K, L) and
+    const[j] = ln nu_j - sum_k (sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl))."""
+    return (np.swapaxes(pi, 0, 1) - 1.0,
+            _log_nu(nu) - sorted_sum(_normalizer_per_member(pi), axis=0))
+
+
+def _log_weight_matrix(log_c, terms, map_chunks=map):
     """Unnormalized per-item log posteriors, shape (N, J):
 
-        w[i, j] = ln nu_j + sum_{k,l} (pi_kjl - 1) ln c_ikl
-                  - sum_k (sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl))
+        w[i, j] = const[j] + sum_{k,l} (pi_kjl - 1) ln c_ikl
 
-    Each row's value is independent of the batch it is computed in.
-    ``map_chunks`` is ``map`` or a thread pool's ``map``; either returns
-    the chunks in order.
+    with ``terms`` from :func:`_log_weight_terms`.  Each row's value is
+    independent of the batch it is computed in.  ``map_chunks`` is
+    ``map`` or a thread pool's ``map``; either returns the chunks in
+    order.
     """
-    n = log_c.shape[0]
-    pim1_by_class = np.swapaxes(pi, 0, 1) - 1.0  # (J, K, L)
-    const = _log_nu(nu) - sorted_sum(_normalizer_per_member(pi), axis=0)
-    w = np.empty((n, pi.shape[1]))
+    pim1_by_class, const = terms
+    w = np.empty((log_c.shape[0], const.size))
 
     def chunk(rows):
         # numpy's own einsum loop, not BLAS: each row's sums over l then
@@ -236,9 +253,9 @@ def _evidence_stats(log_c_t, post_rows, map_chunks=map):
     return s, post_rows.sum(axis=0)
 
 
-def _q_from_stats(s, mass, pi, nu):
-    normalizer = sorted_sum(_normalizer_per_member(pi), axis=0)  # (J,)
-    return float(np.sum((pi - 1.0) * s) + np.sum(mass * (_log_nu(nu) - normalizer)))
+def _q_from_stats(s, mass, pi, const):
+    """Q from the evidence statistics and the model's ``const``."""
+    return float(np.sum((pi - 1.0) * s) + np.sum(mass * const))
 
 
 def _grad_from_stats(s, mass, pi):
@@ -276,6 +293,12 @@ def _checked_model(preds, model: SdsModel):
     return model.pi.pi, model.nu.nu
 
 
+def _e_step_rows(preds, model):
+    """The undamped posterior rows, as checked by :func:`_normalize_log_rows`."""
+    _checked_model(preds, model)
+    return _normalize_log_rows(_log_weight_matrix(np.log(preds.probs), model._terms))
+
+
 def _checked_stats(preds, post, model):
     """Input checks shared by the public M-step and Q functions, then the
     evidence statistics of ``post``.  Returns ``(S, mass, pi, nu)``."""
@@ -305,7 +328,7 @@ def q_function(preds: PredictionSet, post, model: SdsModel) -> float:
     s, mass, pi, nu = _checked_stats(preds, post, model)
     if np.any((nu <= 0.0) & (mass > 0.0)):
         raise ValueError("class prior is zero on a class with posterior mass")
-    return _q_from_stats(s, mass, pi, nu)
+    return _q_from_stats(s, mass, pi, model._terms[1])
 
 
 def q_grad_pi(preds: PredictionSet, post, model: SdsModel) -> np.ndarray:
@@ -347,9 +370,7 @@ def e_step_raw(preds: PredictionSet, model: SdsModel) -> PosteriorMatrix:
     """Posterior over the latent class of every item under the current
     parameters: row i is the normalized exponential of the log weights of
     :func:`_log_weight_matrix`.  No damping is applied here."""
-    pi, nu = _checked_model(preds, model)
-    w = _log_weight_matrix(np.log(preds.probs), pi, nu)
-    return PosteriorMatrix(_normalize_log_rows(w), list(preds.item_ids))
+    return PosteriorMatrix(_e_step_rows(preds, model), list(preds.item_ids))
 
 
 def polyak_update(old, new, alpha: float) -> PosteriorMatrix:
@@ -423,6 +444,7 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     log_c = np.log(preds.probs)
     log_c_t = _transposed(log_c)
     state = AdamState.zeros(pi.size)
+    terms = _log_weight_terms(pi, nu)
 
     iters, qs, alphas, millis = [], [], [], []
     prev_q = None
@@ -432,14 +454,16 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
         for it in range(cfg.em_iterations):
             t0 = time.perf_counter()
             alpha = _alpha_at(cfg.alpha_schedule, it)
-            fresh = _normalize_log_rows(_log_weight_matrix(log_c, pi, nu, map_chunks))
+            fresh = _normalize_log_rows(_log_weight_matrix(log_c, terms, map_chunks))
             post = (1.0 - alpha) * post + alpha * fresh
             s, mass = _evidence_stats(log_c_t, post, map_chunks)
             nu = mass / mass.sum()
             if cfg.reset_optimizer_each_m_step:
                 state = AdamState.zeros(pi.size)
             pi, state = _adamw_pi(s, mass, pi, cfg, state)
-            q = _q_from_stats(s, mass, pi, nu)
+            # shared by this iteration's Q and the next iteration's E-step
+            terms = _log_weight_terms(pi, nu)
+            q = _q_from_stats(s, mass, pi, terms[1])
             if not np.isfinite(q):
                 raise NumericError(f"Q became non-finite at iteration {it}")
             iters.append(it)
@@ -466,10 +490,10 @@ def online_infer(item_probs, model: SdsModel) -> np.ndarray:
     :meth:`PredictionSet.from_probs` with the row-sum tolerance of
     :func:`load_predictions` (1e-3), so the result is bitwise identical
     to the item's row of :func:`e_step_raw` on any batch holding the
-    same raw values.
+    same raw values.  The row is a fresh, writeable array.
     """
     item = PredictionSet.from_probs(np.asarray(item_probs)[None], sum_tol=1e-3)
-    return e_step_raw(item, model).rows[0]
+    return _e_step_rows(item, model)[0]
 
 
 @dataclass
@@ -514,7 +538,7 @@ def explain(preds: PredictionSet, model: SdsModel, item_index: int) -> Explanati
         raise IndexError(f"item index {item_index} out of range [0, {preds.n_items})")
     pi, nu = _checked_model(preds, model)
     log_c = np.log(preds.probs[item_index:item_index + 1])  # (1, K, J)
-    log_weights = _log_weight_matrix(log_c, pi, nu)
+    log_weights = _log_weight_matrix(log_c, model._terms)
     return Explanation(
         item_id=preds.item_ids[item_index],
         log_prior=_log_nu(nu),
@@ -539,9 +563,9 @@ def load_model(path) -> SdsModel:
     if "nu" not in obj or "members" not in obj:
         raise FormatError(f"{path}: model must be an object with nu and members")
     pi = _parse_members_pi(obj, path)
-    floor = float(obj.get("pi_floor", np.min(pi)))
     try:
+        floor = float(obj.get("pi_floor", np.min(pi)))
         return SdsModel(ConfusionTensor(pi, floor),
                         ClassPrior(np.asarray(obj["nu"], dtype=np.float64)))
-    except FormatError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -16,10 +16,11 @@ from .data import (
     GroundTruth,
     PosteriorMatrix,
     PredictionSet,
+    _is_int,
     _load_json,
     _save_json,
 )
-from .mathutils import dirichlet_log_density, normalize_log
+from .mathutils import dirichlet_log_density
 
 __all__ = ["GenerativeSpec", "sample", "bayes_posterior"]
 
@@ -54,17 +55,20 @@ class GenerativeSpec:
             raise FormatError(
                 f"{path}: generative spec needs keys {sorted(required)}"
             )
+        counts = ("n_items", "n_members", "n_classes", "seed")
+        if not all(_is_int(obj[key]) for key in counts):
+            raise FormatError(f"{path}: {', '.join(counts)} must be integers")
         try:
             return cls(
-                n_items=int(obj["n_items"]),
-                n_members=int(obj["n_members"]),
-                n_classes=int(obj["n_classes"]),
+                n_items=obj["n_items"],
+                n_members=obj["n_members"],
+                n_classes=obj["n_classes"],
                 nu_true=ClassPrior(np.asarray(obj["nu_true"], dtype=np.float64)),
                 pi_true=ConfusionTensor(
                     np.asarray(obj["pi_true"], dtype=np.float64),
                     pi_floor=float(np.min(np.asarray(obj["pi_true"], dtype=np.float64))),
                 ),
-                seed=int(obj["seed"]),
+                seed=obj["seed"],
             )
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: {exc}") from None
@@ -126,19 +130,16 @@ def bayes_posterior(spec: GenerativeSpec, preds: PredictionSet) -> PosteriorMatr
 
         row_i  proportional to  nu_j * prod_k Dir(c_i^(k); pi_true[k, j])
 
-    Computed item by item through :func:`dirichlet_log_density`, i.e. a
-    code path independent of the fitter's vectorized E-step.
+    One class at a time through :func:`dirichlet_log_density` on all items,
+    a code path independent of the fitter's E-step kernel.
     """
     if preds.n_members != spec.n_members or preds.n_classes != spec.n_classes:
         raise ValueError("prediction shape does not match the generative spec")
     pi = spec.pi_true.pi
     log_nu = np.log(np.maximum(spec.nu_true.nu, _NU_LOG_FLOOR))
-    j = spec.n_classes
-    rows = np.empty((preds.n_items, j))
-    for i in range(preds.n_items):
-        w = log_nu.copy()
-        for cls in range(j):
-            for m in range(spec.n_members):
-                w[cls] += dirichlet_log_density(preds.probs[i, m], pi[m, cls])
-        rows[i] = normalize_log(w)
+    w = np.empty((preds.n_items, spec.n_classes))
+    for cls in range(spec.n_classes):
+        w[:, cls] = (log_nu[cls]
+                     + dirichlet_log_density(preds.probs, pi[:, cls]).sum(axis=1))
+    rows = np.exp(w - np.logaddexp.reduce(w, axis=1, keepdims=True))
     return PosteriorMatrix(rows, list(preds.item_ids))

@@ -52,6 +52,18 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(spec_path),
                      "--out-dir", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_items", 7.9), ("n_members", True), ("seed", "5"),
+    ])
+    def test_non_integer_count_exits_1(self, tmp_path, field, value):
+        obj = {"n_items": 10, "n_members": 1, "n_classes": 2,
+               "nu_true": [0.5, 0.5], "pi_true": [[[2.0, 1.0], [1.0, 2.0]]],
+               "seed": 0, field: value}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(obj))
+        assert main(["simulate", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "x")]) == 1
+
 
 class TestAggregate:
     def test_ensemble_average(self, sim_dir, tmp_path):

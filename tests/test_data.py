@@ -55,6 +55,11 @@ class TestPredictionSet:
     def test_rejects_bad_row_sum(self):
         with pytest.raises(FormatError, match="sum"):
             s.PredictionSet.from_probs(np.full((1, 1, 2), 0.3))
+        # non-finite rows fail the row-sum check, or, for a NaN, which
+        # every comparison lets through, the constructor's check
+        for row, what in (([np.inf, 0.0], "sum"), ([np.nan, 1.0], "finite")):
+            with pytest.raises(FormatError, match=what):
+                s.PredictionSet.from_probs(np.array([[row]]))
 
     def test_flooring(self):
         preds = s.PredictionSet.from_probs(np.array([[[0.0, 0.6, 0.4]]]))
@@ -246,6 +251,10 @@ class TestContainers:
     def test_confusion_floor_checked(self):
         with pytest.raises(FormatError):
             s.ConfusionTensor(np.zeros((1, 2, 2)))
+
+    def test_nan_confusion_floor_rejected(self):
+        with pytest.raises(FormatError, match="pi_floor"):
+            s.ConfusionTensor(np.ones((1, 2, 2)), float("nan"))
 
     def test_hard_labels_range(self):
         with pytest.raises(FormatError):

@@ -1,18 +1,36 @@
 """Core fitting machinery: Q function, analytic gradient, E/M steps, the
 EM driver, online inference, and the posterior decomposition."""
 
+import dataclasses
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softds as s
-from softds.mathutils import dirichlet_log_density, normalize_log
+from softds.mathutils import dirichlet_log_density
 from softds.optim import AdamState
 from util import diagonal_spec, model, random_instance, reference_fit
 
 LN_HALF = -0.6931471805599453
 LN_THREE_QUARTERS = -0.2876820724517809  # ln 0.5 + 2 ln 0.5 + ln 6
+
+
+@pytest.fixture
+def log_gamma_calls(monkeypatch):
+    """A list that gains one entry per call of ``softds.sds.log_gamma``."""
+    calls = []
+    real = s.sds.log_gamma
+
+    def counting(x):
+        calls.append(None)
+        return real(x)
+
+    monkeypatch.setattr(s.sds, "log_gamma", counting)
+    return calls
 
 
 def single_item_instance():
@@ -224,7 +242,8 @@ class TestEStepRaw:
                     for m in range(k):
                         w[cls] += dirichlet_log_density(preds.probs[i, m],
                                                         pi[m, cls])
-                np.testing.assert_allclose(got[i], normalize_log(w), atol=1e-10)
+                np.testing.assert_allclose(
+                    got[i], np.exp(w - np.logaddexp.reduce(w)), atol=1e-10)
 
     def test_rows_are_on_simplex(self):
         rng = np.random.default_rng(24)
@@ -423,6 +442,14 @@ class TestFit:
             em_iterations=10, reset_optimizer_each_m_step=True))
         assert not np.array_equal(carried.pi.pi, reset.pi.pi)
 
+    def test_model_terms_once_per_iteration(self, log_gamma_calls):
+        # the log-Gamma normalizer of each iteration's model is computed
+        # once, for its Q and the next E-step, plus once for the start
+        spec = diagonal_spec(4.0, 0.4, seed=37, n_items=60, n_classes=3)
+        preds, _ = s.sample(spec)
+        s.fit(preds, s.SdsConfig(em_iterations=6))
+        assert len(log_gamma_calls) == 2 * (6 + 1)
+
 
 @pytest.fixture(scope="module")
 def fitted():
@@ -466,17 +493,31 @@ class TestOnlineInfer:
         with pytest.raises(ValueError):
             s.online_infer(bad, model)
 
+    def test_model_terms_once_per_model(self, fitted, log_gamma_calls):
+        _, preds, _, fitted_model = fitted
+        model = s.SdsModel(fitted_model.pi, fitted_model.nu)
+        for i in range(50):
+            s.online_infer(preds.probs[i], model)
+        assert len(log_gamma_calls) <= 2
+
     def test_safe_under_concurrent_callers(self, fitted):
         # the model is frozen and the function is pure, so hammering it
         # from a pool must reproduce the sequential results exactly
         from concurrent.futures import ThreadPoolExecutor
 
-        _, preds, _, model = fitted
+        _, preds, _, fitted_model = fitted
         items = [preds.probs[i] for i in range(60)]
-        sequential = [s.online_infer(item, model) for item in items]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            concurrent = list(pool.map(lambda it: s.online_infer(it, model),
-                                       items))
+        sequential = [s.online_infer(item, fitted_model) for item in items]
+        # a fresh model, so that the callers race to compute its terms
+        model = s.SdsModel(fitted_model.pi, fitted_model.nu)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                concurrent = list(pool.map(lambda it: s.online_infer(it, model),
+                                           items))
+        finally:
+            sys.setswitchinterval(interval)
         for a, b in zip(sequential, concurrent):
             assert np.array_equal(a, b)
 
@@ -524,7 +565,8 @@ class TestExplain:
                 for m in range(2):
                     w[cls] += dirichlet_log_density(preds.probs[1, m],
                                                     pi[m, cls])
-            assert np.argmax(breakdown.posterior) == np.argmax(normalize_log(w))
+            oracle = np.exp(w - np.logaddexp.reduce(w))
+            assert np.argmax(breakdown.posterior) == np.argmax(oracle)
 
     def test_index_out_of_range(self):
         rng = np.random.default_rng(42)
@@ -554,6 +596,34 @@ class TestSerialization:
         again = s.load_model(path)
         assert np.array_equal(model.pi.pi, again.pi.pi)
         assert np.array_equal(model.nu.nu, again.nu.nu)
+
+    def test_model_is_frozen(self):
+        rng = np.random.default_rng(44)
+        frozen = model(rng.uniform(0.5, 5.0, (2, 3, 3)), np.full(3, 1.0 / 3.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frozen.pi = s.ConfusionTensor(np.ones((2, 3, 3)))
+        # nor can the parameters under it be swapped
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frozen.pi.pi = np.ones((2, 3, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frozen.nu.nu = np.full(3, 1.0 / 3.0)
+
+    @pytest.mark.parametrize("change", [
+        {"nu": ["x", 0.5]},
+        {"nu": [[0.5], 0.5]},
+        {"pi_floor": "x"},
+        {"pi_floor": float("nan")},
+        {"members": [{"pi": [[1.0, "x"], [1.0, 1.0]]}]},
+        {"members": [{"pi": [[1.0, 1.0], [1.0]]}]},
+    ], ids=["nu_string", "nu_ragged", "pi_floor_string", "pi_floor_nan",
+            "pi_string", "pi_ragged"])
+    def test_model_loader_names_file(self, tmp_path, change):
+        obj = {"nu": [0.5, 0.5], "members": [{"pi": [[1.0, 1.0], [1.0, 1.0]]}],
+               "pi_floor": 0.5, **change}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(s.FormatError, match="model.json"):
+            s.load_model(path)
 
     def test_trace_loader_names_file_and_line(self, tmp_path):
         path = tmp_path / "trace.csv"
