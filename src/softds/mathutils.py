@@ -100,8 +100,9 @@ def digamma(x):
         mask = z < 8.0
         if not mask.any():
             break
-        shift[mask] -= 1.0 / z[mask]
-        z[mask] += 1.0
+        # adding or subtracting 0.0 leaves an entry's bits unchanged
+        shift -= np.where(mask, 1.0 / z, 0.0)
+        z += mask
     u = 1.0 / (z * z)
     tail = u * (
         1.0 / 12.0

@@ -41,6 +41,7 @@ from .data import (
     PosteriorMatrix,
     PredictionSet,
     SdsConfig,
+    _FIELD_KINDS,
     _load_json,
     _members_pi,
     _parse_members_pi,
@@ -563,9 +564,12 @@ def load_model(path) -> SdsModel:
     if "nu" not in obj or "members" not in obj:
         raise FormatError(f"{path}: model must be an object with nu and members")
     pi = _parse_members_pi(obj, path)
+    floor = obj.get("pi_floor", np.min(pi))
+    kind, is_kind = _FIELD_KINDS["float"]
+    if not is_kind(floor):
+        raise FormatError(f"{path}: pi_floor must be {kind}, got {floor!r}")
     try:
-        floor = float(obj.get("pi_floor", np.min(pi)))
-        return SdsModel(ConfusionTensor(pi, floor),
+        return SdsModel(ConfusionTensor(pi, float(floor)),
                         ClassPrior(np.asarray(obj["nu"], dtype=np.float64)))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from None

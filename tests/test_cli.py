@@ -64,6 +64,22 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(spec_path),
                      "--out-dir", str(tmp_path / "x")]) == 1
 
+    def test_negative_seed_exits_1_naming_the_file(self, tmp_path, capsys):
+        obj = {"n_items": 10, "n_members": 1, "n_classes": 2,
+               "nu_true": [0.5, 0.5], "pi_true": [[[2.0, 1.0], [1.0, 2.0]]],
+               "seed": -1}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(obj))
+        assert main(["simulate", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "x")]) == 1
+        assert "spec.json: seed must be" in capsys.readouterr().err
+        obj["seed"] = 0
+        spec_path.write_text(json.dumps(obj))
+        assert main(["simulate", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "x"), "--seed", "-1"]) == 1
+        assert "seed must be" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestAggregate:
     def test_ensemble_average(self, sim_dir, tmp_path):

@@ -65,7 +65,29 @@ class TestLogGamma:
         np.testing.assert_allclose(out, [0.0, 0.0, math.log(2.0)], atol=1e-12)
 
 
+def masked_digamma(x):
+    """``digamma`` with its argument shifts gathered and scattered through
+    boolean masks, the form its masked-add shifts must equal bit for bit."""
+    z = np.array(x, dtype=np.float64)
+    shift = np.zeros_like(z)
+    for _ in range(8):
+        mask = z < 8.0
+        shift[mask] -= 1.0 / z[mask]
+        z[mask] += 1.0
+    u = 1.0 / (z * z)
+    tail = u * (1.0 / 12.0 - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (
+        1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0 - u / 12.0))))))
+    return shift + np.log(z) - 0.5 / z - tail
+
+
 class TestDigamma:
+    def test_equals_masked_shifts_bitwise(self):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.uniform(1e-3, 20.0, 20_000),
+                            np.exp(rng.uniform(-20.0, 20.0, 20_000)),
+                            [1e-300, 7.999999999999999, 8.0, 1e150]])
+        assert np.array_equal(digamma(x), masked_digamma(x))
+
     def test_at_one(self):
         assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
 

@@ -459,6 +459,66 @@ def fitted():
     return spec, preds, truth, model
 
 
+EDGES = ["k1", "n1", "identical_members", "constant_members", "rows_at_floor"]
+
+
+def edge_predictions(edge, seed):
+    """Small predictions at one edge of the input space: a single member,
+    a single item, members that agree on every item, members that output
+    one vector for every item, or one-hot rows (entries at ``PROB_FLOOR``)."""
+    rng = np.random.default_rng(seed)
+    n = 1 if edge == "n1" else int(rng.integers(2, 8))
+    k = 1 if edge == "k1" else int(rng.integers(2, 4))
+    j = int(rng.integers(2, 6))
+    probs = rng.dirichlet(np.full(j, 0.5), size=(n, k))
+    if edge == "identical_members":
+        probs[:] = probs[:, :1]
+    elif edge == "constant_members":
+        probs[:] = probs[:1]
+    elif edge == "rows_at_floor":
+        probs = np.eye(j)[rng.integers(0, j, size=(n, k))]
+    return s.PredictionSet.from_probs(probs)
+
+
+def assert_simplex_rows_or_numeric_error(compute_rows):
+    try:
+        rows = compute_rows()
+    except s.NumericError:
+        return
+    assert np.all(np.isfinite(rows))
+    assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-9
+
+
+class TestEdgeProperties:
+    """At each edge a fit or an E-step gives finite rows on the simplex,
+    or fails with :class:`NumericError`."""
+
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("cfg", [
+        s.SdsConfig(em_iterations=10),
+        s.SdsConfig(alpha_schedule=[(0, 1.0)], learning_rate=0.5,
+                    em_iterations=10),
+    ], ids=["default_rates", "undamped_lr_0.5"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_fit(self, edge, cfg, seed):
+        preds = edge_predictions(edge, seed)
+        assert_simplex_rows_or_numeric_error(lambda: s.fit(preds, cfg)[1].rows)
+
+    @pytest.mark.parametrize("edge", EDGES)
+    @given(seed=st.integers(0, 2**32 - 1),
+           log10_pi=st.floats(-3.0, 3.0), spread=st.floats(0.0, 3.0))
+    @settings(max_examples=15, deadline=None)
+    def test_e_step_raw(self, edge, seed, log10_pi, spread):
+        preds = edge_predictions(edge, seed)
+        rng = np.random.default_rng(seed)
+        shape = (preds.n_members, preds.n_classes, preds.n_classes)
+        pi = 10.0 ** (log10_pi + spread * rng.uniform(-1.0, 1.0, shape))
+        nu = rng.dirichlet(np.ones(preds.n_classes))
+        assert_simplex_rows_or_numeric_error(
+            lambda: s.e_step_raw(preds, model(pi, nu)).rows)
+
+
 class TestOnlineInfer:
     def test_bitwise_equal_to_batch_row(self, fitted):
         _, preds, _, model = fitted
@@ -613,10 +673,12 @@ class TestSerialization:
         {"nu": [[0.5], 0.5]},
         {"pi_floor": "x"},
         {"pi_floor": float("nan")},
+        {"pi_floor": True},
+        {"pi_floor": "0.5"},
         {"members": [{"pi": [[1.0, "x"], [1.0, 1.0]]}]},
         {"members": [{"pi": [[1.0, 1.0], [1.0]]}]},
     ], ids=["nu_string", "nu_ragged", "pi_floor_string", "pi_floor_nan",
-            "pi_string", "pi_ragged"])
+            "pi_floor_bool", "pi_floor_numeric_string", "pi_string", "pi_ragged"])
     def test_model_loader_names_file(self, tmp_path, change):
         obj = {"nu": [0.5, 0.5], "members": [{"pi": [[1.0, 1.0], [1.0, 1.0]]}],
                "pi_floor": 0.5, **change}
@@ -624,6 +686,12 @@ class TestSerialization:
         path.write_text(json.dumps(obj))
         with pytest.raises(s.FormatError, match="model.json"):
             s.load_model(path)
+
+    def test_model_without_pi_floor_takes_min_pi(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"nu": [0.5, 0.5],
+                                    "members": [{"pi": [[2.0, 0.7], [0.9, 3.0]]}]}))
+        assert s.load_model(path).pi.pi_floor == 0.7
 
     def test_trace_loader_names_file_and_line(self, tmp_path):
         path = tmp_path / "trace.csv"

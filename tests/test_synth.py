@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import softds as s
-from util import diagonal_spec
+from util import diagonal_spec, reference_sample
 
 
 def make_spec(pi, nu, seed, n_items):
@@ -19,7 +19,61 @@ def make_spec(pi, nu, seed, n_items):
     )
 
 
+def _underflow_spec(seed, n_items):
+    # Gamma(1e-3) draws are exactly 0 about half the time, so about a
+    # quarter of the (J=2) vectors take the uniform branch
+    return make_spec(np.full((2, 2, 2), 1e-3), [0.5, 0.5], seed, n_items)
+
+
 class TestSample:
+    @pytest.mark.parametrize("spec", [
+        diagonal_spec(3.0, 0.4, seed=0, n_items=40, n_classes=4),
+        diagonal_spec(3.0, 0.4, seed=2**40 + 3, n_items=40, n_classes=4),
+        diagonal_spec(3.0, 0.4, seed=2**64 + 5, n_items=20, n_classes=3),
+        make_spec(np.array([[[2.0, 0.5], [0.5, 2.0]]]), [0.3, 0.7], 72, 50),
+        make_spec(np.full((2, 3, 3), 1.0), [0.0, 1.0, 0.0], 73, 30),
+        _underflow_spec(74, 200),
+        # 4096-item blocks, the last one partial
+        diagonal_spec(1.5, 0.4, seed=75, n_items=2 * 4096 + 3,
+                      n_members=1, n_classes=2),
+    ], ids=["seed_0", "seed_2_words", "seed_3_words", "k1_j2", "one_hot_prior",
+            "underflow", "partial_block"])
+    def test_equals_per_site_generators_bitwise(self, spec):
+        preds, truth = s.sample(spec)
+        ref_preds, ref_truth = reference_sample(spec)
+        assert np.array_equal(preds.probs, ref_preds.probs)
+        assert np.array_equal(truth.labels, ref_truth.labels)
+        assert preds.item_ids == ref_preds.item_ids
+
+    def test_underflowing_vectors_are_uniform(self):
+        preds, _ = s.sample(_underflow_spec(74, 200))
+        uniform = np.all(preds.probs == 0.5, axis=2)
+        assert 0 < uniform.sum() < uniform.size
+
+    def test_bulk_seeds_equal_seed_sequence(self):
+        from softds.synth import _int_words, _pcg64_states
+
+        # seeds of one to four words, then a stream tag and one or two
+        # indices: entropy of 3 to 7 words, around the 4-word pool
+        rng = np.random.default_rng(76)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 9, 2**64, 2**100 + 7]
+        keys = []
+        for _ in range(1000):
+            pick = int(rng.integers(len(seeds) + 1))
+            seed = seeds[pick] if pick < len(seeds) else int(rng.integers(2**32))
+            indices = rng.integers(0, 2**32, int(rng.integers(1, 3)))
+            keys.append((seed, int(rng.integers(2)), *map(int, indices)))
+        by_length = {}
+        for key in keys:
+            words = [w for v in key for w in _int_words(v)]
+            by_length.setdefault(len(words), []).append((key, words))
+        assert len(by_length) >= 4
+        for group in by_length.values():
+            states = _pcg64_states(np.array([words for _, words in group]))
+            for (key, _), state in zip(group, states):
+                want = np.random.PCG64(np.random.SeedSequence(key)).state["state"]
+                assert state == want, key
+
     def test_deterministic_bitwise(self):
         spec = diagonal_spec(3.0, 0.4, seed=60, n_items=50, n_classes=3)
         p1, t1 = s.sample(spec)
@@ -81,6 +135,8 @@ class TestSample:
     def test_spec_validation(self):
         with pytest.raises(s.FormatError):
             diagonal_spec(3.0, 0.4, seed=0, n_items=0)
+        with pytest.raises(s.FormatError, match="seed"):
+            diagonal_spec(3.0, 0.4, seed=-1, n_items=5)
 
 
 class TestBayesPosterior:

@@ -37,6 +37,33 @@ def diagonal_spec(diag, off, seed, n_items, n_members=3, n_classes=5):
     )
 
 
+def reference_sample(spec):
+    """The sampler as one ``Generator(PCG64(SeedSequence(key)))`` per draw
+    site, keyed ``(seed, 0, item)`` for the label and ``(seed, 1, item,
+    member)`` for each probability vector, normalised row by row.
+    Returns ``(PredictionSet, GroundTruth)``."""
+    def stream(*key):
+        entropy = (int(spec.seed),) + tuple(int(v) for v in key)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+    n, k, j = spec.n_items, spec.n_members, spec.n_classes
+    cdf = np.cumsum(spec.nu_true.nu)
+    pi = spec.pi_true.pi
+    labels = np.empty(n, dtype=np.int64)
+    probs = np.empty((n, k, j))
+    for i in range(n):
+        u = stream(0, i).random()
+        t = min(int(np.searchsorted(cdf, u, side="right")), j - 1)
+        labels[i] = t
+        for m in range(k):
+            gam = stream(1, i, m).standard_gamma(pi[m, t])
+            total = gam.sum()
+            probs[i, m] = gam / total if total > 0.0 else np.full(j, 1.0 / j)
+    item_ids = [str(i) for i in range(n)]
+    preds = s.PredictionSet.from_probs(probs, item_ids)
+    return preds, s.GroundTruth(labels, list(item_ids), n_classes=j)
+
+
 def accurate_hard_labels(rng, n_items, n_members, accuracy=0.9, n_classes=2):
     """Hard labels that match a random binary truth with the given
     per-vote accuracy."""
