@@ -44,7 +44,7 @@ def main():
     spec = s.GenerativeSpec(
         args.n_items, args.n_members, args.n_classes,
         s.ClassPrior(np.full(args.n_classes, 1.0 / args.n_classes)),
-        s.ConfusionTensor(pi, pi_floor=min(args.off, 0.01)), args.seed)
+        s.ConfusionTensor(pi), args.seed)
     preds, truth = s.sample(spec)
     n_learn = max(1, int(args.n_items * args.learn_fraction))
     learn = s.PredictionSet(preds.probs[:n_learn], preds.item_ids[:n_learn])

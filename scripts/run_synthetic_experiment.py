@@ -29,7 +29,7 @@ def parse_args():
                    help="off-diagonal Dirichlet parameter")
     p.add_argument("--seed", type=int, default=23)
     p.add_argument("--em-iterations", type=int, default=100)
-    p.add_argument("--ece-bins", type=int, default=300)
+    p.add_argument("--ece-bins", type=int, default=s.metrics.ECE_BINS)
     p.add_argument("--out-dir", default=None,
                    help="also dump dataset, posteriors, model, and trace")
     return p.parse_args()
@@ -43,7 +43,7 @@ def build_spec(args):
         n_members=args.n_members,
         n_classes=args.n_classes,
         nu_true=s.ClassPrior(np.full(args.n_classes, 1.0 / args.n_classes)),
-        pi_true=s.ConfusionTensor(pi, pi_floor=min(args.off, 0.01)),
+        pi_true=s.ConfusionTensor(pi),
         seed=args.seed,
     )
 

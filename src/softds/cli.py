@@ -38,7 +38,8 @@ from .data import (
     save_predictions,
     save_ground_truth,
 )
-from .metrics import auroc, evaluate_posterior, ood_score, reliability_bins, true_confusion
+from .metrics import (ECE_BINS, auroc, evaluate_posterior, ood_score, reliability_bins,
+                      true_confusion)
 from .sds import (
     NumericError,
     SdsModel,
@@ -103,8 +104,8 @@ def _cmd_aggregate(args):
         post = PosteriorMatrix(post.rows, list(preds.item_ids))
         if args.model_out:
             clamped = np.maximum(ds_model.confusion, config.pi_floor)
-            save_model(SdsModel(ConfusionTensor(clamped, config.pi_floor),
-                                ds_model.prior), args.model_out)
+            save_model(SdsModel(ConfusionTensor(clamped), ds_model.prior),
+                       args.model_out)
     else:  # sds
         model, post, trace = fit(preds, config, threads=threads)
         model_path = args.model_out or _derived_path(args.out, ".model.json")
@@ -168,9 +169,6 @@ def _cmd_evaluate(args):
 
 def _cmd_simulate(args):
     spec = GenerativeSpec.from_json(args.spec)
-    if args.seed is not None:
-        spec = GenerativeSpec(spec.n_items, spec.n_members, spec.n_classes,
-                              spec.nu_true, spec.pi_true, args.seed)
     preds, truth = sample(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     truth_name = "truth.csv"
@@ -273,7 +271,7 @@ def build_parser():
     ev = sub.add_parser("evaluate", help="score a posterior against ground truth")
     ev.add_argument("--posterior", help="posterior CSV")
     ev.add_argument("--truth", help="ground-truth CSV")
-    ev.add_argument("--bins", type=int, default=300, help="ECE bin count")
+    ev.add_argument("--bins", type=int, default=ECE_BINS, help="ECE bin count")
     ev.add_argument("--ece-bins-out", help="per-bin (conf, acc, count) CSV")
     ev.add_argument("--confusion-out", help="ground-truth confusion JSON")
     ev.add_argument("--manifest", help="manifest for per-member confusion")
@@ -290,7 +288,6 @@ def build_parser():
     sim.add_argument("--bayes", action="store_true",
                      help="also write the exact posterior under the true "
                           "parameters")
-    sim.add_argument("--seed", type=int, default=None, help="spec seed override")
     sim.set_defaults(func=_cmd_simulate)
 
     onl = sub.add_parser("online", help="stream per-item posteriors under a "

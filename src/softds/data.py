@@ -13,10 +13,13 @@ confusion tensor JSON : ``{"members": [{"pi": [[...J floats] x J]}, ...]}``.
 config JSON : keys mirror :class:`SdsConfig` field names; absent fields
     take the defaults below.
 
-Floats are serialized with ``repr`` so save -> load round-trips are
-bit-exact.  Containers validate on construction and mark their arrays
-read-only, which makes instances safe to share across threads;
-``ConfusionTensor`` and ``ClassPrior`` are frozen as well.
+A raw probability row, in a member CSV, in memory or on the ``online``
+stream, must sum to 1 within ``ROW_SUM_TOL`` and hold only finite entries
+>= 0; it is then floored at ``PROB_FLOOR`` and renormalized.  Floats are
+serialized with ``repr`` so save -> load round-trips are bit-exact.
+Containers validate on construction and mark their arrays read-only,
+which makes instances safe to share across threads; ``ConfusionTensor``
+and ``ClassPrior`` are frozen as well.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import numpy as np
 __all__ = [
     "FormatError",
     "PROB_FLOOR",
-    "PI_FLOOR_DEFAULT",
+    "NU_LOG_FLOOR",
+    "ROW_SUM_TOL",
     "floor_and_renormalize",
     "PredictionSet",
     "HardLabelSet",
@@ -55,7 +59,11 @@ __all__ = [
 # Every load floors probabilities here (then renormalizes), so their logs
 # stay finite; metrics floor at the same value.
 PROB_FLOOR = 1e-12
-PI_FLOOR_DEFAULT = 1e-6
+# The class prior is floored here inside logarithms only, so that a prior
+# entry that collapsed to exactly 0 keeps the log weights finite.
+NU_LOG_FLOOR = 1e-300
+# How far from 1 a raw probability row may sum; see the module docstring.
+ROW_SUM_TOL = 1e-3
 
 # Rows whose sum is already within this tolerance of 1 are left untouched
 # by renormalization, so loading a file we wrote reproduces it bit-exactly.
@@ -91,6 +99,24 @@ def floor_and_renormalize(probs):
             break
         p = np.maximum(np.where(off, p / sums, p), PROB_FLOOR)
     return p
+
+
+def _check_raw_rows(raw, where):
+    """Raise :class:`FormatError` unless every row (last axis) of ``raw``
+    sums to 1 within ``ROW_SUM_TOL`` and holds only finite entries >= 0;
+    ``where(*index)`` names the first bad row from its index over the
+    leading axes.  The sum is checked first: an ``inf`` fails it, and a
+    NaN, which passes every comparison, fails the second check."""
+    sums = raw.sum(axis=-1)
+    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    if np.any(off):
+        idx = np.unravel_index(int(np.argmax(off)), off.shape)
+        raise FormatError(f"{where(*idx)}: probabilities sum to {sums[idx]:.6f} "
+                          f"(tolerance {ROW_SUM_TOL:g})")
+    bad = ~np.all(np.isfinite(raw) & (raw >= 0.0), axis=-1)
+    if np.any(bad):
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise FormatError(f"{where(*idx)}: negative or non-finite probability")
 
 
 # ---------------------------------------------------------------------------
@@ -129,22 +155,14 @@ class PredictionSet:
         self.probs = probs
 
     @classmethod
-    def from_probs(cls, raw, item_ids=None, sum_tol=1e-6):
-        """Validate raw probabilities (row sums within ``sum_tol`` of 1,
-        no negatives), floor at ``PROB_FLOOR`` and renormalize."""
+    def from_probs(cls, raw, item_ids=None):
+        """Check raw probabilities (each row sums to 1 within
+        ``ROW_SUM_TOL``, entries finite and >= 0), floor at ``PROB_FLOOR``
+        and renormalize."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 3:
             raise FormatError("prediction array must be N x K x J")
-        # a NaN passes these checks and the flooring; the constructor rejects it
-        if np.any(raw < 0.0):
-            raise FormatError("negative probability value")
-        dev = np.abs(raw.sum(axis=2) - 1.0)
-        if np.any(dev > sum_tol):
-            i, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            raise FormatError(
-                f"member {k} item {i}: probabilities sum to "
-                f"{raw[i, k].sum():.6f} (tolerance {sum_tol:g})"
-            )
+        _check_raw_rows(raw, lambda i, k: f"member {k} item {i}")
         return cls(floor_and_renormalize(raw), item_ids)
 
     @property
@@ -192,16 +210,13 @@ class ConfusionTensor:
     member k parameterizes that member's output when the true class is j."""
 
     pi: np.ndarray
-    pi_floor: float = PI_FLOOR_DEFAULT
 
     def __post_init__(self):
         pi = _frozen(self.pi)
         if pi.ndim != 3 or pi.shape[1] != pi.shape[2]:
             raise FormatError("confusion tensor must be K x J x J")
-        if not self.pi_floor > 0.0:  # written so that NaN fails too
-            raise FormatError("pi_floor must be > 0")
-        if not np.all(np.isfinite(pi)) or np.any(pi < self.pi_floor):
-            raise FormatError("confusion entries must be finite and >= pi_floor")
+        if not np.all(np.isfinite(pi)) or np.any(pi <= 0.0):
+            raise FormatError("confusion entries must be finite and > 0")
         object.__setattr__(self, "pi", pi)
 
     @property
@@ -332,7 +347,7 @@ class SdsConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    pi_floor: float = PI_FLOOR_DEFAULT
+    pi_floor: float = 1e-6
     ds_init_concentration: float = 10.0
     ds_init_smoothing: float = 0.01
     q_rel_tolerance: float = 0.0
@@ -495,20 +510,20 @@ def _write_prob_file(path, ids, rows):
                ([item_id, *row] for item_id, row in zip(ids, rows.tolist())))
 
 
-def load_predictions(manifest_path, sum_tol=1e-3):
+def load_predictions(manifest_path):
     """Load the member CSVs referenced by a manifest into a validated,
     floored, renormalized :class:`PredictionSet`.
 
     Item order follows member file 0; all member files must list the
     same item ids in the same order.  A row whose probabilities sum
-    further than ``sum_tol`` from 1, a negative or non-finite entry, or
-    a missing column raises :class:`FormatError` naming the file and
+    further than ``ROW_SUM_TOL`` from 1, a negative or non-finite entry,
+    or a missing column raises :class:`FormatError` naming the file and
     line.
     """
     manifest = _load_json(manifest_path, "manifest")
     n_classes = manifest.get("n_classes")
     members = manifest.get("members")
-    if not isinstance(n_classes, int) or n_classes < 2:
+    if not _is_int(n_classes) or n_classes < 2:
         raise FormatError(f"{manifest_path}: n_classes must be an integer >= 2")
     if not isinstance(members, list) or not members:
         raise FormatError(f"{manifest_path}: members must be a non-empty list")
@@ -519,17 +534,7 @@ def load_predictions(manifest_path, sum_tol=1e-3):
     for member_path in members:
         full = member_path if os.path.isabs(member_path) else os.path.join(base, member_path)
         ids, mat = _parse_prob_file(full, expect_classes=n_classes)
-        bad = ~(np.isfinite(mat) & (mat >= 0.0))
-        if np.any(bad):
-            rn = int(np.argwhere(bad)[0][0]) + 2
-            raise FormatError(f"{full}, line {rn}: negative or non-finite probability")
-        dev = np.abs(mat.sum(axis=1) - 1.0)
-        if np.any(dev > sum_tol):
-            bad = int(np.argmax(dev))
-            raise FormatError(
-                f"{full}, line {bad + 2}: probabilities sum to "
-                f"{mat[bad].sum():.6f} (tolerance {sum_tol:g})"
-            )
+        _check_raw_rows(mat, lambda i: f"{full}, line {i + 2}")
         if ids0 is None:
             ids0 = ids
         elif ids != ids0:
@@ -550,20 +555,20 @@ def load_predictions(manifest_path, sum_tol=1e-3):
     return PredictionSet(floor_and_renormalize(np.stack(stacks, axis=1)), ids0)
 
 
-def save_predictions(preds: PredictionSet, out_dir, manifest_name="manifest.json",
-                     member_prefix="member", labels_filename=None):
-    """Write one CSV per member plus a manifest; returns the manifest path."""
+def save_predictions(preds: PredictionSet, out_dir, labels_filename=None):
+    """Write ``member_<k>.csv`` per member plus ``manifest.json``; returns
+    the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     member_files = []
     for k in range(preds.n_members):
-        name = f"{member_prefix}_{k}.csv"
+        name = f"member_{k}.csv"
         _write_prob_file(os.path.join(out_dir, name), preds.item_ids,
                          preds.probs[:, k, :])
         member_files.append(name)
     manifest = {"n_classes": preds.n_classes, "members": member_files}
     if labels_filename is not None:
         manifest["labels"] = labels_filename
-    manifest_path = os.path.join(out_dir, manifest_name)
+    manifest_path = os.path.join(out_dir, "manifest.json")
     _save_json(manifest, manifest_path)
     return manifest_path
 

@@ -103,7 +103,9 @@ def digamma(x):
         # adding or subtracting 0.0 leaves an entry's bits unchanged
         shift -= np.where(mask, 1.0 / z, 0.0)
         z += mask
-    u = 1.0 / (z * z)
+    # z * z overflows to inf above ~1.3e154, where u = 0 is the right value
+    with np.errstate(over="ignore"):
+        u = 1.0 / (z * z)
     tail = u * (
         1.0 / 12.0
         - u * (

@@ -12,13 +12,13 @@ import numpy as np
 from .data import (
     PROB_FLOOR,
     GroundTruth,
-    HardLabelSet,
     PredictionSet,
     _posterior_rows,
     harden,
 )
 
 __all__ = [
+    "ECE_BINS",
     "MetricReport",
     "accuracy",
     "reliability_bins",
@@ -30,6 +30,9 @@ __all__ = [
     "true_confusion",
     "evaluate_posterior",
 ]
+
+# Default number of equal-width confidence bins for the ECE.
+ECE_BINS = 300
 
 
 def _labels(truth):
@@ -87,7 +90,7 @@ def accuracy(post, truth) -> float:
     return float(np.mean(np.argmax(rows, axis=1) == labels))
 
 
-def reliability_bins(post, truth, n_bins=300):
+def reliability_bins(post, truth, n_bins=ECE_BINS):
     """Per-bin (mean confidence, accuracy, count) over equal-width,
     right-closed confidence bins: bin b covers (b/n, (b+1)/n], and a
     confidence of exactly 0 lands in bin 0.
@@ -109,7 +112,7 @@ def reliability_bins(post, truth, n_bins=300):
     return mean_conf, mean_acc, count
 
 
-def ece(post, truth, n_bins=300) -> float:
+def ece(post, truth, n_bins=ECE_BINS) -> float:
     """Expected calibration error: the bin-count-weighted mean absolute
     gap between per-bin accuracy and per-bin mean confidence."""
     mean_conf, mean_acc, count = reliability_bins(post, truth, n_bins)
@@ -174,17 +177,14 @@ def true_confusion(preds_or_post, truth) -> np.ndarray:
     """Row-stochastic ground-truth confusion matrices, entry (j, l) =
     P(predicted l | true j) of the hardened predictions.
 
-    Accepts a PredictionSet or HardLabelSet (one matrix per member) or a
-    PosteriorMatrix / raw N x J array (a single matrix); returns a
-    (K, J, J) or (1, J, J) array.  True classes that never occur get a
-    uniform row and a warning.
+    Accepts a PredictionSet (one matrix per member) or a PosteriorMatrix /
+    raw N x J array (a single matrix); returns a (K, J, J) or (1, J, J)
+    array.  True classes that never occur get a uniform row and a warning.
     """
     labels = _labels(truth)
     if isinstance(preds_or_post, PredictionSet):
         hard = harden(preds_or_post)
         votes, j = hard.labels, hard.n_classes
-    elif isinstance(preds_or_post, HardLabelSet):
-        votes, j = preds_or_post.labels, preds_or_post.n_classes
     else:
         rows = _posterior_rows(preds_or_post)
         votes, j = np.argmax(rows, axis=1)[:, None], rows.shape[1]
@@ -212,7 +212,7 @@ def true_confusion(preds_or_post, truth) -> np.ndarray:
     return out
 
 
-def evaluate_posterior(post, truth, n_bins=300) -> MetricReport:
+def evaluate_posterior(post, truth, n_bins=ECE_BINS) -> MetricReport:
     """Bundle the four headline metrics into a report."""
     rows, labels = _aligned(post, truth)
     return MetricReport(

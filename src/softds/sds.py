@@ -35,13 +35,13 @@ import numpy as np
 
 from .baselines import ds_em, ensemble_average
 from .data import (
+    NU_LOG_FLOOR,
     ClassPrior,
     ConfusionTensor,
     FormatError,
     PosteriorMatrix,
     PredictionSet,
     SdsConfig,
-    _FIELD_KINDS,
     _load_json,
     _members_pi,
     _parse_members_pi,
@@ -71,10 +71,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-# Floor applied to the class prior inside logarithms only, so that a
-# prior entry that collapsed to exactly 0 keeps the E-step finite.
-NU_LOG_FLOOR = 1e-300
 
 _TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 
@@ -271,17 +267,19 @@ def _adamw_pi(s, mass, pi, config, state):
     params = pi.ravel().copy()
     for _ in range(config.inner_steps):
         grad_q = _grad_from_stats(s, mass, params.reshape(pi.shape))
-        params, state = adamw_step(
-            params, -grad_q.ravel(), state,
-            lr=config.learning_rate,
-            beta1=config.adam_beta1, beta2=config.adam_beta2,
-            eps=config.adam_epsilon, weight_decay=config.weight_decay,
-        )
-        params = np.maximum(params, config.pi_floor)
-        # One sum catches a non-finite entry and any row sum that would
-        # overflow in the next gradient's digamma.
-        if not np.isfinite(params.sum()):
-            raise NumericError("confusion tensor overflowed in the AdamW M-step")
+        # a step that overflows is reported by the check below, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, state = adamw_step(
+                params, -grad_q.ravel(), state,
+                lr=config.learning_rate,
+                beta1=config.adam_beta1, beta2=config.adam_beta2,
+                eps=config.adam_epsilon, weight_decay=config.weight_decay,
+            )
+            params = np.maximum(params, config.pi_floor)
+            # One sum catches a non-finite entry and any row sum that
+            # would overflow in the next gradient's digamma.
+            if not np.isfinite(params.sum()):
+                raise NumericError("confusion tensor overflowed in the AdamW M-step")
     return params.reshape(pi.shape), state
 
 
@@ -364,7 +362,7 @@ def m_step_pi(preds: PredictionSet, post, model: SdsModel, config: SdsConfig,
     """
     s, mass, pi, _ = _checked_stats(preds, post, model)
     pi, state = _adamw_pi(s, mass, pi, config, state)
-    return ConfusionTensor(pi, config.pi_floor), state
+    return ConfusionTensor(pi), state
 
 
 def e_step_raw(preds: PredictionSet, model: SdsModel) -> PosteriorMatrix:
@@ -476,7 +474,7 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
                 break
             prev_q = q
 
-    model = SdsModel(ConfusionTensor(pi, cfg.pi_floor), ClassPrior(nu))
+    model = SdsModel(ConfusionTensor(pi), ClassPrior(nu))
     trace = FitTrace(np.asarray(iters), np.asarray(qs), np.asarray(alphas),
                      np.asarray(millis))
     return model, PosteriorMatrix(post, list(preds.item_ids)), trace
@@ -488,12 +486,12 @@ def online_infer(item_probs, model: SdsModel) -> np.ndarray:
 
     ``item_probs`` is the K x J matrix of raw member probabilities for
     the item.  It is checked, floored and renormalized by
-    :meth:`PredictionSet.from_probs` with the row-sum tolerance of
-    :func:`load_predictions` (1e-3), so the result is bitwise identical
-    to the item's row of :func:`e_step_raw` on any batch holding the
-    same raw values.  The row is a fresh, writeable array.
+    :meth:`PredictionSet.from_probs`, under the same rule as
+    :func:`load_predictions`, so the result is bitwise identical to the
+    item's row of :func:`e_step_raw` on any batch holding the same raw
+    values.  The row is a fresh, writeable array.
     """
-    item = PredictionSet.from_probs(np.asarray(item_probs)[None], sum_tol=1e-3)
+    item = PredictionSet.from_probs(np.asarray(item_probs)[None])
     return _e_step_rows(item, model)[0]
 
 
@@ -555,21 +553,19 @@ def explain(preds: PredictionSet, model: SdsModel, item_index: int) -> Explanati
 
 
 def save_model(model: SdsModel, path):
-    _save_json({"nu": model.nu.nu.tolist(), "members": _members_pi(model.pi.pi),
-                "pi_floor": float(model.pi.pi_floor)}, path)
+    _save_json({"nu": model.nu.nu.tolist(), "members": _members_pi(model.pi.pi)},
+               path)
 
 
 def load_model(path) -> SdsModel:
+    """Read ``nu`` and ``members``; other keys, such as the ``pi_floor``
+    that older files carry, are ignored."""
     obj = _load_json(path, "model")
     if "nu" not in obj or "members" not in obj:
         raise FormatError(f"{path}: model must be an object with nu and members")
     pi = _parse_members_pi(obj, path)
-    floor = obj.get("pi_floor", np.min(pi))
-    kind, is_kind = _FIELD_KINDS["float"]
-    if not is_kind(floor):
-        raise FormatError(f"{path}: pi_floor must be {kind}, got {floor!r}")
     try:
-        return SdsModel(ConfusionTensor(pi, float(floor)),
+        return SdsModel(ConfusionTensor(pi),
                         ClassPrior(np.asarray(obj["nu"], dtype=np.float64)))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from None

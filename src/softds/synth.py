@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
+    NU_LOG_FLOOR,
     ClassPrior,
     ConfusionTensor,
     FormatError,
@@ -23,8 +24,6 @@ from .data import (
 from .mathutils import dirichlet_log_density
 
 __all__ = ["GenerativeSpec", "sample", "bayes_posterior"]
-
-_NU_LOG_FLOOR = 1e-300
 
 
 @dataclass
@@ -40,13 +39,16 @@ class GenerativeSpec:
     seed: int
 
     def __post_init__(self):
+        counts = (self.n_items, self.n_members, self.n_classes, self.seed)
+        if not all(_is_int(value) for value in counts):
+            raise FormatError("n_items, n_members, n_classes, seed must be integers")
         if self.n_items < 1 or self.n_members < 1 or self.n_classes < 2:
             raise FormatError("need n_items >= 1, n_members >= 1, n_classes >= 2")
         if self.nu_true.n_classes != self.n_classes:
             raise FormatError("nu_true length does not match n_classes")
         if self.pi_true.pi.shape != (self.n_members, self.n_classes, self.n_classes):
             raise FormatError("pi_true shape does not match (K, J, J)")
-        if not _is_int(self.seed) or self.seed < 0:
+        if self.seed < 0:
             raise FormatError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
@@ -57,19 +59,13 @@ class GenerativeSpec:
             raise FormatError(
                 f"{path}: generative spec needs keys {sorted(required)}"
             )
-        counts = ("n_items", "n_members", "n_classes", "seed")
-        if not all(_is_int(obj[key]) for key in counts):
-            raise FormatError(f"{path}: {', '.join(counts)} must be integers")
         try:
             return cls(
                 n_items=obj["n_items"],
                 n_members=obj["n_members"],
                 n_classes=obj["n_classes"],
                 nu_true=ClassPrior(np.asarray(obj["nu_true"], dtype=np.float64)),
-                pi_true=ConfusionTensor(
-                    np.asarray(obj["pi_true"], dtype=np.float64),
-                    pi_floor=float(np.min(np.asarray(obj["pi_true"], dtype=np.float64))),
-                ),
+                pi_true=ConfusionTensor(np.asarray(obj["pi_true"], dtype=np.float64)),
                 seed=obj["seed"],
             )
         except (TypeError, ValueError) as exc:
@@ -244,7 +240,7 @@ def bayes_posterior(spec: GenerativeSpec, preds: PredictionSet) -> PosteriorMatr
     if preds.n_members != spec.n_members or preds.n_classes != spec.n_classes:
         raise ValueError("prediction shape does not match the generative spec")
     pi = spec.pi_true.pi
-    log_nu = np.log(np.maximum(spec.nu_true.nu, _NU_LOG_FLOOR))
+    log_nu = np.log(np.maximum(spec.nu_true.nu, NU_LOG_FLOOR))
     w = np.empty((preds.n_items, spec.n_classes))
     for cls in range(spec.n_classes):
         w[:, cls] = (log_nu[cls]

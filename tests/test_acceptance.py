@@ -215,7 +215,7 @@ def test_criterion_10_throughput():
     pi = np.where(np.eye(j, dtype=bool), 6.0, 0.4)[None].repeat(3, axis=0)
     spec = s.GenerativeSpec(10_000, 3, j,
                             s.ClassPrior(np.full(j, 1.0 / j)),
-                            s.ConfusionTensor(pi, 0.1), seed=106)
+                            s.ConfusionTensor(pi), seed=106)
     preds, _ = s.sample(spec)  # generation excluded from the budget
     with criterion("aggregation-throughput", 10.0):
         model, post, trace = s.fit(preds)  # default: 100 EM iterations

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, and file contracts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,11 +74,16 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(spec_path),
                      "--out-dir", str(tmp_path / "x")]) == 1
         assert "spec.json: seed must be" in capsys.readouterr().err
-        obj["seed"] = 0
-        spec_path.write_text(json.dumps(obj))
-        assert main(["simulate", "--spec", str(spec_path),
-                     "--out-dir", str(tmp_path / "x"), "--seed", "-1"]) == 1
-        assert "seed must be" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path):
+        # the spec file carries the seed; there is no override
+        spec_path = tmp_path / "spec.json"
+        diagonal_spec(4.0, 0.3, seed=0, n_items=5, n_classes=3).to_json(spec_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--spec", str(spec_path),
+                  "--out-dir", str(tmp_path / "x"), "--seed", "3"])
+        assert exc.value.code == 2
         assert not (tmp_path / "x").exists()
 
 
@@ -148,9 +154,13 @@ class TestAggregate:
         _, out_dir = sim_dir
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
-                     "--config", str(cfg),
-                     "--out", str(tmp_path / "o.csv")]) == code
+        # recorded here, a RuntimeWarning would print to stderr outside pytest
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
+                         "--config", str(cfg),
+                         "--out", str(tmp_path / "o.csv")]) == code
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_thread_counts_agree(self, sim_dir, tmp_path):
         _, out_dir = sim_dir
@@ -354,3 +364,61 @@ class TestExplain:
         assert main(["explain", "--model", str(tmp_path / "post.model.json"),
                      "--manifest", str(out_dir / "manifest.json"),
                      "--item", "no-such-id"]) == 1
+
+
+class TestEdges:
+    """Edge inputs end to end through the files the CLI reads and writes."""
+
+    def test_collapsed_prior_through_online_and_explain(self, tmp_path, capsys):
+        # nu = [1, 0]: the second class is floored inside the logarithm only
+        model_path = tmp_path / "model.json"
+        s.save_model(s.SdsModel(s.ConfusionTensor(np.array([[[3.0, 1.0], [1.0, 3.0]]])),
+                                s.ClassPrior(np.array([1.0, 0.0]))), model_path)
+        rows = [["a", 0.9, 0.1], ["b", 1e-13, 1.0], ["c", 0.0, 1.0]]
+        stream_in = tmp_path / "stream.csv"
+        stream_in.write_text("item_id,m0_p0,m0_p1\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows))
+        stream_out = tmp_path / "o.csv"
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(stream_out)]) == 0
+        post = s.load_posterior(stream_out)
+        assert post.item_ids == ["a", "b", "c"]
+        assert np.all(np.isfinite(post.rows))
+        np.testing.assert_allclose(post.rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+        (tmp_path / "m0.csv").write_text("item_id,p_0,p_1\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows))
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"n_classes": 2, "members": ["m0.csv"]}))
+        capsys.readouterr()
+        assert main(["explain", "--model", str(model_path),
+                     "--manifest", str(tmp_path / "manifest.json"),
+                     "--item", "c"]) == 0
+        posterior = np.array(json.loads(capsys.readouterr().out)["posterior"])
+        assert np.all(np.isfinite(posterior))
+        assert abs(posterior.sum() - 1.0) <= 1e-9
+        assert np.array_equal(posterior, post.rows[2])
+
+    @pytest.mark.parametrize("config", [
+        {},
+        {"alpha_schedule": [[0, 1.0]], "learning_rate": 0.5, "em_iterations": 20},
+    ], ids=["default", "undamped_lr_0.5"])
+    def test_class_no_member_predicts(self, tmp_path, config):
+        # K = 1, J = 3, and class 2 gets probability 0 on every item
+        rng = np.random.default_rng(90)
+        probs = np.zeros((40, 3))
+        probs[:, :2] = rng.dirichlet([2.0, 2.0], size=40)
+        (tmp_path / "m0.csv").write_text("item_id,p_0,p_1,p_2\n" + "".join(
+            f"{i}," + ",".join(repr(float(v)) for v in row) + "\n"
+            for i, row in enumerate(probs)))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"n_classes": 3, "members": ["m0.csv"]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "post.csv"
+        assert main(["aggregate", "--manifest", str(manifest), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = s.load_posterior(out).rows
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        model = s.load_model(tmp_path / "post.model.json")
+        assert (model.n_members, model.n_classes) == (1, 3)

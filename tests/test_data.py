@@ -61,6 +61,21 @@ class TestPredictionSet:
             with pytest.raises(FormatError, match=what):
                 s.PredictionSet.from_probs(np.array([[row]]))
 
+    def test_row_sum_tolerance(self):
+        # the rule of load_predictions and the online stream: rows within
+        # ROW_SUM_TOL (1e-3) of summing to 1 are renormalized
+        assert s.data.ROW_SUM_TOL == 1e-3
+        probs = np.full((2, 3, 2), 0.5)
+        probs[1, 2] = [0.5, 0.5 + 5e-4]
+        preds = s.PredictionSet.from_probs(probs)
+        assert preds.probs[1, 2].sum() == pytest.approx(1.0, abs=1e-12)
+        probs[1, 2] = [0.5, 0.5 + 2e-3]
+        with pytest.raises(FormatError, match="member 2 item 1: .*sum to"):
+            s.PredictionSet.from_probs(probs)
+        probs[1, 2] = [np.nan, 1.0]
+        with pytest.raises(FormatError, match="member 2 item 1: .*non-finite"):
+            s.PredictionSet.from_probs(probs)
+
     def test_flooring(self):
         preds = s.PredictionSet.from_probs(np.array([[[0.0, 0.6, 0.4]]]))
         assert preds.probs[0, 0, 0] == pytest.approx(1e-12, rel=1e-6)
@@ -126,6 +141,22 @@ class TestLoadPredictions:
             write_member_csv(tmp_path / "m0.csv", ["a", "b"], [[0.5, 0.5], bad_row])
             write_manifest(tmp_path / "m.json", 2, ["m0.csv"])
             with pytest.raises(FormatError, match=rf"m0\.csv, line 3: .*{what}"):
+                s.load_predictions(tmp_path / "m.json")
+
+    def test_row_sum_tolerance(self, tmp_path):
+        write_manifest(tmp_path / "m.json", 2, ["m0.csv"])
+        write_member_csv(tmp_path / "m0.csv", ["a", "b"], [[0.5, 0.5], [0.5, 0.5005]])
+        assert s.load_predictions(tmp_path / "m.json").probs[1, 0].sum() == \
+            pytest.approx(1.0, abs=1e-12)
+        write_member_csv(tmp_path / "m0.csv", ["a", "b"], [[0.5, 0.5], [0.5, 0.502]])
+        with pytest.raises(FormatError, match=r"m0\.csv, line 3: .*sum to"):
+            s.load_predictions(tmp_path / "m.json")
+
+    def test_n_classes_must_be_an_integer(self, tmp_path):
+        write_member_csv(tmp_path / "m0.csv", ["a"], [[0.5, 0.5]])
+        for n_classes in (True, 2.0):
+            write_manifest(tmp_path / "m.json", n_classes, ["m0.csv"])
+            with pytest.raises(FormatError, match="n_classes must be an integer"):
                 s.load_predictions(tmp_path / "m.json")
 
     def test_zero_entry_is_floored(self, tmp_path):
@@ -252,9 +283,16 @@ class TestContainers:
         with pytest.raises(FormatError):
             s.ConfusionTensor(np.zeros((1, 2, 2)))
 
-    def test_nan_confusion_floor_rejected(self):
-        with pytest.raises(FormatError, match="pi_floor"):
-            s.ConfusionTensor(np.ones((1, 2, 2)), float("nan"))
+    def test_confusion_entries_need_only_be_positive(self):
+        # any finite entry > 0 is a Dirichlet parameter; the fit's clamp
+        # (SdsConfig.pi_floor) is not a property of the model
+        pi = np.ones((1, 2, 2))
+        pi[0, 0, 1] = 1e-9
+        assert s.ConfusionTensor(pi).pi[0, 0, 1] == 1e-9
+        for bad in (-1e-9, np.nan, np.inf):
+            pi[0, 0, 1] = bad
+            with pytest.raises(FormatError, match="finite and > 0"):
+                s.ConfusionTensor(pi)
 
     def test_hard_labels_range(self):
         with pytest.raises(FormatError):

@@ -71,8 +71,7 @@ MODEL_JSON = """\
         ]
       ]
     }
-  ],
-  "pi_floor": 0.125
+  ]
 }
 """
 
@@ -166,7 +165,7 @@ def _save_truth(d):
 
 def _save_model(d):
     path = d / "model.json"
-    model = s.SdsModel(s.ConfusionTensor(np.ones((1, 2, 2)), 0.125),
+    model = s.SdsModel(s.ConfusionTensor(np.ones((1, 2, 2))),
                        s.ClassPrior(np.array([0.25, 0.75])))
     s.save_model(model, path)
     return path

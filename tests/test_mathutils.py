@@ -74,7 +74,8 @@ def masked_digamma(x):
         mask = z < 8.0
         shift[mask] -= 1.0 / z[mask]
         z[mask] += 1.0
-    u = 1.0 / (z * z)
+    with np.errstate(over="ignore"):
+        u = 1.0 / (z * z)
     tail = u * (1.0 / 12.0 - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (
         1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0 - u / 12.0))))))
     return shift + np.log(z) - 0.5 / z - tail
@@ -85,7 +86,8 @@ class TestDigamma:
         rng = np.random.default_rng(12)
         x = np.concatenate([rng.uniform(1e-3, 20.0, 20_000),
                             np.exp(rng.uniform(-20.0, 20.0, 20_000)),
-                            [1e-300, 7.999999999999999, 8.0, 1e150]])
+                            [1e-300, 7.999999999999999, 8.0, 1e150, 1.4e154,
+                             1e200, 1e300, np.finfo(float).max]])
         assert np.array_equal(digamma(x), masked_digamma(x))
 
     def test_at_one(self):

@@ -671,27 +671,29 @@ class TestSerialization:
     @pytest.mark.parametrize("change", [
         {"nu": ["x", 0.5]},
         {"nu": [[0.5], 0.5]},
-        {"pi_floor": "x"},
-        {"pi_floor": float("nan")},
-        {"pi_floor": True},
-        {"pi_floor": "0.5"},
         {"members": [{"pi": [[1.0, "x"], [1.0, 1.0]]}]},
         {"members": [{"pi": [[1.0, 1.0], [1.0]]}]},
-    ], ids=["nu_string", "nu_ragged", "pi_floor_string", "pi_floor_nan",
-            "pi_floor_bool", "pi_floor_numeric_string", "pi_string", "pi_ragged"])
+    ], ids=["nu_string", "nu_ragged", "pi_string", "pi_ragged"])
     def test_model_loader_names_file(self, tmp_path, change):
         obj = {"nu": [0.5, 0.5], "members": [{"pi": [[1.0, 1.0], [1.0, 1.0]]}],
-               "pi_floor": 0.5, **change}
+               **change}
         path = tmp_path / "model.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(s.FormatError, match="model.json"):
             s.load_model(path)
 
-    def test_model_without_pi_floor_takes_min_pi(self, tmp_path):
+    def test_legacy_pi_floor_key_is_ignored(self, tmp_path):
+        # older model files carry a "pi_floor"; it is read as no more than
+        # any other extra key, whatever its value
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"nu": [0.5, 0.5],
-                                    "members": [{"pi": [[2.0, 0.7], [0.9, 3.0]]}]}))
-        assert s.load_model(path).pi.pi_floor == 0.7
+        pi = [[2.0, 0.7], [0.9, 3.0]]
+        path.write_text(json.dumps({"nu": [0.5, 0.5], "members": [{"pi": pi}],
+                                    "pi_floor": "x"}))
+        model = s.load_model(path)
+        assert np.array_equal(model.pi.pi, [pi])
+        s.save_model(model, tmp_path / "again.json")
+        assert json.loads((tmp_path / "again.json").read_text()) == {
+            "nu": [0.5, 0.5], "members": [{"pi": pi}]}
 
     def test_trace_loader_names_file_and_line(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -14,7 +14,7 @@ def make_spec(pi, nu, seed, n_items):
         n_members=pi.shape[0],
         n_classes=pi.shape[1],
         nu_true=s.ClassPrior(np.asarray(nu, dtype=np.float64)),
-        pi_true=s.ConfusionTensor(pi, pi_floor=float(pi.min())),
+        pi_true=s.ConfusionTensor(pi),
         seed=seed,
     )
 
@@ -137,6 +137,18 @@ class TestSample:
             diagonal_spec(3.0, 0.4, seed=0, n_items=0)
         with pytest.raises(s.FormatError, match="seed"):
             diagonal_spec(3.0, 0.4, seed=-1, n_items=5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_items", 2.5), ("n_items", True), ("n_members", 1.0), ("seed", 3.0),
+    ])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        spec = diagonal_spec(3.0, 0.4, seed=0, n_items=5, n_members=1, n_classes=2)
+        fields = {name: getattr(spec, name) for name in
+                  ("n_items", "n_members", "n_classes", "nu_true", "pi_true", "seed")}
+        with pytest.raises(s.FormatError, match="must be integers"):
+            s.GenerativeSpec(**{**fields, field: value})
+        # numpy integers are integers
+        assert s.GenerativeSpec(**{**fields, field: np.int64(1)}).n_items >= 1
 
 
 class TestBayesPosterior:

@@ -32,7 +32,7 @@ def diagonal_spec(diag, off, seed, n_items, n_members=3, n_classes=5):
         n_members=n_members,
         n_classes=n_classes,
         nu_true=s.ClassPrior(np.full(n_classes, 1.0 / n_classes)),
-        pi_true=s.ConfusionTensor(pi, pi_floor=min(off, 0.01)),
+        pi_true=s.ConfusionTensor(pi),
         seed=seed,
     )
 
@@ -85,7 +85,7 @@ def reference_fit(preds, cfg, on_m_step=None):
     pi = np.maximum(cfg.ds_init_concentration
                     * (ds_model.confusion + cfg.ds_init_smoothing),
                     cfg.pi_floor)
-    model = s.SdsModel(s.ConfusionTensor(pi, cfg.pi_floor), ds_model.prior)
+    model = s.SdsModel(s.ConfusionTensor(pi), ds_model.prior)
     post = s.ensemble_average(preds)
     state = AdamState.zeros(pi.size)
     qs = []
