@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .data import (
     SdsConfig,
     _json_text,
     _save_json,
-    _write_csv,
+    _write_table,
     harden,
     load_ground_truth,
     load_posterior,
@@ -89,10 +90,13 @@ def _write_report(report, out):
 def _cmd_aggregate(args):
     threads = _resolve_threads(args.threads)
     config = SdsConfig.from_json(args.config) if args.config else SdsConfig()
+    start = time.perf_counter()
     preds = load_predictions(args.manifest)
+    loaded = time.perf_counter()
     _log(f"loaded {preds.n_items} items x {preds.n_members} members x "
-         f"{preds.n_classes} classes")
+         f"{preds.n_classes} classes in {loaded - start:.3f} s")
 
+    model = None
     if args.method == "ea":
         post = ensemble_average(preds)
     elif args.method == "mv":
@@ -104,19 +108,23 @@ def _cmd_aggregate(args):
         post = PosteriorMatrix(post.rows, list(preds.item_ids))
         if args.model_out:
             clamped = np.maximum(ds_model.confusion, config.pi_floor)
-            save_model(SdsModel(ConfusionTensor(clamped), ds_model.prior),
-                       args.model_out)
+            model = SdsModel(ConfusionTensor(clamped), ds_model.prior)
     else:  # sds
         model, post, trace = fit(preds, config, threads=threads)
+    fitted = time.perf_counter()
+
+    if args.method == "sds":
         model_path = args.model_out or _derived_path(args.out, ".model.json")
         trace_path = args.trace_out or _derived_path(args.out, ".trace.csv")
         save_model(model, model_path)
         trace.save_csv(trace_path)
         _log(f"model -> {model_path}; trace -> {trace_path} "
              f"({len(trace)} iterations, final q={trace.q[-1]:.6g})")
-
+    elif model is not None:
+        save_model(model, args.model_out)
     save_posterior(post, args.out)
-    _log(f"posterior -> {args.out}")
+    _log(f"posterior -> {args.out} (fit {fitted - loaded:.3f} s, "
+         f"write {time.perf_counter() - fitted:.3f} s)")
     return 0
 
 
@@ -132,9 +140,10 @@ def _cmd_evaluate(args):
         report.update(evaluate_posterior(post, truth, n_bins=args.bins).to_dict())
         if args.ece_bins_out:
             conf, acc, count = reliability_bins(post, truth, args.bins)
-            _write_csv(args.ece_bins_out, ["bin", "conf", "acc", "count"],
-                       zip(range(args.bins), conf.tolist(), acc.tolist(),
-                           count.astype(np.int64).tolist()))
+            # an object array keeps each count a Python int
+            columns = [conf.tolist(), acc.tolist(), count.astype(np.int64).tolist()]
+            _write_table(args.ece_bins_out, ["bin", "conf", "acc", "count"],
+                         range(args.bins), np.array(columns, dtype=object).T)
         if args.confusion_out:
             if args.manifest:
                 source = load_predictions(args.manifest)
@@ -198,8 +207,10 @@ def _cmd_online(args):
     fout = sys.stdout if args.out in (None, "-") else open(args.out, "w",
                                                            newline="",
                                                            encoding="utf-8")
-    failures = 0
+    bad_header = False
+    written = skipped = 0
     wrote_header = False
+    start = time.perf_counter()
     try:
         reader = csv.reader(fin)
         writer = csv.writer(fout)
@@ -208,7 +219,7 @@ def _cmd_online(args):
                 if row != expected:
                     _log(f"line 1: bad header, expected "
                          f"item_id,m0_p0,...,m{k - 1}_p{j - 1}")
-                    failures += 1
+                    bad_header = True
                 continue
             if not wrote_header:
                 writer.writerow(["item_id"] + [f"p_{c}" for c in range(j)])
@@ -224,16 +235,20 @@ def _cmd_online(args):
                 posterior = online_infer(values, model)
             except (FormatError, ValueError) as exc:
                 _log(f"line {line_no}: skipped ({exc})")
-                failures += 1
+                skipped += 1
                 continue
             writer.writerow([row[0]] + [repr(float(v)) for v in posterior])
             fout.flush()
+            written += 1
     finally:
         if fin is not sys.stdin:
             fin.close()
         if fout is not sys.stdout:
             fout.close()
-    return 1 if failures else 0
+    seconds = time.perf_counter() - start
+    _log(f"online: {written} rows written, {skipped} skipped in {seconds:.3f} s "
+         f"({written / seconds if seconds > 0 else 0.0:.0f} rows/s)")
+    return 1 if bad_header or skipped else 0
 
 
 def _cmd_explain(args):

@@ -17,6 +17,15 @@ A raw probability row, in a member CSV, in memory or on the ``online``
 stream, must sum to 1 within ``ROW_SUM_TOL`` and hold only finite entries
 >= 0; it is then floored at ``PROB_FLOOR`` and renormalized.  Floats are
 serialized with ``repr`` so save -> load round-trips are bit-exact.
+
+Every CSV table is read by ``_read_table``: its header with ``csv``, its
+body with one ``np.loadtxt`` call into a structured array.  Fields split
+as ``csv.reader`` splits them, numbers convert with ``float()``'s C
+routine (without its underscores and non-ASCII digits) and blank lines
+are skipped; a rejected file is re-read record by record to name the
+line.  Every CSV file is written by ``_write_table``, a block of rows per
+``write``, in the bytes of ``csv.writer``.
+
 Containers validate on construction and mark their arrays read-only,
 which makes instances safe to share across threads; ``ConfusionTensor``
 and ``ClassPrior`` are frozen as well.
@@ -29,6 +38,7 @@ import json
 import numbers
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -431,21 +441,90 @@ def harden(preds: PredictionSet) -> HardLabelSet:
 # CSV / JSON I/O: the only places that open a file for a format
 
 
-def _read_csv(path):
+# Keyword arguments of every np.loadtxt table read: fields split at commas
+# under csv's double-quote rules, and no comment character, so that an id
+# starting with "#" is data.
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
+
+# Rows per block of formatted text in a CSV write.
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _read_table(path, row_dtype, what):
+    """The data rows of the CSV table at ``path`` as a structured array.
+
+    ``row_dtype(header)`` checks the header, read with ``csv`` as a list
+    of str, and returns the dtype of one data row.  The body is read with
+    ``np.loadtxt``, which splits fields as ``csv.reader`` does, converts
+    numbers with ``float()``'s C routine and skips blank lines.  If it
+    fails, the file is re-read to raise a :class:`FormatError` naming the
+    first bad line (``what`` describes a field that does not convert).
+    Line numbers count the header as line 1 and one per non-blank record
+    after it, the numbering of the table's rows.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FormatError(f"{path}: empty file")
-    return rows
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        dtype = np.dtype(row_dtype(header))
+        try:
+            with warnings.catch_warnings():
+                # a file without data rows is the caller's to report
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(fh, dtype=dtype, **_LOADTXT)
+        except ValueError as exc:
+            _raise_bad_line(path, len(header), dtype, what, exc)
 
 
-def _write_csv(path, header, rows):
-    """A header line, then one line per row; lines end with ``\\r\\n`` and
-    floats are written with ``repr``."""
+def _raise_bad_line(path, n_fields, dtype, what, exc):
+    """Raise the :class:`FormatError` for the first record of ``path`` that
+    ``np.loadtxt`` rejects: each record is re-read with ``csv``, written
+    back as one CSV line and parsed alone under ``dtype``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = csv.reader(fh)
+        next(records)
+        line = 1
+        for record in records:
+            if not record:
+                continue
+            line += 1
+            if len(record) != n_fields:
+                raise FormatError(
+                    f"{path}, line {line}: expected {n_fields} columns, found "
+                    f"{len(record)} (missing column?)"
+                )
+            try:
+                np.loadtxt([",".join(map(_csv_field, record))], dtype=dtype,
+                           **_LOADTXT)
+            except ValueError:
+                raise FormatError(f"{path}, line {line}: {what}") from None
+    raise FormatError(f"{path}: unreadable CSV ({exc})")
+
+
+def _csv_field(value):
+    """``value`` as ``csv.writer`` writes one field of a row of several:
+    ``str(value)`` (empty for ``None``), quoted when it holds a comma, a
+    quote or a line break."""
+    text = "" if value is None else str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_table(path, header, ids, values):
+    """A header line, then one line per row: ``ids[i]`` as ``csv.writer``
+    writes it, then the entries of row ``i`` of the 2-D array ``values``
+    written with ``repr``.  Lines end with ``\\r\\n``; the text is the
+    ``csv`` module's and is written a block of rows at a time."""
+    ids = list(ids)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+        width = values.shape[1]
+        for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):
+            cells = list(map(repr, values[lo:lo + _WRITE_BLOCK_ROWS].ravel().tolist()))
+            fh.write("".join([
+                f"{_csv_field(item)},{','.join(cells[r * width:(r + 1) * width])}\r\n"
+                for r, item in enumerate(ids[lo:lo + _WRITE_BLOCK_ROWS])]))
 
 
 def _load_json(path, what):
@@ -470,11 +549,14 @@ def _save_json(obj, path):
         fh.write(_json_text(obj))
 
 
+def _prob_header(n_classes):
+    return ["item_id"] + [f"p_{j}" for j in range(n_classes)]
+
+
 def _check_prob_header(header, path):
     if len(header) < 3 or header[0] != "item_id":
         raise FormatError(f"{path}: header must be item_id,p_0,...,p_{{J-1}}")
-    expected = ["item_id"] + [f"p_{j}" for j in range(len(header) - 1)]
-    if header != expected:
+    if header != _prob_header(len(header) - 1):
         raise FormatError(
             f"{path}: malformed header (expected item_id,p_0,...,p_{{J-1}})"
         )
@@ -482,32 +564,22 @@ def _check_prob_header(header, path):
 
 
 def _parse_prob_file(path, expect_classes=None):
-    rows = _read_csv(path)
-    n_cols = _check_prob_header(rows[0], path)
-    if expect_classes is not None and n_cols != expect_classes:
-        raise FormatError(
-            f"{path}: found {n_cols} probability columns, expected {expect_classes}"
-        )
-    ids, values = [], []
-    for rn, row in enumerate(rows[1:], start=2):
-        if len(row) != n_cols + 1:
+    def row_dtype(header):
+        n_cols = _check_prob_header(header, path)
+        if expect_classes is not None and n_cols != expect_classes:
             raise FormatError(
-                f"{path}, line {rn}: expected {n_cols + 1} columns, found "
-                f"{len(row)} (missing column?)"
+                f"{path}: found {n_cols} probability columns, expected {expect_classes}"
             )
-        ids.append(row[0])
-        try:
-            values.append([float(v) for v in row[1:]])
-        except ValueError:
-            raise FormatError(f"{path}, line {rn}: non-numeric probability") from None
-    if not ids:
+        return [("id", object), ("p", np.float64, (n_cols,))]
+
+    table = _read_table(path, row_dtype, "non-numeric probability")
+    if table.size == 0:
         raise FormatError(f"{path}: no data rows")
-    return ids, np.asarray(values, dtype=np.float64)
+    return table["id"].tolist(), table["p"]
 
 
 def _write_prob_file(path, ids, rows):
-    _write_csv(path, ["item_id"] + [f"p_{j}" for j in range(rows.shape[1])],
-               ([item_id, *row] for item_id, row in zip(ids, rows.tolist())))
+    _write_table(path, _prob_header(rows.shape[1]), ids, rows)
 
 
 def load_predictions(manifest_path):
@@ -586,28 +658,22 @@ def save_posterior(post: PosteriorMatrix, path):
 
 
 def load_ground_truth(path) -> GroundTruth:
-    rows = _read_csv(path)
-    if rows[0] != ["item_id", "label"]:
-        raise FormatError(f"{path}: header must be item_id,label")
-    ids, labels = [], []
-    for rn, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise FormatError(f"{path}, line {rn}: expected 2 columns")
-        ids.append(row[0])
-        try:
-            labels.append(int(row[1]))
-        except ValueError:
-            raise FormatError(f"{path}, line {rn}: non-integer label") from None
-    if not ids:
+    def row_dtype(header):
+        if header != ["item_id", "label"]:
+            raise FormatError(f"{path}: header must be item_id,label")
+        return [("id", object), ("label", np.int64)]
+
+    table = _read_table(path, row_dtype, "non-integer label")
+    if table.size == 0:
         raise FormatError(f"{path}: no data rows")
     try:
-        return GroundTruth(np.asarray(labels, dtype=np.int64), ids)
+        return GroundTruth(table["label"], table["id"].tolist())
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def save_ground_truth(truth: GroundTruth, path):
-    _write_csv(path, ["item_id", "label"], zip(truth.item_ids, truth.labels.tolist()))
+    _write_table(path, ["item_id", "label"], truth.item_ids, truth.labels[:, None])
 
 
 def _members_pi(pi):

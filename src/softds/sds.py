@@ -46,9 +46,9 @@ from .data import (
     _members_pi,
     _parse_members_pi,
     _posterior_rows,
-    _read_csv,
+    _read_table,
     _save_json,
-    _write_csv,
+    _write_table,
     harden,
 )
 from .mathutils import digamma, log_gamma, sorted_sum
@@ -135,26 +135,19 @@ class FitTrace:
         return self.iteration.size
 
     def save_csv(self, path):
-        _write_csv(path, _TRACE_HEADER,
-                   zip(self.iteration.tolist(), self.q.tolist(), self.alpha.tolist(),
-                       self.millis.tolist()))
+        _write_table(path, _TRACE_HEADER, self.iteration.tolist(),
+                     np.column_stack([self.q, self.alpha, self.millis]))
 
     @classmethod
     def load_csv(cls, path):
-        rows = _read_csv(path)
-        if rows[0] != _TRACE_HEADER:
-            raise FormatError(f"{path}: header must be iteration,q,alpha,millis")
-        data = [[], [], [], []]
-        for rn, row in enumerate(rows[1:], start=2):
-            if len(row) != 4:
-                raise FormatError(f"{path}, line {rn}: expected 4 columns")
-            try:
-                data[0].append(int(row[0]))
-                for col in range(1, 4):
-                    data[col].append(float(row[col]))
-            except ValueError:
-                raise FormatError(f"{path}, line {rn}: non-numeric value") from None
-        return cls(*data)
+        def row_dtype(header):
+            if header != _TRACE_HEADER:
+                raise FormatError(f"{path}: header must be iteration,q,alpha,millis")
+            return [(name, np.int64 if name == "iteration" else np.float64)
+                    for name in _TRACE_HEADER]
+
+        table = _read_table(path, row_dtype, "non-numeric value")
+        return cls(*(table[name] for name in _TRACE_HEADER))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, and file contracts."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -120,6 +121,24 @@ class TestAggregate:
         assert model.n_classes == 3
         trace = s.FitTrace.load_csv(tmp_path / "post.trace.csv")
         assert len(trace) == 5
+
+    @pytest.mark.parametrize("method", ["sds", "ea"])
+    def test_stage_times_on_stderr(self, sim_dir, tmp_path, capsys, method):
+        _, out_dir = sim_dir
+        out = tmp_path / "post.csv"
+        capsys.readouterr()
+        assert main(["aggregate", "--method", method, "--threads", "1",
+                     "--manifest", str(out_dir / "manifest.json"),
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert re.search(r"^loaded 60 items x 3 members x 3 classes in \d+\.\d{3} s$",
+                         err, re.M)
+        assert re.search(rf"^posterior -> {re.escape(str(out))} "
+                         r"\(fit \d+\.\d{3} s, write \d+\.\d{3} s\)$", err, re.M)
+        assert (re.search(r"^model -> .*final q=", err, re.M) is not None) == \
+            (method == "sds")
 
     def test_missing_member_file_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -296,7 +315,7 @@ class TestOnline:
         batch = s.e_step_raw(preds, model)
         assert np.array_equal(got.rows, batch.rows[:10])
 
-    def test_empty_stream_ok(self, fitted, tmp_path):
+    def test_empty_stream_ok(self, fitted, tmp_path, capsys):
         _, model_path = fitted
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -304,6 +323,7 @@ class TestOnline:
                      "--input", str(empty),
                      "--out", str(tmp_path / "o.csv")]) == 0
         assert (tmp_path / "o.csv").read_text() == ""
+        assert "online: 0 rows written, 0 skipped" in capsys.readouterr().err
 
     def test_malformed_row_skipped(self, fitted, tmp_path, capsys):
         out_dir, model_path = fitted
@@ -315,7 +335,10 @@ class TestOnline:
         stream_out = tmp_path / "o.csv"
         assert main(["online", "--model", str(model_path),
                      "--input", str(stream_in), "--out", str(stream_out)]) == 1
-        assert "skipped" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 5: skipped" in err
+        assert re.search(r"^online: 3 rows written, 1 skipped in \d+\.\d{3} s "
+                         r"\(\d+ rows/s\)$", err, re.M)
         assert s.load_posterior(stream_out).n_items == 3
 
     def test_huge_log_weights_exit_3(self, tmp_path):

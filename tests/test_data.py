@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softds as s
-from softds.data import FormatError, floor_and_renormalize
+from softds.data import FormatError, _parse_prob_file, _write_prob_file, floor_and_renormalize
+from util import reference_parse_prob_file, reference_write_prob_file
 
 
 def write_member_csv(path, ids, rows):
@@ -268,6 +271,199 @@ class TestRoundTrips:
         again = s.load_posterior(path)
         assert again.item_ids == ids
         assert np.array_equal(post.rows, again.rows)
+
+
+def assert_parses_like_reference(path, expect_classes=None):
+    """``_parse_prob_file`` and the csv reference give the same ids, the
+    same value bits, or the same error message."""
+    try:
+        expected = reference_parse_prob_file(path, expect_classes)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            _parse_prob_file(path, expect_classes)
+        assert str(got.value) == str(exc)
+        return
+    ids, values = _parse_prob_file(path, expect_classes)
+    assert ids == expected[0]
+    assert values.shape == expected[1].shape
+    assert np.array_equal(values.view(np.uint64), expected[1].view(np.uint64))
+
+
+def assert_writes_like_reference(tmp_path, ids, rows):
+    """``_write_prob_file`` and the csv reference write the same bytes, and
+    the file parses like the reference."""
+    _write_prob_file(tmp_path / "new.csv", ids, rows)
+    reference_write_prob_file(tmp_path / "ref.csv", ids, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert_parses_like_reference(tmp_path / "new.csv", rows.shape[1])
+
+
+def write_text(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestProbFileMatchesReference:
+    """The member / posterior CSV reader and writer against the ``csv``
+    row loops they replaced (``tests/util.py``)."""
+
+    def test_extreme_and_ulp_values(self, tmp_path):
+        values = [5e-324, 2.2250738585072014e-308, s.data.PROB_FLOOR,
+                  0.30000000000000004, 0.12345678901234568, 1.0, 0.0]
+        for x in (0.1, 1.0 / 3.0):
+            values += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+        rows = np.array(values)[:, None].repeat(2, axis=1)
+        rows[:, 1] = 1.0 - rows[:, 0]
+        assert_writes_like_reference(tmp_path, [str(i) for i in range(len(rows))], rows)
+
+    @pytest.mark.parametrize("text", [
+        "1E-3", ".5", "+0.5", " 0.5 ", "0.1234567890123456789012345", "1e-400",
+        "-0.0", "5e-324", "2.4703282292062327e-324"])
+    def test_hand_written_numbers(self, tmp_path, text):
+        path = write_text(tmp_path / "p.csv", f"item_id,p_0,p_1\na,{text},0.5\n")
+        assert_parses_like_reference(path)
+
+    def test_ids(self, tmp_path):
+        ids = ["#x", " padded ", "img,0001", 'say "cheese"', "multi\nline",
+               "cr\rlf\r\n", "", '""', "é€", "tab\there", "a'b", "plain"]
+        rows = np.full((len(ids), 2), 0.5)
+        assert_writes_like_reference(tmp_path, ids, rows)
+
+    def test_non_string_ids_through_save_posterior(self, tmp_path):
+        ids = [7, 2.5, None, True, np.float64(0.1), np.int64(3), "x,y"]
+        post = s.PosteriorMatrix(np.full((len(ids), 2), 0.5), ids)
+        s.save_posterior(post, tmp_path / "new.csv")
+        reference_write_prob_file(tmp_path / "ref.csv", ids, post.rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_endings(self, tmp_path, newline):
+        lines = ["item_id,p_0,p_1", "a,0.25,0.75", '"b\nc",0.5,0.5', "d,1,0"]
+        path = write_text(tmp_path / "p.csv", newline.join(lines) + newline)
+        assert_parses_like_reference(path)
+        # no line break after the last row
+        path = write_text(tmp_path / "p.csv", newline.join(lines))
+        assert_parses_like_reference(path)
+
+    @pytest.mark.parametrize("n_rows, n_classes", [(1, 2), (5, 1000), (4097, 3)])
+    def test_shapes(self, tmp_path, n_rows, n_classes):
+        rng = np.random.default_rng(n_classes)
+        rows = rng.dirichlet(np.ones(n_classes), size=n_rows)
+        assert_writes_like_reference(tmp_path, [f"i{i}" for i in range(n_rows)], rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.text(), min_size=1, max_size=5),
+           values=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=2,
+                           max_size=2))
+    def test_any_id_and_value(self, tmp_path_factory, ids, values):
+        rows = np.array([values] * len(ids))
+        assert_writes_like_reference(tmp_path_factory.mktemp("csv"), ids, rows)
+
+    @pytest.mark.parametrize("body", [
+        "a,0.5\n",                      # missing column
+        "a,0.5,0.5,0.5\n",              # extra column
+        "a,0.5,0.5\nb,0.5,x\n",         # non-numeric
+        "a,0.5,0.5\nb,,0.5\n",          # empty field
+        '"b,c",0.5\n',                 # quoted comma leaves a column short
+        "",                              # no data rows
+    ], ids=["missing", "extra", "non_numeric", "empty_field", "quoted_comma",
+            "no_rows"])
+    def test_errors(self, tmp_path, body):
+        assert_parses_like_reference(write_text(tmp_path / "p.csv", "item_id,p_0,p_1\n" + body))
+
+    @pytest.mark.parametrize("text", ["", "item_id,p_0\n", "id,p_0,p_1\n",
+                                      "item_id,p_0,p_2\n"])
+    def test_header_errors(self, tmp_path, text):
+        assert_parses_like_reference(write_text(tmp_path / "p.csv", text))
+
+    def test_class_count_error(self, tmp_path):
+        path = write_text(tmp_path / "p.csv", "item_id,p_0,p_1\na,0.5,0.5\n")
+        assert_parses_like_reference(path, expect_classes=3)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_fails_the_row_check(self, tmp_path, bad):
+        path = write_text(tmp_path / "m0.csv",
+                          f"item_id,p_0,p_1\na,0.5,0.5\nb,{bad},0.5\n")
+        write_manifest(tmp_path / "m.json", 2, ["m0.csv"])
+        _, values = reference_parse_prob_file(path)
+        with pytest.raises(FormatError) as expected:
+            s.data._check_raw_rows(values, lambda i: f"{path}, line {i + 2}")
+        with pytest.raises(FormatError) as got:
+            s.load_predictions(tmp_path / "m.json")
+        assert str(got.value) == str(expected.value)
+
+
+class TestTableReaderEdges:
+    """Where the ``np.loadtxt`` table reader departs from ``csv.reader``
+    with ``float()``/``int()`` (README, "File formats")."""
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # the csv loop rejected a blank line as a row of 0 columns; line
+        # numbers count non-blank records, as the row check does
+        path = write_text(tmp_path / "m0.csv",
+                          "item_id,p_0,p_1\r\n\r\na,0.5,0.5\r\n\r\nb,0.4,0.5\r\n\r\n")
+        write_manifest(tmp_path / "m.json", 2, ["m0.csv"])
+        with pytest.raises(FormatError, match="line 2: expected 3 columns, found 0"):
+            reference_parse_prob_file(path)
+        ids, values = _parse_prob_file(path)
+        assert ids == ["a", "b"]
+        assert values.tolist() == [[0.5, 0.5], [0.4, 0.5]]
+        with pytest.raises(FormatError, match=r"m0\.csv, line 3: .*sum to"):
+            s.load_predictions(tmp_path / "m.json")
+        write_text(path, "item_id,p_0,p_1\n\na,0.5,0.5\n\nb,x,0.5\n")
+        with pytest.raises(FormatError, match=r"m0\.csv, line 3: non-numeric"):
+            _parse_prob_file(path)
+
+    def test_whitespace_line_is_a_short_row(self, tmp_path):
+        path = write_text(tmp_path / "p.csv", "item_id,p_0,p_1\na,0.5,0.5\n \n")
+        assert_parses_like_reference(path)
+
+    @pytest.mark.parametrize("text", ["0_5", "\u0660.5"])
+    def test_float_only_forms_are_rejected(self, tmp_path, text):
+        # float() accepts digit-group underscores and non-ASCII digits
+        path = write_text(tmp_path / "p.csv", f"item_id,p_0,p_1\na,0.5,0.5\nb,{text},1\n")
+        reference_parse_prob_file(path)
+        with pytest.raises(FormatError, match=r"p\.csv, line 3: non-numeric probability"):
+            _parse_prob_file(path)
+
+    def test_separator_controls_pad_a_number(self, tmp_path):
+        # float() rejects U+001C-U+001F next to a number; the C reader
+        # strips them as it strips spaces
+        path = write_text(tmp_path / "p.csv", "item_id,p_0,p_1\na,0.5\x1c,\x1f0.5\n")
+        with pytest.raises(FormatError, match="line 2: non-numeric probability"):
+            reference_parse_prob_file(path)
+        assert _parse_prob_file(path)[1].tolist() == [[0.5, 0.5]]
+
+    @pytest.mark.parametrize("text", ["1_0", "1.0", " 1", "99999999999999999999"])
+    def test_ground_truth_labels(self, tmp_path, text):
+        path = write_text(tmp_path / "t.csv", f"item_id,label\na,0\nb,{text}\n")
+        if text == " 1":
+            assert s.load_ground_truth(path).labels.tolist() == [0, 1]
+            return
+        with pytest.raises(FormatError, match=r"t\.csv, line 3: non-integer label"):
+            s.load_ground_truth(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"), ("item_id,label\n", "no data rows"),
+        ("item_id,lab\na,0\n", "header must be item_id,label"),
+        ("item_id,label\na,0,1\n", "line 2: expected 2 columns, found 3")])
+    def test_ground_truth_errors(self, tmp_path, text, message):
+        with pytest.raises(FormatError, match=message):
+            s.load_ground_truth(write_text(tmp_path / "t.csv", text))
+
+    def test_trace_rows(self, tmp_path):
+        path = write_text(tmp_path / "trace.csv",
+                          "iteration,q,alpha,millis\r\n0,-3.5,0.001,1.5\r\n\r\n"
+                          "1,-3.25,0.001,2\r\n")
+        trace = s.FitTrace.load_csv(path)
+        assert trace.iteration.tolist() == [0, 1]
+        assert trace.millis.tolist() == [1.5, 2.0]
+        write_text(path, "iteration,q,alpha,millis\n0,-3.5,0.001\n")
+        with pytest.raises(FormatError, match="trace.csv, line 2: expected 4 columns"):
+            s.FitTrace.load_csv(path)
+        write_text(path, "iteration,q,alpha,millis\n0.5,-3.5,0.001,1\n")
+        with pytest.raises(FormatError, match="trace.csv, line 2: non-numeric value"):
+            s.FitTrace.load_csv(path)
 
 
 class TestContainers:

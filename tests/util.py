@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
+import csv
+
 import numpy as np
 
 import softds as s
+from softds.data import FormatError, _check_prob_header
 from softds.optim import AdamState
 
 
@@ -105,3 +108,40 @@ def reference_fit(preds, cfg, on_m_step=None):
                 and abs(qs[-1] - qs[-2]) / abs(qs[-1]) < cfg.q_rel_tolerance):
             break
     return model, post, qs
+
+
+def reference_parse_prob_file(path, expect_classes=None):
+    """A member or posterior CSV read row by row with ``csv.reader`` and
+    ``float()``.  Returns ``(ids, N x J values)``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise FormatError(f"{path}: empty file")
+    n_cols = _check_prob_header(rows[0], path)
+    if expect_classes is not None and n_cols != expect_classes:
+        raise FormatError(
+            f"{path}: found {n_cols} probability columns, expected {expect_classes}"
+        )
+    ids, values = [], []
+    for rn, row in enumerate(rows[1:], start=2):
+        if len(row) != n_cols + 1:
+            raise FormatError(
+                f"{path}, line {rn}: expected {n_cols + 1} columns, found "
+                f"{len(row)} (missing column?)"
+            )
+        ids.append(row[0])
+        try:
+            values.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise FormatError(f"{path}, line {rn}: non-numeric probability") from None
+    if not ids:
+        raise FormatError(f"{path}: no data rows")
+    return ids, np.asarray(values, dtype=np.float64)
+
+
+def reference_write_prob_file(path, ids, rows):
+    """A member or posterior CSV written row by row with ``csv.writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["item_id"] + [f"p_{j}" for j in range(rows.shape[1])])
+        writer.writerows([item_id, *row] for item_id, row in zip(ids, rows.tolist()))
