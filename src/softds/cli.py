@@ -192,15 +192,23 @@ def _cmd_simulate(args):
     return 0
 
 
-def _online_header(n_members, n_classes):
-    return ["item_id"] + [f"m{k}_p{j}"
-                          for k in range(n_members) for j in range(n_classes)]
+def _csv_records(fh):
+    """``csv.reader(fh)``'s records; a record it rejects, such as one with a
+    field over its size limit, comes back as its ``csv.Error``."""
+    reader = csv.reader(fh)
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
 
 
 def _cmd_online(args):
     model = load_model(args.model)
     k, j = model.n_members, model.n_classes
-    expected = _online_header(k, j)
+    expected = ["item_id"] + [f"m{m}_p{c}" for m in range(k) for c in range(j)]
 
     fin = sys.stdin if args.input in (None, "-") else open(args.input, newline="",
                                                            encoding="utf-8")
@@ -212,9 +220,8 @@ def _cmd_online(args):
     wrote_header = False
     start = time.perf_counter()
     try:
-        reader = csv.reader(fin)
         writer = csv.writer(fout)
-        for line_no, row in enumerate(reader, start=1):
+        for line_no, row in enumerate(_csv_records(fin), start=1):
             if line_no == 1:
                 if row != expected:
                     _log(f"line 1: bad header, expected "
@@ -226,6 +233,8 @@ def _cmd_online(args):
                 fout.flush()
                 wrote_header = True
             try:
+                if isinstance(row, csv.Error):
+                    raise row
                 if len(row) != 1 + k * j:
                     raise FormatError(
                         f"expected {1 + k * j} columns, found {len(row)}"
@@ -233,7 +242,7 @@ def _cmd_online(args):
                 values = np.array([float(v) for v in row[1:]],
                                   dtype=np.float64).reshape(k, j)
                 posterior = online_infer(values, model)
-            except (FormatError, ValueError) as exc:
+            except (FormatError, ValueError, csv.Error) as exc:
                 _log(f"line {line_no}: skipped ({exc})")
                 skipped += 1
                 continue

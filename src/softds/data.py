@@ -446,8 +446,9 @@ def harden(preds: PredictionSet) -> HardLabelSet:
 # starting with "#" is data.
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
 
-# Rows per block of formatted text in a CSV write.
-_WRITE_BLOCK_ROWS = 4096
+# Cells per block of formatted text in a CSV write; sized in cells, not
+# rows, so that the block's Python floats and strings do not grow with J.
+_WRITE_BLOCK_CELLS = 1 << 15
 
 
 def _read_table(path, row_dtype, what):
@@ -520,11 +521,12 @@ def _write_table(path, header, ids, values):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_csv_field, header)) + "\r\n")
         width = values.shape[1]
-        for lo in range(0, len(ids), _WRITE_BLOCK_ROWS):
-            cells = list(map(repr, values[lo:lo + _WRITE_BLOCK_ROWS].ravel().tolist()))
+        step = max(1, _WRITE_BLOCK_CELLS // width)
+        for lo in range(0, len(ids), step):
+            cells = list(map(repr, values[lo:lo + step].ravel().tolist()))
             fh.write("".join([
                 f"{_csv_field(item)},{','.join(cells[r * width:(r + 1) * width])}\r\n"
-                for r, item in enumerate(ids[lo:lo + _WRITE_BLOCK_ROWS])]))
+                for r, item in enumerate(ids[lo:lo + step])]))
 
 
 def _load_json(path, what):

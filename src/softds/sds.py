@@ -74,11 +74,15 @@ __all__ = [
 
 _TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 
-# Items per chunk are this many float64 elements over K*J*J, the
-# multiply-adds one item costs in the E-step.  Chunk boundaries depend
-# only on array shapes - never on the thread count - which is what makes
-# threaded runs byte-identical.
-_CHUNK_TARGET = 1 << 20
+# Items per chunk are this many float64 elements over K*J, the size of
+# one item's part of the E-step's (K, chunk, J) block and of its ``log c``
+# slice in S; both kernels share the one chunk list.  Smaller chunks lose
+# to per-call overhead at J = 100.  2^17 ran a few percent faster but raised
+# peak memory at K = 3, J = 10: its freed 1 MB block lifts malloc's mmap
+# threshold above the fit's N x J temporaries, which then stay in the heap.
+# Chunk boundaries depend only on array shapes - never on the thread
+# count - which is what makes threaded runs byte-identical.
+_CHUNK_TARGET = 1 << 16
 
 
 class NumericError(RuntimeError):
@@ -156,7 +160,7 @@ class FitTrace:
 
 def _chunks(n_items, n_members, n_classes):
     """Item slices of the fixed-size chunks."""
-    per_item = max(1, n_members * n_classes * n_classes)
+    per_item = max(1, n_members * n_classes)
     step = max(1, _CHUNK_TARGET // per_item)
     return [slice(lo, min(lo + step, n_items)) for lo in range(0, n_items, step)]
 
@@ -171,10 +175,9 @@ def _normalizer_per_member(pi):
 
 
 def _log_weight_terms(pi, nu):
-    """The model's part of the log weights: ``pi - 1`` as (J, K, L) and
+    """The model's part of the log weights: ``pi - 1`` as (K, J, L) and
     const[j] = ln nu_j - sum_k (sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl))."""
-    return (np.swapaxes(pi, 0, 1) - 1.0,
-            _log_nu(nu) - sorted_sum(_normalizer_per_member(pi), axis=0))
+    return pi - 1.0, _log_nu(nu) - sorted_sum(_normalizer_per_member(pi), axis=0)
 
 
 def _log_weight_matrix(log_c, terms, map_chunks=map):
@@ -182,23 +185,25 @@ def _log_weight_matrix(log_c, terms, map_chunks=map):
 
         w[i, j] = const[j] + sum_{k,l} (pi_kjl - 1) ln c_ikl
 
-    with ``terms`` from :func:`_log_weight_terms`.  Each row's value is
-    independent of the batch it is computed in.  ``map_chunks`` is
-    ``map`` or a thread pool's ``map``; either returns the chunks in
-    order.
+    with ``log_c`` from :func:`_member_major` and ``terms`` from
+    :func:`_log_weight_terms`.  Each row's value is independent of the
+    batch it is computed in.  ``map_chunks`` is ``map`` or a thread
+    pool's ``map``; the chunks write disjoint rows.
     """
-    pim1_by_class, const = terms
-    w = np.empty((log_c.shape[0], const.size))
+    pim1, const = terms
+    n_members, n_items, n_classes = log_c.shape
+    w = np.empty((n_items, const.size))
 
     def chunk(rows):
+        block = np.empty((n_members, rows.stop - rows.start, const.size))
         # numpy's own einsum loop, not BLAS: each row's sums over l then
         # run in one order, whatever the batch around it
-        return sorted_sum(np.einsum("ikl,jkl->kij", log_c[rows], pim1_by_class),
-                          axis=0)
+        for k in range(n_members):
+            np.einsum("il,jl->ij", log_c[k, rows], pim1[k], out=block[k])
+        w[rows] = sorted_sum(block, axis=0) + const
 
-    chunks = _chunks(*log_c.shape)
-    for rows, block in zip(chunks, map_chunks(chunk, chunks)):
-        w[rows] = block + const[None, :]
+    # drained, so that a chunk's error is raised here
+    list(map_chunks(chunk, _chunks(n_items, n_members, n_classes)))
     return w
 
 
@@ -216,16 +221,22 @@ def _normalize_log_rows(w):
     return rows
 
 
-def _transposed(log_c):
-    """``log c`` as a (K, J, N) array, item axis contiguous."""
-    return np.ascontiguousarray(log_c.transpose(1, 2, 0))
+def _member_major(probs):
+    """``log c`` of (N, K, J) probabilities as a (K, N, J) array."""
+    # the log runs on the item-first layout, so its bits match every caller's
+    return np.ascontiguousarray(np.log(probs).transpose(1, 0, 2))
+
+
+def _item_last(log_c):
+    """Member-major ``log c`` as a (K, J, N) array, item axis contiguous."""
+    return np.ascontiguousarray(log_c.transpose(0, 2, 1))
 
 
 def _evidence_stats(log_c_t, post_rows, map_chunks=map):
     """S[k, j, l] = sum_i post[i, j] * ln c_ikl and the per-class mass
     vector sum_i post[i, j], accumulated over chunks in fixed order.
     ``log_c_t`` is ``log c`` in the item-last layout of
-    :func:`_transposed`, so each sum over items runs over contiguous
+    :func:`_item_last`, so each sum over items runs over contiguous
     memory.  numpy's einsum loop, not BLAS: a BLAS product's sums change
     with the member order and with its thread count."""
     n_members, n_classes, n_items = log_c_t.shape
@@ -243,9 +254,9 @@ def _evidence_stats(log_c_t, post_rows, map_chunks=map):
     return s, post_rows.sum(axis=0)
 
 
-def _q_from_stats(s, mass, pi, const):
-    """Q from the evidence statistics and the model's ``const``."""
-    return float(np.sum((pi - 1.0) * s) + np.sum(mass * const))
+def _q_from_stats(s, mass, terms):
+    """Q from the evidence statistics and the model's E-step ``terms``."""
+    return float(np.sum(terms[0] * s) + np.sum(mass * terms[1]))
 
 
 def _grad_from_stats(s, mass, pi):
@@ -288,7 +299,8 @@ def _checked_model(preds, model: SdsModel):
 def _e_step_rows(preds, model):
     """The undamped posterior rows, as checked by :func:`_normalize_log_rows`."""
     _checked_model(preds, model)
-    return _normalize_log_rows(_log_weight_matrix(np.log(preds.probs), model._terms))
+    return _normalize_log_rows(_log_weight_matrix(_member_major(preds.probs),
+                                                  model._terms))
 
 
 def _checked_stats(preds, post, model):
@@ -299,7 +311,7 @@ def _checked_stats(preds, post, model):
     if rows.shape != (preds.n_items, preds.n_classes):
         raise ValueError(f"posterior shape {rows.shape} does not match "
                          f"({preds.n_items}, {preds.n_classes})")
-    s, mass = _evidence_stats(_transposed(np.log(preds.probs)), rows)
+    s, mass = _evidence_stats(_item_last(_member_major(preds.probs)), rows)
     return s, mass, pi, nu
 
 
@@ -317,10 +329,10 @@ def q_function(preds: PredictionSet, post, model: SdsModel) -> float:
     Raises ValueError if the prior puts zero mass on a class that carries
     posterior weight.
     """
-    s, mass, pi, nu = _checked_stats(preds, post, model)
+    s, mass, _, nu = _checked_stats(preds, post, model)
     if np.any((nu <= 0.0) & (mass > 0.0)):
         raise ValueError("class prior is zero on a class with posterior mass")
-    return _q_from_stats(s, mass, pi, model._terms[1])
+    return _q_from_stats(s, mass, model._terms)
 
 
 def q_grad_pi(preds: PredictionSet, post, model: SdsModel) -> np.ndarray:
@@ -433,8 +445,9 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     )
     nu = ds_model.prior.nu
     post = ensemble_average(preds).rows
-    log_c = np.log(preds.probs)
-    log_c_t = _transposed(log_c)
+    # two N*K*J copies: the item-first log is freed before the second
+    log_c = _member_major(preds.probs)
+    log_c_t = _item_last(log_c)
     state = AdamState.zeros(pi.size)
     terms = _log_weight_terms(pi, nu)
 
@@ -455,7 +468,7 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
             pi, state = _adamw_pi(s, mass, pi, cfg, state)
             # shared by this iteration's Q and the next iteration's E-step
             terms = _log_weight_terms(pi, nu)
-            q = _q_from_stats(s, mass, pi, terms[1])
+            q = _q_from_stats(s, mass, terms)
             if not np.isfinite(q):
                 raise NumericError(f"Q became non-finite at iteration {it}")
             iters.append(it)
@@ -529,12 +542,12 @@ def explain(preds: PredictionSet, model: SdsModel, item_index: int) -> Explanati
     if not 0 <= item_index < preds.n_items:
         raise IndexError(f"item index {item_index} out of range [0, {preds.n_items})")
     pi, nu = _checked_model(preds, model)
-    log_c = np.log(preds.probs[item_index:item_index + 1])  # (1, K, J)
+    log_c = _member_major(preds.probs[item_index:item_index + 1])  # (K, 1, J)
     log_weights = _log_weight_matrix(log_c, model._terms)
     return Explanation(
         item_id=preds.item_ids[item_index],
         log_prior=_log_nu(nu),
-        member_evidence=((pi - 1.0) * log_c[0, :, None, :]).sum(axis=2),  # (K, J)
+        member_evidence=((pi - 1.0) * log_c[:, 0, None, :]).sum(axis=2),  # (K, J)
         member_normalizer=-_normalizer_per_member(pi),  # (K, J)
         log_weights=log_weights[0],
         posterior=_normalize_log_rows(log_weights)[0],

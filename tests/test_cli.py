@@ -341,6 +341,26 @@ class TestOnline:
                          r"\(\d+ rows/s\)$", err, re.M)
         assert s.load_posterior(stream_out).n_items == 3
 
+    def test_overlong_field_row_skipped(self, fitted, tmp_path, capsys):
+        # past csv's 131072-character field limit, then a valid row
+        out_dir, model_path = fitted
+        preds = s.load_predictions(out_dir / "manifest.json")
+        stream_in = tmp_path / "stream.csv"
+        self.make_stream(preds, stream_in, range(1))
+        text = stream_in.read_text().splitlines()
+        long_row = "x" * 200_000 + text[1][text[1].index(","):]
+        stream_in.write_text("\n".join([text[0], long_row, text[1]]) + "\n")
+        stream_out = tmp_path / "o.csv"
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(stream_out)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2: skipped (field larger than field limit" in err
+        assert "online: 1 rows written, 1 skipped" in err
+        got = s.load_posterior(stream_out)
+        assert got.item_ids == [preds.item_ids[0]]
+        batch = s.e_step_raw(preds, s.load_model(model_path)).rows
+        assert np.array_equal(got.rows, batch[:1])
+
     def test_huge_log_weights_exit_3(self, tmp_path):
         # ln J is lost when added to log weights of ~1e287, so the row
         # cannot be normalized: a numeric failure, and no row is written
@@ -421,6 +441,40 @@ class TestEdges:
         assert np.all(np.isfinite(posterior))
         assert abs(posterior.sum() - 1.0) <= 1e-9
         assert np.array_equal(posterior, post.rows[2])
+
+    def test_huge_pi_model_exits_3(self, tmp_path, capsys):
+        # every pi entry 1e300: the log weights cannot be normalized
+        model_path = tmp_path / "huge.model.json"
+        s.save_model(s.SdsModel(s.ConfusionTensor(np.full((2, 3, 3), 1e300)),
+                                s.ClassPrior(np.full(3, 1 / 3))), model_path)
+        probs = np.random.default_rng(91).dirichlet(np.ones(3), size=(4, 2))
+        preds = s.PredictionSet.from_probs(probs)
+        manifest = s.save_predictions(preds, tmp_path / "data")
+        stream_in = tmp_path / "stream.csv"
+        stream_in.write_text("item_id,m0_p0,m0_p1,m0_p2,m1_p0,m1_p1,m1_p2\n0,"
+                             + ",".join(map(repr, probs[0].ravel().tolist())) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["online", "--model", str(model_path),
+                         "--input", str(stream_in),
+                         "--out", str(tmp_path / "o.csv")]) == 3
+            assert main(["explain", "--model", str(model_path),
+                         "--manifest", str(manifest), "--item", "0"]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert len(re.findall(r"^numeric error: ", err, re.M)) == 2
+        assert "Traceback" not in err
+
+    def test_huge_init_concentration_aggregates(self, sim_dir, tmp_path):
+        _, out_dir = sim_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ds_init_concentration": 1e300}))
+        out = tmp_path / "post.csv"
+        assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        rows = s.load_posterior(out).rows
+        assert np.all(np.isfinite(rows))
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("config", [
         {},

@@ -345,7 +345,9 @@ class TestProbFileMatchesReference:
         path = write_text(tmp_path / "p.csv", newline.join(lines))
         assert_parses_like_reference(path)
 
-    @pytest.mark.parametrize("n_rows, n_classes", [(1, 2), (5, 1000), (4097, 3)])
+    # 40 x 1000 spans two write blocks
+    @pytest.mark.parametrize("n_rows, n_classes", [(1, 2), (5, 1000), (4097, 3),
+                                                   (40, 1000)])
     def test_shapes(self, tmp_path, n_rows, n_classes):
         rng = np.random.default_rng(n_classes)
         rows = rng.dirichlet(np.ones(n_classes), size=n_rows)

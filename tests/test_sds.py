@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import softds as s
 from softds.mathutils import dirichlet_log_density
 from softds.optim import AdamState
-from util import diagonal_spec, model, random_instance, reference_fit
+from util import (diagonal_spec, model, random_instance, reference_fit,
+                  reference_log_weights)
 
 LN_HALF = -0.6931471805599453
 LN_THREE_QUARTERS = -0.2876820724517809  # ln 0.5 + 2 ln 0.5 + ln 6
@@ -294,6 +295,37 @@ class TestEStepContracts:
         assert np.array_equal(permuted.rows, s.e_step_raw(preds, m).rows)
 
 
+# (N, K, J): each spans two item chunks of the kernel
+REFERENCE_SHAPES = [(12000, 3, 2), (2500, 3, 10), (600, 4, 33), (150, 5, 100),
+                    (40, 2, 1000)]
+
+
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES,
+                         ids=lambda sh: "x".join(map(str, sh)))
+class TestLogWeightsMatchReference:
+    """The member-major kernel, one einsum per member, equals the single
+    item-first contraction bit for bit."""
+
+    def instance(self, shape):
+        assert len(s.sds._chunks(*shape)) >= 2
+        preds, _, pi, nu = random_instance(np.random.default_rng(sum(shape)), *shape)
+        return preds.probs, pi, nu
+
+    def test_batch(self, shape):
+        probs, pi, nu = self.instance(shape)
+        w = s.sds._log_weight_matrix(s.sds._member_major(probs),
+                                     s.sds._log_weight_terms(pi, nu))
+        assert np.array_equal(w, reference_log_weights(probs, pi, nu))
+
+    def test_one_item_batches(self, shape):
+        probs, pi, nu = self.instance(shape)
+        terms = s.sds._log_weight_terms(pi, nu)
+        for i in (0, s.sds._chunks(*shape)[0].stop, shape[0] - 1):
+            one = probs[i:i + 1]
+            w = s.sds._log_weight_matrix(s.sds._member_major(one), terms)
+            assert np.array_equal(w, reference_log_weights(one, pi, nu))
+
+
 class TestPolyakUpdate:
     def test_alpha_one_returns_new_exactly(self):
         rng = np.random.default_rng(25)
@@ -326,8 +358,9 @@ class TestPolyakUpdate:
 def chunked_preds():
     """Predictions large enough that the E-step and the statistics run
     over two item chunks, so a thread pool has work to split."""
-    spec = diagonal_spec(3.0, 0.4, seed=30, n_items=1000, n_classes=20)
+    spec = diagonal_spec(3.0, 0.4, seed=30, n_items=1500, n_classes=20)
     preds, _ = s.sample(spec)
+    assert len(s.sds._chunks(*preds.probs.shape)) >= 2
     return preds
 
 
@@ -365,6 +398,7 @@ class TestFit:
     def test_thread_count_does_not_change_results(self):
         spec = diagonal_spec(4.0, 0.4, seed=34, n_items=6000, n_classes=6)
         preds, _ = s.sample(spec)
+        assert len(s.sds._chunks(*preds.probs.shape)) >= 2
         cfg = s.SdsConfig(em_iterations=5)
         m1, p1, _ = s.fit(preds, cfg, threads=1)
         m8, p8, _ = s.fit(preds, cfg, threads=8)

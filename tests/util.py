@@ -6,6 +6,7 @@ import numpy as np
 
 import softds as s
 from softds.data import FormatError, _check_prob_header
+from softds.mathutils import sorted_sum
 from softds.optim import AdamState
 
 
@@ -74,6 +75,15 @@ def accurate_hard_labels(rng, n_items, n_members, accuracy=0.9, n_classes=2):
     flips = rng.random((n_items, n_members)) > accuracy
     labels = np.where(flips, (truth[:, None] + 1) % n_classes, truth[:, None])
     return s.HardLabelSet(labels, n_classes), truth
+
+
+def reference_log_weights(probs, pi, nu):
+    """The E-step's unnormalized log posteriors, shape (N, J), as one
+    ``"ikl,jkl->kij"`` einsum of the item-first ``log c`` against
+    ``pi - 1`` laid out (J, K, L), summed over members by ``sorted_sum``,
+    plus the per-class constant."""
+    block = np.einsum("ikl,jkl->kij", np.log(probs), np.swapaxes(pi, 0, 1) - 1.0)
+    return sorted_sum(block, axis=0) + s.sds._log_weight_terms(pi, nu)[1][None, :]
 
 
 def reference_fit(preds, cfg, on_m_step=None):
