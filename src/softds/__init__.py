@@ -53,12 +53,7 @@ from .sds import (
     explain,
     fit,
     load_model,
-    m_step_nu,
-    m_step_pi,
     online_infer,
-    polyak_update,
-    q_function,
-    q_grad_pi,
     save_model,
 )
 from .synth import GenerativeSpec, bayes_posterior, sample
@@ -103,15 +98,10 @@ __all__ = [
     "load_posterior",
     "load_predictions",
     "log_gamma",
-    "m_step_nu",
-    "m_step_pi",
     "majority_vote",
     "nll",
     "online_infer",
     "ood_score",
-    "polyak_update",
-    "q_function",
-    "q_grad_pi",
     "reliability_bins",
     "sample",
     "save_confusion_tensor",

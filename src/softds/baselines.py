@@ -103,11 +103,18 @@ def ds_em(labels: HardLabelSet, n_iterations: int, smoothing: float = 0.01):
     n, k = lab.shape
     j = labels.n_classes
 
-    onehot = np.zeros((k, n, j))
-    for m in range(k):
-        onehot[m, np.arange(n), lab[:, m]] = 1.0
+    items = np.arange(n)
 
-    post = onehot.sum(axis=0) / k  # per-item label frequencies
+    def onehot(m):
+        # one member's (N, J) one-hot at a time, freed after its use
+        out = np.zeros((n, j))
+        out[items, lab[:, m]] = 1.0
+        return out
+
+    post = np.zeros((n, j))  # per-item label frequencies
+    for m in range(k):
+        post[items, lab[:, m]] += 1.0
+    post /= k
 
     prior = None
     conf = None
@@ -116,7 +123,7 @@ def ds_em(labels: HardLabelSet, n_iterations: int, smoothing: float = 0.01):
         prior = post.mean(axis=0)
         conf = np.empty((k, j, j))
         for m in range(k):
-            counts = np.einsum("ij,il->jl", post, onehot[m]) + smoothing
+            counts = np.einsum("ij,il->jl", post, onehot(m)) + smoothing
             denom = counts.sum(axis=1, keepdims=True)
             safe = denom > 0.0
             conf[m] = np.where(safe, counts / np.where(safe, denom, 1.0), 1.0 / j)

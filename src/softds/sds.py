@@ -10,8 +10,8 @@ expected complete-data log likelihood Q).
 
 :func:`fit` runs each EM iteration as one pass over the private kernels,
 sharing one ``log c`` per fit and one set of evidence statistics per
-iteration.  The public step functions check their inputs and call the
-same kernels; they are the reference ``fit`` is tested against, bitwise.
+iteration.  The batch E-step :func:`e_step_raw`, :func:`online_infer` and
+:func:`explain` apply a frozen model with the same E-step kernel.
 
 The model's E-step terms (``pi - 1`` and a per-class constant holding the
 log-Gamma normalizer) are computed once per frozen :class:`SdsModel`, and
@@ -21,7 +21,7 @@ Determinism: all item reductions run over fixed-size chunks combined in
 chunk order, and member reductions use order-insensitive sums, so results
 are bitwise identical for any thread count, any batch size (per-item
 posteriors), and any member ordering.  Only ``fit`` runs chunks on a
-thread pool; the public step functions are single-threaded.
+thread pool; the other public functions are single-threaded.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .data import (
     _load_json,
     _members_pi,
     _parse_members_pi,
-    _posterior_rows,
     _read_table,
     _save_json,
     _write_table,
@@ -59,12 +58,7 @@ __all__ = [
     "SdsModel",
     "FitTrace",
     "Explanation",
-    "q_function",
-    "q_grad_pi",
-    "m_step_nu",
-    "m_step_pi",
     "e_step_raw",
-    "polyak_update",
     "fit",
     "online_infer",
     "explain",
@@ -255,11 +249,18 @@ def _evidence_stats(log_c_t, post_rows, map_chunks=map):
 
 
 def _q_from_stats(s, mass, terms):
-    """Q from the evidence statistics and the model's E-step ``terms``."""
+    """The expected complete-data log likelihood
+
+        Q = sum_i sum_j post[i,j] * ( ln nu_j
+              + sum_k sum_l (pi_kjl - 1) ln c_ikl
+              - sum_k ( sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl) ) )
+
+    from the evidence statistics and the model's E-step ``terms``."""
     return float(np.sum(terms[0] * s) + np.sum(mass * terms[1]))
 
 
 def _grad_from_stats(s, mass, pi):
+    """dQ/dpi_kjl = S_kjl + mass_j * (psi(sum_l' pi_kjl') - psi(pi_kjl))."""
     correction = digamma(pi.sum(axis=2))[:, :, None] - digamma(pi)
     return s + mass[None, :, None] * correction
 
@@ -303,71 +304,8 @@ def _e_step_rows(preds, model):
                                                   model._terms))
 
 
-def _checked_stats(preds, post, model):
-    """Input checks shared by the public M-step and Q functions, then the
-    evidence statistics of ``post``.  Returns ``(S, mass, pi, nu)``."""
-    pi, nu = _checked_model(preds, model)
-    rows = _posterior_rows(post)
-    if rows.shape != (preds.n_items, preds.n_classes):
-        raise ValueError(f"posterior shape {rows.shape} does not match "
-                         f"({preds.n_items}, {preds.n_classes})")
-    s, mass = _evidence_stats(_item_last(_member_major(preds.probs)), rows)
-    return s, mass, pi, nu
-
-
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def q_function(preds: PredictionSet, post, model: SdsModel) -> float:
-    """Expected complete-data log likelihood
-
-        Q = sum_i sum_j post[i,j] * ( ln nu_j
-              + sum_k sum_l (pi_kjl - 1) ln c_ikl
-              - sum_k ( sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl) ) )
-
-    Raises ValueError if the prior puts zero mass on a class that carries
-    posterior weight.
-    """
-    s, mass, _, nu = _checked_stats(preds, post, model)
-    if np.any((nu <= 0.0) & (mass > 0.0)):
-        raise ValueError("class prior is zero on a class with posterior mass")
-    return _q_from_stats(s, mass, model._terms)
-
-
-def q_grad_pi(preds: PredictionSet, post, model: SdsModel) -> np.ndarray:
-    """Gradient of :func:`q_function` with respect to the confusion
-    tensor:
-
-        d Q / d pi_kjl = sum_i post[i,j] *
-            ( ln c_ikl - psi(pi_kjl) + psi(sum_l' pi_kjl') )
-    """
-    s, mass, pi, _ = _checked_stats(preds, post, model)
-    return _grad_from_stats(s, mass, pi)
-
-
-def m_step_nu(post) -> ClassPrior:
-    """Closed-form prior update: nu_j = sum_i post[i,j] / sum_ij post[i,j]."""
-    rows = _posterior_rows(post)
-    mass = rows.sum(axis=0)
-    total = float(mass.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise ValueError("posterior carries no mass")
-    return ClassPrior(mass / total)
-
-
-def m_step_pi(preds: PredictionSet, post, model: SdsModel, config: SdsConfig,
-              state: AdamState):
-    """Run ``config.inner_steps`` AdamW updates on the flattened
-    confusion tensor, minimizing -Q with the analytic gradient, clamping
-    entries to ``config.pi_floor`` after every step.
-
-    The optimizer state is carried, so it can persist across EM
-    iterations.  Returns ``(ConfusionTensor, AdamState)``.
-    """
-    s, mass, pi, _ = _checked_stats(preds, post, model)
-    pi, state = _adamw_pi(s, mass, pi, config, state)
-    return ConfusionTensor(pi), state
 
 
 def e_step_raw(preds: PredictionSet, model: SdsModel) -> PosteriorMatrix:
@@ -375,23 +313,6 @@ def e_step_raw(preds: PredictionSet, model: SdsModel) -> PosteriorMatrix:
     parameters: row i is the normalized exponential of the log weights of
     :func:`_log_weight_matrix`.  No damping is applied here."""
     return PosteriorMatrix(_e_step_rows(preds, model), list(preds.item_ids))
-
-
-def polyak_update(old, new, alpha: float) -> PosteriorMatrix:
-    """Damped posterior update: rowwise (1 - alpha) * old + alpha * new.
-    ``alpha = 1`` returns ``new`` exactly (no damping)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    o = _posterior_rows(old)
-    n = _posterior_rows(new)
-    if o.shape != n.shape:
-        raise ValueError("posterior shapes do not match")
-    ids = None
-    for candidate in (old, new):
-        if isinstance(candidate, PosteriorMatrix):
-            ids = list(candidate.item_ids)
-            break
-    return PosteriorMatrix((1.0 - alpha) * o + alpha * n, ids)
 
 
 def _alpha_at(schedule, iteration):
@@ -413,15 +334,14 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     once per fit:
 
     1. the undamped E-step posterior (as :func:`e_step_raw`), mixed into
-       the previous posterior with the alpha active per
-       ``alpha_schedule`` (as :func:`polyak_update`);
+       the previous posterior as ``(1 - alpha) * old + alpha * new``, with
+       the alpha active per ``alpha_schedule``;
     2. the evidence statistics S/mass of that posterior, computed once;
-    3. the prior ``nu = mass / sum(mass)`` (as :func:`m_step_nu`);
-    4. ``inner_steps`` AdamW steps on pi (as :func:`m_step_pi`), with the
-       optimizer state carried across iterations unless
+    3. the prior ``nu = mass / sum(mass)``;
+    4. ``inner_steps`` AdamW steps on pi against -Q, with the optimizer
+       state carried across iterations unless
        ``reset_optimizer_each_m_step``;
-    5. Q of the updated model on the same statistics (as
-       :func:`q_function`).
+    5. Q of the updated model on the same statistics.
 
     Q is recorded after every iteration; when ``q_rel_tolerance > 0`` the
     loop stops early once |dQ| / |Q| falls below it.  The model and
@@ -432,8 +352,7 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
 
     Returns ``(SdsModel, PosteriorMatrix, FitTrace)``.  Deterministic:
     identical inputs and config produce bitwise identical results for any
-    ``threads``, and the same results as chaining the public step
-    functions.
+    ``threads``.
     """
     cfg = config if config is not None else SdsConfig()
     cfg.validate()

@@ -476,6 +476,35 @@ class TestEdges:
         assert np.all(np.isfinite(rows))
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
+    def test_thousand_classes_aggregate_and_online(self, tmp_path):
+        # K = 1, J = 1000: the model file alone holds J^2 entries
+        probs = np.random.default_rng(92).dirichlet(np.ones(1000), size=(40, 1))
+        manifest = s.save_predictions(s.PredictionSet.from_probs(probs),
+                                      tmp_path / "data")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"em_iterations": 1, "inner_steps": 1}))
+        out = tmp_path / "post.csv"
+        assert main(["aggregate", "--manifest", str(manifest), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = s.load_posterior(out).rows
+        assert rows.shape == (40, 1000) and np.all(np.isfinite(rows))
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+        # with K = 1 a member file row is a stream row as it stands
+        lines = (tmp_path / "data" / "member_0.csv").read_text().splitlines()
+        stream_in = tmp_path / "stream.csv"
+        stream_in.write_text("\n".join(
+            ["item_id," + ",".join(f"m0_p{c}" for c in range(1000))] + lines[1:6]))
+        stream_out = tmp_path / "stream_post.csv"
+        model_path = tmp_path / "post.model.json"
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(stream_out)]) == 0
+        batch = s.e_step_raw(s.load_predictions(manifest), s.load_model(model_path))
+        got = s.load_posterior(stream_out)
+        assert got.item_ids == batch.item_ids[:5]
+        assert [list(map(repr, row)) for row in got.rows.tolist()] == \
+            [list(map(repr, row)) for row in batch.rows[:5].tolist()]
+
     @pytest.mark.parametrize("config", [
         {},
         {"alpha_schedule": [[0, 1.0]], "learning_rate": 0.5, "em_iterations": 20},

@@ -1,5 +1,5 @@
-"""Core fitting machinery: Q function, analytic gradient, E/M steps, the
-EM driver, online inference, and the posterior decomposition."""
+"""Core fitting machinery: the Q and gradient kernels, E/M steps, the EM
+driver, online inference, and the posterior decomposition."""
 
 import dataclasses
 import json
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import softds as s
 from softds.mathutils import dirichlet_log_density
 from softds.optim import AdamState
-from util import (diagonal_spec, model, random_instance, reference_fit,
-                  reference_log_weights)
+from util import (diagonal_spec, m_step_pi, model, q_function, q_grad_pi,
+                  random_instance, reference_fit, reference_log_weights)
 
 LN_HALF = -0.6931471805599453
 LN_THREE_QUARTERS = -0.2876820724517809  # ln 0.5 + 2 ln 0.5 + ln 6
@@ -46,32 +46,26 @@ class TestQFunction:
     def test_uniform_dirichlet_row(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[1.0, 1.0], [1.0, 1.0]]])
-        assert s.q_function(preds, post, model(pi, nu)) == pytest.approx(
+        assert q_function(preds, post, model(pi, nu)) == pytest.approx(
             LN_HALF, abs=1e-12)
 
     def test_symmetric_beta_row(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[2.0, 2.0], [1.0, 1.0]]])
-        assert s.q_function(preds, post, model(pi, nu)) == pytest.approx(
+        assert q_function(preds, post, model(pi, nu)) == pytest.approx(
             LN_THREE_QUARTERS, abs=1e-12)
 
     def test_zero_mass_class_ignores_its_row(self):
         preds, post, nu = single_item_instance()
         pi_a = np.array([[[1.5, 0.5], [1.0, 1.0]]])
         pi_b = np.array([[[1.5, 0.5], [9.0, 0.2]]])  # row 1 changed
-        assert s.q_function(preds, post, model(pi_a, nu)) == \
-            s.q_function(preds, post, model(pi_b, nu))
+        assert q_function(preds, post, model(pi_a, nu)) == \
+            q_function(preds, post, model(pi_b, nu))
 
     def test_rejects_nonpositive_pi(self):
         preds, post, nu = single_item_instance()
         with pytest.raises(ValueError):
-            s.q_function(preds, post, model(np.zeros((1, 2, 2)), nu))
-
-    def test_rejects_zero_prior_with_mass(self):
-        preds, post, _ = single_item_instance()
-        pi = np.ones((1, 2, 2))
-        with pytest.raises(ValueError, match="zero"):
-            s.q_function(preds, post, model(pi, np.array([0.0, 1.0])))
+            q_function(preds, post, model(np.zeros((1, 2, 2)), nu))
 
     def test_matches_extended_precision_oracle(self):
         # brute-force evaluation of the objective in 50-digit arithmetic
@@ -94,7 +88,7 @@ class TestQFunction:
                         row_sum += p_kjl
                     term += mpmath.loggamma(row_sum)
                 expected += mpmath.mpf(float(post[i, j])) * term
-        got = s.q_function(preds, post, model(pi, nu))
+        got = q_function(preds, post, model(pi, nu))
         assert abs(got - float(expected)) <= 1e-12 * abs(float(expected))
 
 
@@ -102,7 +96,7 @@ class TestQGradPi:
     def test_hand_computed_entry(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[1.0, 1.0], [1.0, 1.0]]])
-        grad = s.q_grad_pi(preds, post, model(pi, nu))
+        grad = q_grad_pi(preds, post, model(pi, nu))
         # ln 0.5 - psi(1) + psi(2) = ln 0.5 + 1
         expected = LN_HALF + 1.0
         np.testing.assert_allclose(grad[0, 0], expected, atol=1e-12)
@@ -110,7 +104,7 @@ class TestQGradPi:
     def test_zero_mass_rows_have_zero_gradient(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[1.0, 1.0], [2.0, 0.7]]])
-        grad = s.q_grad_pi(preds, post, model(pi, nu))
+        grad = q_grad_pi(preds, post, model(pi, nu))
         np.testing.assert_array_equal(grad[0, 1], 0.0)
 
     def test_matches_finite_differences(self):
@@ -121,47 +115,48 @@ class TestQGradPi:
             k = int(rng.integers(1, 4))
             j = int(rng.integers(2, 5))
             preds, post, pi, nu = random_instance(rng, n, k, j)
-            grad = s.q_grad_pi(preds, post, model(pi, nu))
+            grad = q_grad_pi(preds, post, model(pi, nu))
             fd = np.empty_like(grad)
             for idx in np.ndindex(pi.shape):
                 up = pi.copy()
                 up[idx] += h
                 dn = pi.copy()
                 dn[idx] -= h
-                fd[idx] = (s.q_function(preds, post, model(up, nu))
-                           - s.q_function(preds, post, model(dn, nu))) / (2 * h)
+                fd[idx] = (q_function(preds, post, model(up, nu))
+                           - q_function(preds, post, model(dn, nu))) / (2 * h)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(grad)), 1e-8)
             assert np.max(np.abs(grad - fd) / denom) <= 1e-5
 
 
 class TestMStepNu:
-    def test_hand_computed(self):
-        prior = s.m_step_nu(np.array([[1.0, 0.0], [0.5, 0.5]]))
-        np.testing.assert_allclose(prior.nu, [0.75, 0.25], atol=1e-15)
+    """``fit``'s prior update: nu is the column mean of its posterior."""
 
     def test_identical_rows(self):
-        row = np.array([0.2, 0.3, 0.5])
-        prior = s.m_step_nu(np.tile(row, (7, 1)))
-        np.testing.assert_allclose(prior.nu, row, atol=1e-12)
+        # alike items get bitwise alike posterior rows
+        probs = np.tile([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]], (7, 1, 1))
+        m, post, _ = s.fit(s.PredictionSet.from_probs(probs),
+                           s.SdsConfig(em_iterations=3))
+        np.testing.assert_allclose(m.nu.nu, post.rows[0], atol=1e-12)
 
     def test_matches_column_mean_oracle(self):
-        rng = np.random.default_rng(21)
-        rows = rng.dirichlet(np.ones(4), size=100)
-        prior = s.m_step_nu(rows)
-        np.testing.assert_allclose(prior.nu, rows.mean(axis=0), rtol=1e-15,
-                                   atol=1e-15)
+        preds, _ = s.sample(diagonal_spec(3.0, 0.4, seed=21, n_items=100,
+                                          n_classes=4))
+        m, post, _ = s.fit(preds, s.SdsConfig(em_iterations=5))
+        np.testing.assert_allclose(m.nu.nu, post.rows.mean(axis=0),
+                                   rtol=1e-15, atol=1e-15)
 
     def test_optimal_for_q(self):
         # the closed form must beat random prior perturbations
         rng = np.random.default_rng(22)
         for _ in range(20):
             preds, post, pi, _ = random_instance(rng, 6, 2, 3)
-            nu_star = s.m_step_nu(post).nu
-            q_star = s.q_function(preds, post, model(pi, nu_star))
+            mass = post.sum(axis=0)
+            nu_star = mass / mass.sum()
+            q_star = q_function(preds, post, model(pi, nu_star))
             for _ in range(100):
                 other = np.maximum(nu_star + rng.normal(0, 0.05, size=3), 1e-9)
                 other = other / other.sum()
-                assert s.q_function(preds, post, model(pi, other)) <= q_star + 1e-12
+                assert q_function(preds, post, model(pi, other)) <= q_star + 1e-12
 
 
 class TestMStepPi:
@@ -170,9 +165,9 @@ class TestMStepPi:
         pi = np.array([[[1.2, 0.8], [0.5, 1.5]]])
         cfg = s.SdsConfig(weight_decay=0.0).validate()
         post = np.zeros((1, 2))
-        tensor, state = s.m_step_pi(preds, post, model(pi, nu), cfg,
-                                    AdamState.zeros(pi.size))
-        np.testing.assert_array_equal(tensor.pi, pi)
+        new_pi, state = m_step_pi(preds, post, model(pi, nu), cfg,
+                                  AdamState.zeros(pi.size))
+        np.testing.assert_array_equal(new_pi, pi)
         assert state.step == cfg.inner_steps
 
     def test_single_step_moves_by_learning_rate(self):
@@ -180,19 +175,19 @@ class TestMStepPi:
         pi = np.array([[[1.0, 1.0], [1.0, 1.0]]])
         cfg = s.SdsConfig(inner_steps=1, learning_rate=0.1,
                           weight_decay=0.0).validate()
-        tensor, _ = s.m_step_pi(preds, post, model(pi, nu), cfg,
-                                AdamState.zeros(pi.size))
+        new_pi, _ = m_step_pi(preds, post, model(pi, nu), cfg,
+                              AdamState.zeros(pi.size))
         # gradient is positive on row 0, so entries rise by ~lr
-        np.testing.assert_allclose(tensor.pi[0, 0], 1.1, rtol=1e-5)
-        np.testing.assert_array_equal(tensor.pi[0, 1], pi[0, 1])
+        np.testing.assert_allclose(new_pi[0, 0], 1.1, rtol=1e-5)
+        np.testing.assert_array_equal(new_pi[0, 1], pi[0, 1])
 
     def test_entries_clamped_to_floor(self):
         preds, post, nu = single_item_instance()
         pi = np.full((1, 2, 2), 2e-6)
         cfg = s.SdsConfig(inner_steps=3, learning_rate=0.1).validate()
-        tensor, _ = s.m_step_pi(preds, post, model(pi, nu), cfg,
-                                AdamState.zeros(pi.size))
-        assert np.all(tensor.pi >= cfg.pi_floor)
+        new_pi, _ = m_step_pi(preds, post, model(pi, nu), cfg,
+                              AdamState.zeros(pi.size))
+        assert np.all(new_pi >= cfg.pi_floor)
 
     def test_inner_steps_do_not_reduce_q(self):
         # monitored along a seeded fit trajectory
@@ -200,8 +195,8 @@ class TestMStepPi:
         preds, _ = s.sample(spec)
 
         def check(post, before, after):
-            q_before = s.q_function(preds, post, before)
-            q_after = s.q_function(preds, post, after)
+            q_before = q_function(preds, post, before)
+            q_after = q_function(preds, post, after)
             assert q_after >= q_before - 1e-6 * abs(q_before)
 
         reference_fit(preds, s.SdsConfig(em_iterations=25), on_m_step=check)
@@ -327,31 +322,34 @@ class TestLogWeightsMatchReference:
 
 
 class TestPolyakUpdate:
+    """``fit``'s damped posterior update: iteration n's posterior is
+    (1 - alpha) * old + alpha * new, with ``old`` and the model behind
+    ``new`` those of an (n - 1)-iteration fit."""
+
+    def damped(self, alpha, n=3):
+        """``(old, new, posterior of iteration n)``."""
+        preds, _ = s.sample(diagonal_spec(4.0, 0.4, seed=25, n_items=30,
+                                          n_classes=3))
+        schedule = [(0, alpha)]
+        prev, old, _ = s.fit(preds, s.SdsConfig(em_iterations=n - 1,
+                                                alpha_schedule=schedule))
+        _, post, _ = s.fit(preds, s.SdsConfig(em_iterations=n,
+                                              alpha_schedule=schedule))
+        return old.rows, s.e_step_raw(preds, prev).rows, post.rows
+
     def test_alpha_one_returns_new_exactly(self):
-        rng = np.random.default_rng(25)
-        old = rng.dirichlet(np.ones(3), size=5)
-        new = rng.dirichlet(np.ones(3), size=5)
-        out = s.polyak_update(old, new, 1.0)
-        assert np.array_equal(out.rows, new)
+        _, new, out = self.damped(1.0)
+        assert np.array_equal(out, new)
 
     def test_halfway(self):
-        out = s.polyak_update(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.5)
-        np.testing.assert_allclose(out.rows, [[0.5, 0.5]], atol=1e-15)
+        old, new, out = self.damped(0.5)
+        assert np.array_equal(out, 0.5 * old + 0.5 * new)
 
     @given(st.floats(0.01, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_convex_combination_stays_on_simplex(self, alpha):
-        rng = np.random.default_rng(26)
-        old = rng.dirichlet(np.ones(4), size=10)
-        new = rng.dirichlet(np.ones(4), size=10)
-        rows = s.polyak_update(old, new, alpha).rows
+        rows = self.damped(alpha, n=2)[2]
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-9
-
-    def test_rejects_bad_alpha(self):
-        rows = np.array([[0.5, 0.5]])
-        for alpha in (0.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                s.polyak_update(rows, rows, alpha)
 
 
 @pytest.fixture(scope="module")
@@ -418,7 +416,7 @@ class TestFit:
         ref_model, ref_post, ref_q = reference_fit(chunked_preds, cfg)
         assert np.array_equal(model.pi.pi, ref_model.pi.pi)
         assert np.array_equal(model.nu.nu, ref_model.nu.nu)
-        assert np.array_equal(post.rows, ref_post.rows)
+        assert np.array_equal(post.rows, ref_post)
         assert np.array_equal(trace.q, ref_q)
 
     def test_member_permutation_equivariance(self):

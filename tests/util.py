@@ -86,34 +86,60 @@ def reference_log_weights(probs, pi, nu):
     return sorted_sum(block, axis=0) + s.sds._log_weight_terms(pi, nu)[1][None, :]
 
 
-def reference_fit(preds, cfg, on_m_step=None):
-    """The EM loop of ``s.fit`` spelled out with the public step
-    functions, single-threaded.  ``on_m_step(post, before, after)``, if
-    given, sees each M-step's posterior and the models (new prior) with
-    the confusion tensor before and after the AdamW steps.
+def evidence_stats(preds, post):
+    """``S`` and mass of the (N, J) posterior rows ``post``, with ``log c``
+    taken afresh."""
+    return s.sds._evidence_stats(s.sds._item_last(s.sds._member_major(preds.probs)),
+                                 post)
 
-    Returns ``(SdsModel, PosteriorMatrix, q values)``."""
+
+def q_function(preds, post, m):
+    """Q of ``post`` under the :class:`SdsModel` ``m``, from ``fit``'s kernels."""
+    return s.sds._q_from_stats(*evidence_stats(preds, post), m._terms)
+
+
+def q_grad_pi(preds, post, m):
+    """dQ/dpi of ``post`` at ``m``'s confusion tensor, from ``fit``'s kernels."""
+    return s.sds._grad_from_stats(*evidence_stats(preds, post), m.pi.pi)
+
+
+def m_step_pi(preds, post, m, cfg, state):
+    """``fit``'s AdamW M-step on ``m``'s confusion tensor.  Returns
+    ``(pi, AdamState)``."""
+    return s.sds._adamw_pi(*evidence_stats(preds, post), m.pi.pi, cfg, state)
+
+
+def reference_fit(preds, cfg, on_m_step=None):
+    """The EM loop of ``s.fit`` spelled out over :func:`s.e_step_raw` and
+    the steps above, single-threaded, with ``log c`` and the evidence
+    statistics taken afresh by every step and the model terms taken from
+    each :class:`SdsModel`.  ``on_m_step(post, before, after)``, if given,
+    sees each M-step's posterior and the models (new prior) with the
+    confusion tensor before and after the AdamW steps.
+
+    Returns ``(SdsModel, posterior rows, q values)``."""
     cfg = cfg.validate()
     ds_model, _ = s.ds_em(s.harden(preds), 1, cfg.ds_init_smoothing)
     pi = np.maximum(cfg.ds_init_concentration
                     * (ds_model.confusion + cfg.ds_init_smoothing),
                     cfg.pi_floor)
     model = s.SdsModel(s.ConfusionTensor(pi), ds_model.prior)
-    post = s.ensemble_average(preds)
+    post = s.ensemble_average(preds).rows
     state = AdamState.zeros(pi.size)
     qs = []
     for it in range(cfg.em_iterations):
         alpha = [a for start, a in cfg.alpha_schedule if start <= it][-1]
-        post = s.polyak_update(post, s.e_step_raw(preds, model), alpha)
-        nu = s.m_step_nu(post)
+        post = (1.0 - alpha) * post + alpha * s.e_step_raw(preds, model).rows
+        mass = post.sum(axis=0)
+        nu = s.ClassPrior(mass / mass.sum())
         if cfg.reset_optimizer_each_m_step:
             state = AdamState.zeros(pi.size)
         before = s.SdsModel(model.pi, nu)
-        new_pi, state = s.m_step_pi(preds, post, before, cfg, state)
-        model = s.SdsModel(new_pi, nu)
+        new_pi, state = m_step_pi(preds, post, before, cfg, state)
+        model = s.SdsModel(s.ConfusionTensor(new_pi), nu)
         if on_m_step is not None:
             on_m_step(post, before, model)
-        qs.append(s.q_function(preds, post, model))
+        qs.append(q_function(preds, post, model))
         if (cfg.q_rel_tolerance > 0.0 and len(qs) > 1 and qs[-1] != 0.0
                 and abs(qs[-1] - qs[-2]) / abs(qs[-1]) < cfg.q_rel_tolerance):
             break
