@@ -64,11 +64,10 @@ def main():
     config = s.SdsConfig(em_iterations=args.em_iterations)
     model, sds_post, trace = s.fit(preds, config)
 
-    hard = s.harden(preds)
     posteriors = {
-        "mv": s.majority_vote(hard),
+        "mv": s.majority_vote(preds),
         "ea": s.ensemble_average(preds),
-        "ds": s.ds_em(hard, args.em_iterations, config.ds_init_smoothing)[1],
+        "ds": s.ds_em(preds, args.em_iterations, config.ds_init_smoothing)[2],
         "sds": sds_post,
         "bayes*": s.bayes_posterior(spec, preds),
     }

@@ -6,13 +6,12 @@ calibrated posterior per item; ships hard/soft baselines, calibration
 metrics, an online inference mode, and a synthetic generative oracle.
 """
 
-from .baselines import DsModel, ds_em, ensemble_average, majority_vote
+from .baselines import ds_em, ensemble_average, majority_vote
 from .data import (
     ClassPrior,
     ConfusionTensor,
     FormatError,
     GroundTruth,
-    HardLabelSet,
     PosteriorMatrix,
     PredictionSet,
     SdsConfig,
@@ -64,13 +63,11 @@ __all__ = [
     "AdamState",
     "ClassPrior",
     "ConfusionTensor",
-    "DsModel",
     "Explanation",
     "FitTrace",
     "FormatError",
     "GenerativeSpec",
     "GroundTruth",
-    "HardLabelSet",
     "MetricReport",
     "NumericError",
     "PosteriorMatrix",

@@ -14,6 +14,7 @@ only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -25,12 +26,12 @@ from .baselines import ds_em, ensemble_average, majority_vote
 from .data import (
     ConfusionTensor,
     FormatError,
-    PosteriorMatrix,
     SdsConfig,
+    _csv_line,
     _json_text,
+    _parse_record,
     _save_json,
     _write_table,
-    harden,
     load_ground_truth,
     load_posterior,
     load_predictions,
@@ -100,15 +101,13 @@ def _cmd_aggregate(args):
     if args.method == "ea":
         post = ensemble_average(preds)
     elif args.method == "mv":
-        post = majority_vote(harden(preds))
-        post = PosteriorMatrix(post.rows, list(preds.item_ids))
+        post = majority_vote(preds)
     elif args.method == "ds":
-        ds_model, post = ds_em(harden(preds), config.em_iterations,
-                               config.ds_init_smoothing)
-        post = PosteriorMatrix(post.rows, list(preds.item_ids))
+        confusion, prior, post = ds_em(preds, config.em_iterations,
+                                       config.ds_init_smoothing)
         if args.model_out:
-            clamped = np.maximum(ds_model.confusion, config.pi_floor)
-            model = SdsModel(ConfusionTensor(clamped), ds_model.prior)
+            model = SdsModel(ConfusionTensor(np.maximum(confusion, config.pi_floor)),
+                             prior)
     else:  # sds
         model, post, trace = fit(preds, config, threads=threads)
     fitted = time.perf_counter()
@@ -209,18 +208,18 @@ def _cmd_online(args):
     model = load_model(args.model)
     k, j = model.n_members, model.n_classes
     expected = ["item_id"] + [f"m{m}_p{c}" for m in range(k) for c in range(j)]
-
-    fin = sys.stdin if args.input in (None, "-") else open(args.input, newline="",
-                                                           encoding="utf-8")
-    fout = sys.stdout if args.out in (None, "-") else open(args.out, "w",
-                                                           newline="",
-                                                           encoding="utf-8")
+    # a stream row parses as a member-CSV line of K * J probabilities does
+    row_dtype = np.dtype([("id", object), ("p", np.float64, (k, j))])
     bad_header = False
     written = skipped = 0
     wrote_header = False
     start = time.perf_counter()
-    try:
-        writer = csv.writer(fout)
+    # closes the input also when the output cannot be opened
+    with contextlib.ExitStack() as files:
+        fin = sys.stdin if args.input in (None, "-") else files.enter_context(
+            open(args.input, newline="", encoding="utf-8"))
+        fout = sys.stdout if args.out in (None, "-") else files.enter_context(
+            open(args.out, "w", newline="", encoding="utf-8"))
         for line_no, row in enumerate(_csv_records(fin), start=1):
             if line_no == 1:
                 if row != expected:
@@ -229,7 +228,7 @@ def _cmd_online(args):
                     bad_header = True
                 continue
             if not wrote_header:
-                writer.writerow(["item_id"] + [f"p_{c}" for c in range(j)])
+                fout.write(_csv_line("item_id", [f"p_{c}" for c in range(j)]))
                 fout.flush()
                 wrote_header = True
             try:
@@ -239,21 +238,14 @@ def _cmd_online(args):
                     raise FormatError(
                         f"expected {1 + k * j} columns, found {len(row)}"
                     )
-                values = np.array([float(v) for v in row[1:]],
-                                  dtype=np.float64).reshape(k, j)
-                posterior = online_infer(values, model)
-            except (FormatError, ValueError, csv.Error) as exc:
+                posterior = online_infer(_parse_record(row, row_dtype)["p"][0], model)
+            except (ValueError, csv.Error) as exc:
                 _log(f"line {line_no}: skipped ({exc})")
                 skipped += 1
                 continue
-            writer.writerow([row[0]] + [repr(float(v)) for v in posterior])
+            fout.write(_csv_line(row[0], map(repr, posterior.tolist())))
             fout.flush()
             written += 1
-    finally:
-        if fin is not sys.stdin:
-            fin.close()
-        if fout is not sys.stdout:
-            fout.close()
     seconds = time.perf_counter() - start
     _log(f"online: {written} rows written, {skipped} skipped in {seconds:.3f} s "
          f"({written / seconds if seconds > 0 else 0.0:.0f} rows/s)")

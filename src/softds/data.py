@@ -24,7 +24,8 @@ as ``csv.reader`` splits them, numbers convert with ``float()``'s C
 routine (without its underscores and non-ASCII digits) and blank lines
 are skipped; a rejected file is re-read record by record to name the
 line.  Every CSV file is written by ``_write_table``, a block of rows per
-``write``, in the bytes of ``csv.writer``.
+``write``, in the bytes of ``csv.writer``; the ``online`` stream parses
+and writes each row with the same ``_parse_record`` and ``_csv_line``.
 
 Containers validate on construction and mark their arrays read-only,
 which makes instances safe to share across threads; ``ConfusionTensor``
@@ -50,7 +51,6 @@ __all__ = [
     "ROW_SUM_TOL",
     "floor_and_renormalize",
     "PredictionSet",
-    "HardLabelSet",
     "ConfusionTensor",
     "ClassPrior",
     "PosteriorMatrix",
@@ -186,32 +186,6 @@ class PredictionSet:
     @property
     def n_classes(self):
         return self.probs.shape[2]
-
-
-@dataclass
-class HardLabelSet:
-    """N x K class indices obtained by hardening soft predictions."""
-
-    labels: np.ndarray
-    n_classes: int
-
-    def __post_init__(self):
-        labels = _frozen(self.labels, dtype=np.int64)
-        if labels.ndim != 2:
-            raise FormatError("hard labels must be N x K")
-        if self.n_classes < 2:
-            raise FormatError("need at least 2 classes")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
-            raise FormatError("label outside [0, n_classes)")
-        self.labels = labels
-
-    @property
-    def n_items(self):
-        return self.labels.shape[0]
-
-    @property
-    def n_members(self):
-        return self.labels.shape[1]
 
 
 @dataclass(frozen=True)
@@ -431,10 +405,10 @@ def _posterior_rows(post):
     return rows
 
 
-def harden(preds: PredictionSet) -> HardLabelSet:
-    """Argmax class per (item, member); ties broken toward the lowest
-    class index."""
-    return HardLabelSet(np.argmax(preds.probs, axis=2), preds.n_classes)
+def harden(preds: PredictionSet) -> np.ndarray:
+    """(N, K) argmax class per (item, member); ties broken toward the
+    lowest class index."""
+    return np.argmax(preds.probs, axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +469,19 @@ def _raise_bad_line(path, n_fields, dtype, what, exc):
                     f"{len(record)} (missing column?)"
                 )
             try:
-                np.loadtxt([",".join(map(_csv_field, record))], dtype=dtype,
-                           **_LOADTXT)
+                _parse_record(record, dtype)
             except ValueError:
                 raise FormatError(f"{path}, line {line}: {what}") from None
     raise FormatError(f"{path}: unreadable CSV ({exc})")
+
+
+def _parse_record(record, dtype):
+    """One CSV record, a list of str as ``csv.reader`` yields it, parsed
+    under ``dtype`` as :func:`_read_table` parses a line of a table: the
+    record is written back as one CSV line and read by ``np.loadtxt``.
+    Returns a one-element array; raises ``ValueError`` for a field that
+    does not convert."""
+    return np.loadtxt([",".join(map(_csv_field, record))], dtype=dtype, **_LOADTXT)
 
 
 def _csv_field(value):
@@ -512,21 +494,27 @@ def _csv_field(value):
     return text
 
 
+def _csv_line(first, cells):
+    """One CSV line as ``csv.writer`` writes it: ``first`` by
+    :func:`_csv_field`, then the str ``cells``, which hold no comma, quote
+    or line break, as they are, then ``\\r\\n``."""
+    return f"{_csv_field(first)},{','.join(cells)}\r\n"
+
+
 def _write_table(path, header, ids, values):
-    """A header line, then one line per row: ``ids[i]`` as ``csv.writer``
-    writes it, then the entries of row ``i`` of the 2-D array ``values``
-    written with ``repr``.  Lines end with ``\\r\\n``; the text is the
-    ``csv`` module's and is written a block of rows at a time."""
+    """A header line, then one :func:`_csv_line` per row: ``ids[i]``, then
+    the entries of row ``i`` of the 2-D array ``values`` written with
+    ``repr``.  The text is the ``csv`` module's and is written a block of
+    rows at a time."""
     ids = list(ids)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+        fh.write(_csv_line(header[0], header[1:]))
         width = values.shape[1]
         step = max(1, _WRITE_BLOCK_CELLS // width)
         for lo in range(0, len(ids), step):
             cells = list(map(repr, values[lo:lo + step].ravel().tolist()))
-            fh.write("".join([
-                f"{_csv_field(item)},{','.join(cells[r * width:(r + 1) * width])}\r\n"
-                for r, item in enumerate(ids[lo:lo + step])]))
+            fh.write("".join([_csv_line(item, cells[r * width:(r + 1) * width])
+                              for r, item in enumerate(ids[lo:lo + step])]))
 
 
 def _load_json(path, what):

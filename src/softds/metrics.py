@@ -183,8 +183,7 @@ def true_confusion(preds_or_post, truth) -> np.ndarray:
     """
     labels = _labels(truth)
     if isinstance(preds_or_post, PredictionSet):
-        hard = harden(preds_or_post)
-        votes, j = hard.labels, hard.n_classes
+        votes, j = harden(preds_or_post), preds_or_post.n_classes
     else:
         rows = _posterior_rows(preds_or_post)
         votes, j = np.argmax(rows, axis=1)[:, None], rows.shape[1]

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baselines import ds_em, ensemble_average
+from .baselines import _ds_m_step, _label_frequencies, ensemble_average
 from .data import (
     NU_LOG_FLOOR,
     ClassPrior,
@@ -324,9 +324,10 @@ def _alpha_at(schedule, iteration):
 def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     """Full EM fit.
 
-    Initialization: one Dawid-Skene iteration on the hardened
-    predictions provides the class prior and a row-stochastic confusion
-    estimate D; the confusion tensor starts at
+    Initialization: the Dawid-Skene M-step on the label frequencies of
+    the hardened predictions (the first M-step of ``ds_em``) provides
+    the class prior and a row-stochastic confusion estimate D; the
+    confusion tensor starts at
     ``ds_init_concentration * (D + ds_init_smoothing)`` (clamped to
     ``pi_floor``), and the posterior starts from the ensemble average.
 
@@ -357,12 +358,11 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     cfg = config if config is not None else SdsConfig()
     cfg.validate()
 
-    ds_model, _ = ds_em(harden(preds), 1, cfg.ds_init_smoothing)
-    pi = np.maximum(
-        cfg.ds_init_concentration * (ds_model.confusion + cfg.ds_init_smoothing),
-        cfg.pi_floor,
-    )
-    nu = ds_model.prior.nu
+    hard = harden(preds)
+    conf, nu = _ds_m_step(hard, _label_frequencies(hard, preds.n_classes),
+                          cfg.ds_init_smoothing)
+    pi = np.maximum(cfg.ds_init_concentration * (conf + cfg.ds_init_smoothing),
+                    cfg.pi_floor)
     post = ensemble_average(preds).rows
     # two N*K*J copies: the item-first log is freed before the second
     log_c = _member_major(preds.probs)

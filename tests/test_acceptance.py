@@ -186,7 +186,7 @@ def test_criterion_8_metric_oracles():
                                                          size=(80, 2)))
         labels = rng.integers(0, 3, size=80)
         mats = s.true_confusion(preds, labels)
-        hard = s.harden(preds).labels
+        hard = s.harden(preds)
         for m in range(2):
             counts = np.zeros((3, 3))
             for i in range(80):

@@ -100,13 +100,37 @@ class TestAggregate:
         assert np.array_equal(post.rows, s.ensemble_average(preds).rows)
 
     def test_majority_vote_and_ds(self, sim_dir, tmp_path):
+        # ids that differ from the default 0..N-1, so a lost id shows
         _, out_dir = sim_dir
+        sim = s.load_predictions(out_dir / "manifest.json")
+        preds = s.PredictionSet(sim.probs, [f"img-{i:03d}" for i in range(59, -1, -1)])
+        manifest = s.save_predictions(preds, tmp_path / "named")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"em_iterations": 7, "pi_floor": 0.05}))
+        model_path = tmp_path / "ds.model.json"
         for method in ("mv", "ds"):
             out = tmp_path / f"post_{method}.csv"
-            assert main(["aggregate", "--method", method,
-                         "--manifest", str(out_dir / "manifest.json"),
+            assert main(["aggregate", "--method", method, "--manifest", str(manifest),
+                         "--config", str(cfg), "--model-out", str(model_path),
                          "--out", str(out)]) == 0
-            assert s.load_posterior(out).n_items == 60
+            assert s.load_posterior(out).item_ids == preds.item_ids
+        assert np.array_equal(s.load_posterior(tmp_path / "post_mv.csv").rows,
+                              s.majority_vote(preds).rows)
+        confusion, prior, post = s.ds_em(preds, 7, s.SdsConfig().ds_init_smoothing)
+        assert np.array_equal(s.load_posterior(tmp_path / "post_ds.csv").rows, post.rows)
+
+        # the DS model, clamped at pi_floor, is a model that online applies
+        model = s.load_model(model_path)
+        assert np.array_equal(model.pi.pi, np.maximum(confusion, 0.05))
+        assert np.array_equal(model.nu.nu, prior.nu)
+        stream_in = tmp_path / "stream.csv"
+        TestOnline.make_stream(preds, stream_in, range(4))
+        stream_out = tmp_path / "stream_post.csv"
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(stream_out)]) == 0
+        got = s.load_posterior(stream_out)
+        assert got.item_ids == preds.item_ids[:4]
+        assert np.array_equal(got.rows, s.e_step_raw(preds, model).rows[:4])
 
     def test_sds_emits_model_and_trace(self, sim_dir, tmp_path):
         _, out_dir = sim_dir
@@ -293,7 +317,8 @@ class TestOnline:
                      "--config", str(cfg), "--out", str(post_path)]) == 0
         return out_dir, tmp_path / "post.model.json"
 
-    def make_stream(self, preds, path, item_range):
+    @staticmethod
+    def make_stream(preds, path, item_range):
         k, j = preds.n_members, preds.n_classes
         header = ["item_id"] + [f"m{m}_p{c}" for m in range(k) for c in range(j)]
         lines = [",".join(header)]
@@ -340,6 +365,40 @@ class TestOnline:
         assert re.search(r"^online: 3 rows written, 1 skipped in \d+\.\d{3} s "
                          r"\(\d+ rows/s\)$", err, re.M)
         assert s.load_posterior(stream_out).n_items == 3
+
+    def test_numbers_parse_as_in_member_files(self, fitted, tmp_path, capsys):
+        # digit-group underscores and non-ASCII digits are not numbers in a
+        # member CSV, so not on the stream either; valid rows are written
+        # as save_posterior writes their batch rows
+        out_dir, model_path = fitted
+        preds = s.load_predictions(out_dir / "manifest.json")
+        stream_in = tmp_path / "stream.csv"
+        self.make_stream(preds, stream_in, range(2))
+        header, row0, row1 = stream_in.read_text(encoding="utf-8").splitlines()
+        member = ",0.25,0.25,0.5"
+        stream_in.write_text("\n".join([
+            header, row0, "a,0.2_5,0.25,0.5" + member * 2,
+            row1, "b,\u0660.25,0.25,0.5" + member * 2]) + "\n", encoding="utf-8")
+        stream_out = tmp_path / "o.csv"
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(stream_out)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3: skipped" in err and "line 5: skipped" in err
+        assert "online: 2 rows written, 2 skipped" in err
+        batch = s.e_step_raw(preds, s.load_model(model_path))
+        s.save_posterior(s.PosteriorMatrix(batch.rows[:2], batch.item_ids[:2]),
+                         tmp_path / "batch.csv")
+        assert stream_out.read_bytes() == (tmp_path / "batch.csv").read_bytes()
+
+    def test_unwritable_output_exits_2(self, fitted, tmp_path, capsys):
+        # the input file is closed although the output cannot be opened
+        out_dir, model_path = fitted
+        preds = s.load_predictions(out_dir / "manifest.json")
+        stream_in = tmp_path / "stream.csv"
+        self.make_stream(preds, stream_in, range(1))
+        assert main(["online", "--model", str(model_path), "--input", str(stream_in),
+                     "--out", str(tmp_path / "absent" / "o.csv")]) == 2
+        assert "i/o error" in capsys.readouterr().err
 
     def test_overlong_field_row_skipped(self, fitted, tmp_path, capsys):
         # past csv's 131072-character field limit, then a valid row

@@ -106,24 +106,24 @@ class TestFloorAndRenormalize:
 class TestHarden:
     def test_argmax(self):
         preds = s.PredictionSet.from_probs(np.array([[[0.1, 0.7, 0.2]]]))
-        assert s.harden(preds).labels[0, 0] == 1
+        assert s.harden(preds)[0, 0] == 1
 
     def test_tie_breaks_low(self):
         preds = s.PredictionSet.from_probs(np.array([[[0.5, 0.5]]]))
-        assert s.harden(preds).labels[0, 0] == 0
+        assert s.harden(preds)[0, 0] == 0
 
     def test_one_hot(self):
         row = np.zeros(5)
         row[3] = 1.0
         preds = s.PredictionSet.from_probs(row[None, None, :])
-        assert s.harden(preds).labels[0, 0] == 3
+        assert s.harden(preds)[0, 0] == 3
 
     def test_invariant_under_rescaling(self):
         # the winning class is unchanged when a row is scaled by any
         # positive constant (powers of two keep the comparison exact)
         rng = np.random.default_rng(2)
         probs = rng.dirichlet(np.ones(4), size=(30, 2))
-        hardened = s.harden(s.PredictionSet.from_probs(probs)).labels
+        hardened = s.harden(s.PredictionSet.from_probs(probs))
         for scale in (0.25, 2.0, 1024.0):
             assert np.array_equal(np.argmax(probs * scale, axis=2), hardened)
         row_scale = rng.uniform(0.5, 2.0, size=(30, 2, 1))
@@ -491,12 +491,6 @@ class TestContainers:
             pi[0, 0, 1] = bad
             with pytest.raises(FormatError, match="finite and > 0"):
                 s.ConfusionTensor(pi)
-
-    def test_hard_labels_range(self):
-        with pytest.raises(FormatError):
-            s.HardLabelSet(np.array([[0, 3]]), 3)
-        ok = s.HardLabelSet(np.array([[0, 2]]), 3)
-        assert ok.n_items == 1 and ok.n_members == 2
 
 
 class TestSdsConfig:

@@ -194,7 +194,7 @@ class TestTrueConfusion:
             rng.dirichlet(np.ones(3), size=(60, 2)))
         truth = rng.integers(0, 3, size=60)
         mats = s.true_confusion(preds, truth)
-        hard = s.harden(preds).labels
+        hard = s.harden(preds)
         for m in range(2):
             counts = np.zeros((3, 3))
             for i in range(60):

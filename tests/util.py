@@ -68,13 +68,19 @@ def reference_sample(spec):
     return preds, s.GroundTruth(labels, list(item_ids), n_classes=j)
 
 
+def label_preds(labels, n_classes, item_ids=None):
+    """A :class:`PredictionSet` whose (N, K) hard labels are ``labels``:
+    each member's row is the one-hot vector of its label, floored."""
+    return s.PredictionSet.from_probs(np.eye(n_classes)[np.asarray(labels)], item_ids)
+
+
 def accurate_hard_labels(rng, n_items, n_members, accuracy=0.9, n_classes=2):
-    """Hard labels that match a random binary truth with the given
-    per-vote accuracy."""
+    """Predictions whose hard labels match a random truth with the given
+    per-vote accuracy; returns ``(PredictionSet, truth)``."""
     truth = rng.integers(0, n_classes, size=n_items)
     flips = rng.random((n_items, n_members)) > accuracy
     labels = np.where(flips, (truth[:, None] + 1) % n_classes, truth[:, None])
-    return s.HardLabelSet(labels, n_classes), truth
+    return label_preds(labels, n_classes), truth
 
 
 def reference_log_weights(probs, pi, nu):
@@ -119,11 +125,10 @@ def reference_fit(preds, cfg, on_m_step=None):
 
     Returns ``(SdsModel, posterior rows, q values)``."""
     cfg = cfg.validate()
-    ds_model, _ = s.ds_em(s.harden(preds), 1, cfg.ds_init_smoothing)
-    pi = np.maximum(cfg.ds_init_concentration
-                    * (ds_model.confusion + cfg.ds_init_smoothing),
+    confusion, prior, _ = s.ds_em(preds, 1, cfg.ds_init_smoothing)
+    pi = np.maximum(cfg.ds_init_concentration * (confusion + cfg.ds_init_smoothing),
                     cfg.pi_floor)
-    model = s.SdsModel(s.ConfusionTensor(pi), ds_model.prior)
+    model = s.SdsModel(s.ConfusionTensor(pi), prior)
     post = s.ensemble_average(preds).rows
     state = AdamState.zeros(pi.size)
     qs = []
