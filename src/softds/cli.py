@@ -220,7 +220,13 @@ def _cmd_online(args):
             open(args.input, newline="", encoding="utf-8"))
         fout = sys.stdout if args.out in (None, "-") else files.enter_context(
             open(args.out, "w", newline="", encoding="utf-8"))
-        for line_no, row in enumerate(_csv_records(fin), start=1):
+        line_no = 0
+        for row in _csv_records(fin):
+            # a blank record after the header is skipped and not numbered,
+            # as in a member CSV
+            if row == [] and line_no:
+                continue
+            line_no += 1
             if line_no == 1:
                 if row != expected:
                     _log(f"line 1: bad header, expected "

@@ -35,6 +35,7 @@ and ``ClassPrior`` are frozen as well.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import numbers
 import os
@@ -528,6 +529,25 @@ def _load_json(path, what):
     return obj
 
 
+def _json_numbers(value, path, what):
+    """The JSON array ``value``, nested lists of numbers, as a float64
+    array.  A string, a bool or a null among them, a ragged nesting or a
+    number too large for a float64 raises :class:`FormatError` naming
+    ``path`` and ``what``."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: {what}: {exc}") from None
+    # the conversion above also takes "0.5" and true; only int and float
+    # are JSON numbers
+    leaves = [value]
+    for _ in range(arr.ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        raise FormatError(f"{path}: {what} must hold only JSON numbers")
+    return arr
+
+
 def _json_text(obj):
     """The text of every JSON file and report: two-space indent, one
     trailing newline."""
@@ -589,6 +609,8 @@ def load_predictions(manifest_path):
         raise FormatError(f"{manifest_path}: n_classes must be an integer >= 2")
     if not isinstance(members, list) or not members:
         raise FormatError(f"{manifest_path}: members must be a non-empty list")
+    if not all(isinstance(member_path, str) for member_path in members):
+        raise FormatError(f"{manifest_path}: members must be file paths (strings)")
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     ids0 = None
@@ -679,10 +701,7 @@ def _parse_members_pi(obj, path):
     for k, entry in enumerate(members):
         if not isinstance(entry, dict) or "pi" not in entry:
             raise FormatError(f"{path}: member {k} must be an object with a pi key")
-        try:
-            mat = np.asarray(entry["pi"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: member {k} pi: {exc}") from None
+        mat = _json_numbers(entry["pi"], path, f"member {k} pi")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise FormatError(f"{path}: member {k} pi must be a square matrix")
         mats.append(mat)

@@ -42,6 +42,7 @@ from .data import (
     PosteriorMatrix,
     PredictionSet,
     SdsConfig,
+    _json_numbers,
     _load_json,
     _members_pi,
     _parse_members_pi,
@@ -69,13 +70,14 @@ __all__ = [
 _TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 
 # Items per chunk are this many float64 elements over K*J, the size of
-# one item's part of the E-step's (K, chunk, J) block and of its ``log c``
-# slice in S; both kernels share the one chunk list.  Smaller chunks lose
-# to per-call overhead at J = 100.  2^17 ran a few percent faster but raised
-# peak memory at K = 3, J = 10: its freed 1 MB block lifts malloc's mmap
-# threshold above the fit's N x J temporaries, which then stay in the heap.
-# Chunk boundaries depend only on array shapes - never on the thread
-# count - which is what makes threaded runs byte-identical.
+# one item's part of the E-step's (K, chunk, J) block and of the item-last
+# ``log c`` copy that S makes of each chunk; both kernels share the one
+# chunk list.  Smaller chunks lose to per-call overhead at J = 100.
+# 2^17 ran a few percent faster but raised peak memory at K = 3, J = 10:
+# its freed 1 MB block lifts malloc's mmap threshold above the fit's N x J
+# temporaries, which then stay in the heap.  Chunk boundaries depend only
+# on array shapes - never on the thread count - which is what makes
+# threaded runs byte-identical.
 _CHUNK_TARGET = 1 << 16
 
 
@@ -221,23 +223,20 @@ def _member_major(probs):
     return np.ascontiguousarray(np.log(probs).transpose(1, 0, 2))
 
 
-def _item_last(log_c):
-    """Member-major ``log c`` as a (K, J, N) array, item axis contiguous."""
-    return np.ascontiguousarray(log_c.transpose(0, 2, 1))
-
-
-def _evidence_stats(log_c_t, post_rows, map_chunks=map):
+def _evidence_stats(log_c, post_rows, map_chunks=map):
     """S[k, j, l] = sum_i post[i, j] * ln c_ikl and the per-class mass
     vector sum_i post[i, j], accumulated over chunks in fixed order.
-    ``log_c_t`` is ``log c`` in the item-last layout of
-    :func:`_item_last`, so each sum over items runs over contiguous
-    memory.  numpy's einsum loop, not BLAS: a BLAS product's sums change
-    with the member order and with its thread count."""
-    n_members, n_classes, n_items = log_c_t.shape
+    ``log_c`` is the (K, N, J) array of :func:`_member_major`; each chunk
+    copies its slice item-last, O(chunk * K * J) scratch, so each sum over
+    items runs over contiguous memory.  numpy's einsum loop, not BLAS: a
+    BLAS product's sums change with the member order and with its thread
+    count."""
+    n_members, n_items, n_classes = log_c.shape
     post_t = np.ascontiguousarray(post_rows.T)
 
     def chunk(rows):
-        return np.einsum("jc,klc->kjl", post_t[:, rows], log_c_t[:, :, rows])
+        log_c_rows = np.ascontiguousarray(log_c[:, rows].transpose(0, 2, 1))
+        return np.einsum("jc,klc->kjl", post_t[:, rows], log_c_rows)
 
     # summed as the chunks arrive, so that one (K, J, J) part per chunk
     # is not held at once
@@ -364,9 +363,8 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     pi = np.maximum(cfg.ds_init_concentration * (conf + cfg.ds_init_smoothing),
                     cfg.pi_floor)
     post = ensemble_average(preds).rows
-    # two N*K*J copies: the item-first log is freed before the second
+    # the fit's one N*K*J array: the E-step and S both read it
     log_c = _member_major(preds.probs)
-    log_c_t = _item_last(log_c)
     state = AdamState.zeros(pi.size)
     terms = _log_weight_terms(pi, nu)
 
@@ -380,7 +378,7 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
             alpha = _alpha_at(cfg.alpha_schedule, it)
             fresh = _normalize_log_rows(_log_weight_matrix(log_c, terms, map_chunks))
             post = (1.0 - alpha) * post + alpha * fresh
-            s, mass = _evidence_stats(log_c_t, post, map_chunks)
+            s, mass = _evidence_stats(log_c, post, map_chunks)
             nu = mass / mass.sum()
             if cfg.reset_optimizer_each_m_step:
                 state = AdamState.zeros(pi.size)
@@ -489,8 +487,8 @@ def load_model(path) -> SdsModel:
     if "nu" not in obj or "members" not in obj:
         raise FormatError(f"{path}: model must be an object with nu and members")
     pi = _parse_members_pi(obj, path)
+    nu = _json_numbers(obj["nu"], path, "nu")
     try:
-        return SdsModel(ConfusionTensor(pi),
-                        ClassPrior(np.asarray(obj["nu"], dtype=np.float64)))
+        return SdsModel(ConfusionTensor(pi), ClassPrior(nu))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -18,6 +18,7 @@ from .data import (
     PosteriorMatrix,
     PredictionSet,
     _is_int,
+    _json_numbers,
     _load_json,
     _save_json,
 )
@@ -59,13 +60,15 @@ class GenerativeSpec:
             raise FormatError(
                 f"{path}: generative spec needs keys {sorted(required)}"
             )
+        nu_true = _json_numbers(obj["nu_true"], path, "nu_true")
+        pi_true = _json_numbers(obj["pi_true"], path, "pi_true")
         try:
             return cls(
                 n_items=obj["n_items"],
                 n_members=obj["n_members"],
                 n_classes=obj["n_classes"],
-                nu_true=ClassPrior(np.asarray(obj["nu_true"], dtype=np.float64)),
-                pi_true=ConfusionTensor(np.asarray(obj["pi_true"], dtype=np.float64)),
+                nu_true=ClassPrior(nu_true),
+                pi_true=ConfusionTensor(pi_true),
                 seed=obj["seed"],
             )
         except (TypeError, ValueError) as exc:

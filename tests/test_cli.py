@@ -56,6 +56,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field, value", [
         ("n_items", 7.9), ("n_members", True), ("seed", "5"),
+        # the parameter arrays take JSON numbers only
+        pytest.param("nu_true", ["0.5", 0.5], id="nu_numeric_string"),
+        pytest.param("nu_true", [True, 0.0], id="nu_bool"),
+        pytest.param("pi_true", [[[2.0, "1.0"], [1.0, 2.0]]], id="pi_numeric_string"),
+        pytest.param("pi_true", [[[2.0, True], [1.0, 2.0]]], id="pi_bool"),
     ])
     def test_non_integer_count_exits_1(self, tmp_path, field, value):
         obj = {"n_items": 10, "n_members": 1, "n_classes": 2,
@@ -365,6 +370,33 @@ class TestOnline:
         assert re.search(r"^online: 3 rows written, 1 skipped in \d+\.\d{3} s "
                          r"\(\d+ rows/s\)$", err, re.M)
         assert s.load_posterior(stream_out).n_items == 3
+
+    def test_blank_lines_skipped(self, fitted, tmp_path, capsys):
+        # as in a member CSV, blank records are neither rows nor numbered
+        out_dir, model_path = fitted
+        preds = s.load_predictions(out_dir / "manifest.json")
+        batch = s.e_step_raw(preds, s.load_model(model_path)).rows
+        stream_in = tmp_path / "stream.csv"
+        self.make_stream(preds, stream_in, range(3))
+        lines = stream_in.read_text().splitlines()
+        stream_in.write_text("\n\n".join(lines) + "\n\n\n")
+        stream_out = tmp_path / "o.csv"
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(stream_out)]) == 0
+        assert "online: 3 rows written, 0 skipped" in capsys.readouterr().err
+        assert np.array_equal(s.load_posterior(stream_out).rows, batch[:3])
+
+        stream_in.write_text("\n\n".join(lines[:2] + ["bad,0.5,0.5"] + lines[2:]) + "\n")
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(stream_out)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3: skipped (expected" in err
+        assert "online: 3 rows written, 1 skipped" in err
+
+        stream_in.write_text("\n" + "\n".join(lines) + "\n")  # a blank header
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(stream_out)]) == 1
+        assert "line 1: bad header" in capsys.readouterr().err
 
     def test_numbers_parse_as_in_member_files(self, fitted, tmp_path, capsys):
         # digit-group underscores and non-ASCII digits are not numbers in a

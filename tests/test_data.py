@@ -162,6 +162,12 @@ class TestLoadPredictions:
             with pytest.raises(FormatError, match="n_classes must be an integer"):
                 s.load_predictions(tmp_path / "m.json")
 
+    def test_member_paths_must_be_strings(self, tmp_path):
+        for members in ([1], [None]):
+            write_manifest(tmp_path / "m.json", 2, members)
+            with pytest.raises(FormatError, match=r"m\.json: members must be file paths"):
+                s.load_predictions(tmp_path / "m.json")
+
     def test_zero_entry_is_floored(self, tmp_path):
         write_member_csv(tmp_path / "m0.csv", ["a"], [[0.0, 1.0]])
         write_manifest(tmp_path / "m.json", 2, ["m0.csv"])

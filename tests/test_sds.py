@@ -4,6 +4,7 @@ driver, online inference, and the posterior decomposition."""
 import dataclasses
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import softds as s
 from softds.mathutils import dirichlet_log_density
 from softds.optim import AdamState
 from util import (diagonal_spec, m_step_pi, model, q_function, q_grad_pi,
-                  random_instance, reference_fit, reference_log_weights)
+                  random_instance, reference_evidence_stats, reference_fit,
+                  reference_log_weights)
 
 LN_HALF = -0.6931471805599453
 LN_THREE_QUARTERS = -0.2876820724517809  # ln 0.5 + 2 ln 0.5 + ln 6
@@ -319,6 +321,28 @@ class TestLogWeightsMatchReference:
             one = probs[i:i + 1]
             w = s.sds._log_weight_matrix(s.sds._member_major(one), terms)
             assert np.array_equal(w, reference_log_weights(one, pi, nu))
+
+
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES,
+                         ids=lambda sh: "x".join(map(str, sh)))
+class TestEvidenceStatsMatchReference:
+    """S, with each chunk copied item-last on its own, equals the
+    whole-array item-last kernel bit for bit, serial or threaded."""
+
+    def check(self, shape, map_chunks):
+        assert len(s.sds._chunks(*shape)) >= 2
+        preds, post, _, _ = random_instance(np.random.default_rng(sum(shape)), *shape)
+        got = s.sds._evidence_stats(s.sds._member_major(preds.probs), post, map_chunks)
+        want = reference_evidence_stats(preds.probs, post)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_serial(self, shape):
+        self.check(shape, map)
+
+    def test_pool(self, shape):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            self.check(shape, pool.map)
 
 
 class TestPolyakUpdate:
@@ -705,7 +729,12 @@ class TestSerialization:
         {"nu": [[0.5], 0.5]},
         {"members": [{"pi": [[1.0, "x"], [1.0, 1.0]]}]},
         {"members": [{"pi": [[1.0, 1.0], [1.0]]}]},
-    ], ids=["nu_string", "nu_ragged", "pi_string", "pi_ragged"])
+        {"nu": ["0.5", 0.5]},
+        {"members": [{"pi": [[1.0, True], [1.0, 1.0]]}]},
+        {"members": [{"pi": [[1.0, "2.0"], [1.0, 1.0]]}]},
+        {"nu": [10 ** 400, 0.5]},
+    ], ids=["nu_string", "nu_ragged", "pi_string", "pi_ragged", "nu_numeric_string",
+            "pi_bool", "pi_numeric_string", "nu_int_overflows_float"])
     def test_model_loader_names_file(self, tmp_path, change):
         obj = {"nu": [0.5, 0.5], "members": [{"pi": [[1.0, 1.0], [1.0, 1.0]]}],
                **change}

@@ -95,8 +95,25 @@ def reference_log_weights(probs, pi, nu):
 def evidence_stats(preds, post):
     """``S`` and mass of the (N, J) posterior rows ``post``, with ``log c``
     taken afresh."""
-    return s.sds._evidence_stats(s.sds._item_last(s.sds._member_major(preds.probs)),
-                                 post)
+    return s.sds._evidence_stats(s.sds._member_major(preds.probs), post)
+
+
+def reference_evidence_stats(probs, post):
+    """``S`` and mass from one whole-array item-last copy of ``log c``:
+    the ``"jc,klc->kjl"`` einsum per :func:`s.sds._chunks` chunk, and the
+    chunk parts summed in order."""
+    log_c_t = np.ascontiguousarray(s.sds._member_major(probs).transpose(0, 2, 1))
+    n_members, n_classes, n_items = log_c_t.shape
+    post_t = np.ascontiguousarray(post.T)
+
+    def chunk(rows):
+        return np.einsum("jc,klc->kjl", post_t[:, rows], log_c_t[:, :, rows])
+
+    parts = map(chunk, s.sds._chunks(n_items, n_members, n_classes))
+    total = next(parts)
+    for p in parts:
+        total += p
+    return total, post.sum(axis=0)
 
 
 def q_function(preds, post, m):
