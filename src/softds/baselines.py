@@ -62,8 +62,13 @@ def ensemble_average(preds: PredictionSet) -> PosteriorMatrix:
 
     The member axis is reduced with an order-insensitive sum, so
     permuting members leaves the output bitwise unchanged."""
-    rows = sorted_sum(preds.probs, axis=1) / preds.n_members
-    return PosteriorMatrix(rows, list(preds.item_ids))
+    return PosteriorMatrix(_average_rows(preds.probs), list(preds.item_ids))
+
+
+def _average_rows(probs):
+    """(n, J) member means of (n, K, J) probabilities; each row's value is
+    independent of the block it is computed in."""
+    return sorted_sum(probs, axis=1) / probs.shape[1]
 
 
 def _rows_from_log(w):

@@ -102,14 +102,22 @@ def floor_and_renormalize(probs):
     loading, save/load round-trips, and per-item online processing in
     exact agreement.
     """
-    p = np.maximum(np.asarray(probs, dtype=np.float64), PROB_FLOOR)
+    p = np.array(probs, dtype=np.float64)
+    _floor_and_renormalize_in_place(p)
+    return p
+
+
+def _floor_and_renormalize_in_place(p):
+    """:func:`floor_and_renormalize` written into the float64 array ``p``;
+    its scratch is one row sum per row."""
+    np.maximum(p, PROB_FLOOR, out=p)
     for _ in range(3):
         sums = p.sum(axis=-1, keepdims=True)
         off = np.abs(sums - 1.0) > _RENORM_SKIP_TOL
         if not np.any(off):
             break
-        p = np.maximum(np.where(off, p / sums, p), PROB_FLOOR)
-    return p
+        np.divide(p, sums, out=p, where=off)
+        np.maximum(p, PROB_FLOOR, out=p)
 
 
 def _check_raw_rows(raw, where):
@@ -147,13 +155,28 @@ class PredictionSet:
     item_ids: list[str] | None = None
 
     def __post_init__(self):
-        probs = _frozen(self.probs)
+        self._check(_frozen(self.probs))
+
+    @classmethod
+    def _take(cls, probs, item_ids=None):
+        """The set of ``probs``, a C-contiguous float64 array that no one
+        else holds: it is marked read-only in place instead of copied."""
+        probs.setflags(write=False)
+        preds = cls.__new__(cls)
+        preds.item_ids = item_ids
+        preds._check(probs)
+        return preds
+
+    def _check(self, probs):
+        """Validate the read-only ``probs`` and ``self.item_ids``, then
+        set ``self.probs``; every check's scratch is O(N * K)."""
         if probs.ndim != 3:
             raise FormatError("prediction array must be N x K x J")
         n, k, j = probs.shape
         if n < 1 or k < 1 or j < 2:
             raise FormatError(f"need N >= 1, K >= 1, J >= 2, got shape {probs.shape}")
-        if not np.all(np.isfinite(probs)) or np.any(probs <= 0.0):
+        # a NaN fails the first comparison
+        if not (probs.min() > 0.0 and probs.max() < np.inf):
             raise FormatError("probabilities must be finite and > 0 after flooring")
         if np.max(np.abs(probs.sum(axis=2) - 1.0)) > 1e-12:
             raise FormatError(
@@ -174,7 +197,7 @@ class PredictionSet:
         if raw.ndim != 3:
             raise FormatError("prediction array must be N x K x J")
         _check_raw_rows(raw, lambda i, k: f"member {k} item {i}")
-        return cls(floor_and_renormalize(raw), item_ids)
+        return cls._take(np.ascontiguousarray(floor_and_renormalize(raw)), item_ids)
 
     @property
     def n_items(self):
@@ -409,7 +432,13 @@ def _posterior_rows(post):
 def harden(preds: PredictionSet) -> np.ndarray:
     """(N, K) argmax class per (item, member); ties broken toward the
     lowest class index."""
-    return np.argmax(preds.probs, axis=2)
+    probs = preds.probs
+    hard = np.empty(probs.shape[:2], dtype=np.intp)
+    # np.argmax copies a read-only array whole, so it gets a block at a time
+    step = max(1, _BLOCK_CELLS // (probs.shape[1] * probs.shape[2]))
+    for lo in range(0, probs.shape[0], step):
+        np.argmax(probs[lo:lo + step], axis=2, out=hard[lo:lo + step])
+    return hard
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +450,10 @@ def harden(preds: PredictionSet) -> np.ndarray:
 # starting with "#" is data.
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
 
-# Cells per block of formatted text in a CSV write; sized in cells, not
-# rows, so that the block's Python floats and strings do not grow with J.
-_WRITE_BLOCK_CELLS = 1 << 15
+# Cells per block of rows in a CSV write and in harden; sized in cells,
+# not rows, so that a block's Python floats and strings, or its copy,
+# do not grow with J.
+_BLOCK_CELLS = 1 << 15
 
 
 def _read_table(path, row_dtype, what):
@@ -511,7 +541,7 @@ def _write_table(path, header, ids, values):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(header[0], header[1:]))
         width = values.shape[1]
-        step = max(1, _WRITE_BLOCK_CELLS // width)
+        step = max(1, _BLOCK_CELLS // width)
         for lo in range(0, len(ids), step):
             cells = list(map(repr, values[lo:lo + step].ravel().tolist()))
             fh.write("".join([_csv_line(item, cells[r * width:(r + 1) * width])
@@ -549,9 +579,37 @@ def _json_numbers(value, path, what):
 
 
 def _json_text(obj):
-    """The text of every JSON file and report: two-space indent, one
-    trailing newline."""
-    return json.dumps(obj, indent=2) + "\n"
+    """The text of every JSON file and report: ``json.dumps(obj,
+    indent=2)`` and one trailing newline."""
+    return "".join(_json_chunks(obj, "\n")) + "\n"
+
+
+def _json_chunks(obj, newline):
+    """The text of ``json.dumps(obj, indent=2)`` nested at ``newline``, in
+    pieces.  ``indent`` makes ``json`` fall back to its pure-Python
+    encoder, so a list of plain numbers is written by the C encoder
+    instead and its ``", "`` separators re-spaced: a number's text holds
+    no comma.  Dicts with str keys and other lists are walked here, and
+    any other value is ``json``'s own text, re-indented."""
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= {int, float}:
+            yield "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner)
+        else:
+            yield "["
+            for i, value in enumerate(obj):
+                yield ("," if i else "") + inner
+                yield from _json_chunks(value, inner)
+        yield newline + "]"
+    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield ("," if i else "") + inner + json.dumps(key) + ": "
+            yield from _json_chunks(value, inner)
+        yield newline + "}"
+    else:
+        # a JSON string escapes its line breaks, so each one is json's own
+        yield json.dumps(obj, indent=2).replace("\n", newline)
 
 
 def _save_json(obj, path):
@@ -613,14 +671,15 @@ def load_predictions(manifest_path):
         raise FormatError(f"{manifest_path}: members must be file paths (strings)")
     base = os.path.dirname(os.path.abspath(manifest_path))
 
-    ids0 = None
-    stacks = []
-    for member_path in members:
+    ids0 = probs = None
+    for k, member_path in enumerate(members):
         full = member_path if os.path.isabs(member_path) else os.path.join(base, member_path)
         ids, mat = _parse_prob_file(full, expect_classes=n_classes)
         _check_raw_rows(mat, lambda i: f"{full}, line {i + 2}")
+        order = slice(None)
         if ids0 is None:
             ids0 = ids
+            probs = np.empty((len(ids0), len(members), n_classes))
         elif ids != ids0:
             # same items in a different order are re-aligned to member
             # file 0; a genuinely different item set is an error
@@ -632,11 +691,14 @@ def load_predictions(manifest_path):
                 raise FormatError(
                     f"{full}: duplicate item ids cannot be re-aligned"
                 )
-            lookup = {item_id: row for item_id, row in zip(ids, mat)}
-            mat = np.stack([lookup[item_id] for item_id in ids0])
-        stacks.append(mat)
+            row_of = {item_id: i for i, item_id in enumerate(ids)}
+            order = [row_of[item_id] for item_id in ids0]
+        probs[:, k] = mat[order]
+        # the table is freed before the next one is read
+        del ids, mat
     # every row is checked above, with its file and line
-    return PredictionSet(floor_and_renormalize(np.stack(stacks, axis=1)), ids0)
+    _floor_and_renormalize_in_place(probs)
+    return PredictionSet._take(probs, ids0)
 
 
 def save_predictions(preds: PredictionSet, out_dir, labels_filename=None):

@@ -29,11 +29,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .baselines import _ds_m_step, _label_frequencies, ensemble_average
+from .baselines import _average_rows, _ds_m_step, _label_frequencies
 from .data import (
     NU_LOG_FLOOR,
     ClassPrior,
@@ -71,8 +71,9 @@ _TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 
 # Items per chunk are this many float64 elements over K*J, the size of
 # one item's part of the E-step's (K, chunk, J) block and of the item-last
-# ``log c`` copy that S makes of each chunk; both kernels share the one
-# chunk list.  Smaller chunks lose to per-call overhead at J = 100.
+# ``log c`` copy that S makes of each chunk; the fit's start, both kernels
+# and e_step_raw share the one chunk list.  Smaller chunks lose to
+# per-call overhead at J = 100.
 # 2^17 ran a few percent faster but raised peak memory at K = 3, J = 10:
 # its freed 1 MB block lifts malloc's mmap threshold above the fit's N x J
 # temporaries, which then stay in the heap.  Chunk boundaries depend only
@@ -176,31 +177,22 @@ def _log_weight_terms(pi, nu):
     return pi - 1.0, _log_nu(nu) - sorted_sum(_normalizer_per_member(pi), axis=0)
 
 
-def _log_weight_matrix(log_c, terms, map_chunks=map):
-    """Unnormalized per-item log posteriors, shape (N, J):
+def _log_weights(log_c, terms):
+    """Unnormalized per-item log posteriors, shape (n, J):
 
         w[i, j] = const[j] + sum_{k,l} (pi_kjl - 1) ln c_ikl
 
-    with ``log_c`` from :func:`_member_major` and ``terms`` from
-    :func:`_log_weight_terms`.  Each row's value is independent of the
-    batch it is computed in.  ``map_chunks`` is ``map`` or a thread
-    pool's ``map``; the chunks write disjoint rows.
-    """
+    with ``log_c`` a (K, n, J) block of :func:`_member_major` and
+    ``terms`` from :func:`_log_weight_terms`.  Each row's value is
+    independent of the block it is computed in."""
     pim1, const = terms
-    n_members, n_items, n_classes = log_c.shape
-    w = np.empty((n_items, const.size))
-
-    def chunk(rows):
-        block = np.empty((n_members, rows.stop - rows.start, const.size))
-        # numpy's own einsum loop, not BLAS: each row's sums over l then
-        # run in one order, whatever the batch around it
-        for k in range(n_members):
-            np.einsum("il,jl->ij", log_c[k, rows], pim1[k], out=block[k])
-        w[rows] = sorted_sum(block, axis=0) + const
-
-    # drained, so that a chunk's error is raised here
-    list(map_chunks(chunk, _chunks(n_items, n_members, n_classes)))
-    return w
+    n_members, n_items, _ = log_c.shape
+    block = np.empty((n_members, n_items, const.size))
+    # numpy's own einsum loop, not BLAS: each row's sums over l then run
+    # in one order, whatever the block around it
+    for k in range(n_members):
+        np.einsum("il,jl->ij", log_c[k], pim1[k], out=block[k])
+    return sorted_sum(block, axis=0) + const
 
 
 def _normalize_log_rows(w):
@@ -218,25 +210,49 @@ def _normalize_log_rows(w):
 
 
 def _member_major(probs):
-    """``log c`` of (N, K, J) probabilities as a (K, N, J) array."""
+    """``log c`` of (n, K, J) probabilities as a (K, n, J) array."""
     # the log runs on the item-first layout, so its bits match every caller's
     return np.ascontiguousarray(np.log(probs).transpose(1, 0, 2))
+
+
+def _drain(map_chunks, task, chunks):
+    """Run ``task`` on every chunk, so that a chunk's error is raised here."""
+    for _ in map_chunks(task, chunks):
+        pass
+
+
+def _start_chunk(probs, post, log_c, rows):
+    """Write the ensemble average of ``rows`` into ``post`` and their
+    ``log c`` into the (K, N, J) ``log_c``."""
+    post[rows] = _average_rows(probs[rows])
+    log_c[:, rows] = _member_major(probs[rows])
+
+
+def _damped_e_step_chunk(log_c, post, terms, alpha, rows):
+    """Replace ``post[rows]`` by ``(1 - alpha) * old + alpha * new``, with
+    ``new`` the undamped E-step rows of :func:`_e_step_rows`."""
+    fresh = _normalize_log_rows(_log_weights(log_c[:, rows], terms))
+    fresh *= alpha
+    old = post[rows]
+    old *= 1.0 - alpha
+    old += fresh
 
 
 def _evidence_stats(log_c, post_rows, map_chunks=map):
     """S[k, j, l] = sum_i post[i, j] * ln c_ikl and the per-class mass
     vector sum_i post[i, j], accumulated over chunks in fixed order.
     ``log_c`` is the (K, N, J) array of :func:`_member_major`; each chunk
-    copies its slice item-last, O(chunk * K * J) scratch, so each sum over
-    items runs over contiguous memory.  numpy's einsum loop, not BLAS: a
+    copies its slices of ``log_c`` and ``post_rows`` item-last,
+    O(chunk * K * J) scratch, so each sum over items runs over contiguous
+    memory.  numpy's einsum loop, not BLAS: a
     BLAS product's sums change with the member order and with its thread
     count."""
     n_members, n_items, n_classes = log_c.shape
-    post_t = np.ascontiguousarray(post_rows.T)
 
     def chunk(rows):
-        log_c_rows = np.ascontiguousarray(log_c[:, rows].transpose(0, 2, 1))
-        return np.einsum("jc,klc->kjl", post_t[:, rows], log_c_rows)
+        post_t = np.ascontiguousarray(post_rows[rows].T)
+        log_c_t = np.ascontiguousarray(log_c[:, rows].transpose(0, 2, 1))
+        return np.einsum("jc,klc->kjl", post_t, log_c_t)
 
     # summed as the chunks arrive, so that one (K, J, J) part per chunk
     # is not held at once
@@ -270,9 +286,12 @@ def _adamw_pi(s, mass, pi, config, state):
     every step.  Returns ``(pi', state')``."""
     params = pi.ravel().copy()
     for _ in range(config.inner_steps):
-        grad_q = _grad_from_stats(s, mass, params.reshape(pi.shape))
-        # a step that overflows is reported by the check below, not by numpy
+        # a gradient or step that overflows is reported by the checks
+        # below, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
+            grad_q = _grad_from_stats(s, mass, params.reshape(pi.shape))
+            if not np.all(np.isfinite(grad_q)):
+                raise NumericError("non-finite gradient in the AdamW M-step")
             params, state = adamw_step(
                 params, -grad_q.ravel(), state,
                 lr=config.learning_rate,
@@ -297,10 +316,15 @@ def _checked_model(preds, model: SdsModel):
 
 
 def _e_step_rows(preds, model):
-    """The undamped posterior rows, as checked by :func:`_normalize_log_rows`."""
+    """The undamped posterior rows, as checked by :func:`_normalize_log_rows`,
+    with ``log c`` taken a chunk at a time."""
     _checked_model(preds, model)
-    return _normalize_log_rows(_log_weight_matrix(_member_major(preds.probs),
-                                                  model._terms))
+    probs = preds.probs
+    rows_out = np.empty((preds.n_items, preds.n_classes))
+    for rows in _chunks(*probs.shape):
+        rows_out[rows] = _normalize_log_rows(_log_weights(_member_major(probs[rows]),
+                                                          model._terms))
+    return rows_out
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +334,7 @@ def _e_step_rows(preds, model):
 def e_step_raw(preds: PredictionSet, model: SdsModel) -> PosteriorMatrix:
     """Posterior over the latent class of every item under the current
     parameters: row i is the normalized exponential of the log weights of
-    :func:`_log_weight_matrix`.  No damping is applied here."""
+    :func:`_log_weights`.  No damping is applied here."""
     return PosteriorMatrix(_e_step_rows(preds, model), list(preds.item_ids))
 
 
@@ -330,12 +354,19 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     ``ds_init_concentration * (D + ds_init_smoothing)`` (clamped to
     ``pi_floor``), and the posterior starts from the ensemble average.
 
+    Memory: besides ``preds.probs`` the fit holds one ``log c`` array,
+    (K, N, J), and the (N, J) posterior; everything else that grows with
+    N is O(chunk * K * J) scratch of one item chunk.  The start
+    posterior and ``log c`` are written a chunk at a time, and each
+    E-step and S task works on its own chunk.
+
     Each iteration is one pass over plain arrays, with ``log c`` taken
     once per fit:
 
     1. the undamped E-step posterior (as :func:`e_step_raw`), mixed into
        the previous posterior as ``(1 - alpha) * old + alpha * new``, with
-       the alpha active per ``alpha_schedule``;
+       the alpha active per ``alpha_schedule``; each chunk's task
+       normalizes and damps its rows and writes them in place;
     2. the evidence statistics S/mass of that posterior, computed once;
     3. the prior ``nu = mass / sum(mass)``;
     4. ``inner_steps`` AdamW steps on pi against -Q, with the optimizer
@@ -360,24 +391,28 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     hard = harden(preds)
     conf, nu = _ds_m_step(hard, _label_frequencies(hard, preds.n_classes),
                           cfg.ds_init_smoothing)
+    del hard
     pi = np.maximum(cfg.ds_init_concentration * (conf + cfg.ds_init_smoothing),
                     cfg.pi_floor)
-    post = ensemble_average(preds).rows
-    # the fit's one N*K*J array: the E-step and S both read it
-    log_c = _member_major(preds.probs)
     state = AdamState.zeros(pi.size)
     terms = _log_weight_terms(pi, nu)
+    probs = preds.probs
+    chunks = _chunks(*probs.shape)
+    post = np.empty((preds.n_items, preds.n_classes))
+    # the fit's one N*K*J array: the E-step and S both read it
+    log_c = np.empty((preds.n_members, preds.n_items, preds.n_classes))
 
     iters, qs, alphas, millis = [], [], [], []
     prev_q = None
     # the executor starts no thread until the first task is submitted
     with ThreadPoolExecutor(max_workers=threads) as pool:
         map_chunks = pool.map if threads > 1 else map
+        _drain(map_chunks, partial(_start_chunk, probs, post, log_c), chunks)
         for it in range(cfg.em_iterations):
             t0 = time.perf_counter()
             alpha = _alpha_at(cfg.alpha_schedule, it)
-            fresh = _normalize_log_rows(_log_weight_matrix(log_c, terms, map_chunks))
-            post = (1.0 - alpha) * post + alpha * fresh
+            _drain(map_chunks, partial(_damped_e_step_chunk, log_c, post, terms, alpha),
+                   chunks)
             s, mass = _evidence_stats(log_c, post, map_chunks)
             nu = mass / mass.sum()
             if cfg.reset_optimizer_each_m_step:
@@ -396,6 +431,7 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
                     and abs(q - prev_q) / abs(q) < cfg.q_rel_tolerance):
                 break
             prev_q = q
+    del log_c
 
     model = SdsModel(ConfusionTensor(pi), ClassPrior(nu))
     trace = FitTrace(np.asarray(iters), np.asarray(qs), np.asarray(alphas),
@@ -460,7 +496,7 @@ def explain(preds: PredictionSet, model: SdsModel, item_index: int) -> Explanati
         raise IndexError(f"item index {item_index} out of range [0, {preds.n_items})")
     pi, nu = _checked_model(preds, model)
     log_c = _member_major(preds.probs[item_index:item_index + 1])  # (K, 1, J)
-    log_weights = _log_weight_matrix(log_c, model._terms)
+    log_weights = _log_weights(log_c, model._terms)
     return Explanation(
         item_id=preds.item_ids[item_index],
         log_prior=_log_nu(nu),

@@ -567,6 +567,26 @@ class TestEdges:
         assert np.all(np.isfinite(rows))
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
+    def test_gradient_overflow_exits_3(self, tmp_path, capsys):
+        # member 0 always says class 0, so with no smoothing most of its
+        # confusion entries start at pi_floor = 1e-308, where the digamma
+        # term of the M-step gradient overflows
+        probs = np.random.default_rng(93).dirichlet(np.ones(3), size=(200, 2))
+        probs[:, 0] = [1 - 2e-9, 1e-9, 1e-9]
+        manifest = s.save_predictions(s.PredictionSet.from_probs(probs),
+                                      tmp_path / "data")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pi_floor": 1e-308, "ds_init_smoothing": 0.0,
+                                   "em_iterations": 2}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["aggregate", "--manifest", str(manifest), "--config", str(cfg),
+                         "--out", str(tmp_path / "post.csv")]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert re.search(r"^numeric error: non-finite gradient", err, re.M)
+        assert "Traceback" not in err
+
     def test_thousand_classes_aggregate_and_online(self, tmp_path):
         # K = 1, J = 1000: the model file alone holds J^2 entries
         probs = np.random.default_rng(92).dirichlet(np.ones(1000), size=(40, 1))

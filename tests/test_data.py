@@ -89,6 +89,16 @@ class TestPredictionSet:
         with pytest.raises(ValueError):
             preds.probs[0, 0, 0] = 0.9
 
+    def test_caller_array_is_copied(self):
+        # the set freezes a copy; the caller's array stays its own
+        for build in (s.PredictionSet, s.PredictionSet.from_probs):
+            arr = np.full((3, 2, 2), 0.5)
+            preds = build(arr)
+            assert arr.flags.writeable
+            assert not np.shares_memory(arr, preds.probs)
+            arr[0, 0] = [0.25, 0.75]
+            assert np.all(preds.probs == 0.5)
+
 
 class TestFloorAndRenormalize:
     def test_idempotent(self):

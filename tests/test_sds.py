@@ -300,8 +300,9 @@ REFERENCE_SHAPES = [(12000, 3, 2), (2500, 3, 10), (600, 4, 33), (150, 5, 100),
 @pytest.mark.parametrize("shape", REFERENCE_SHAPES,
                          ids=lambda sh: "x".join(map(str, sh)))
 class TestLogWeightsMatchReference:
-    """The member-major kernel, one einsum per member, equals the single
-    item-first contraction bit for bit."""
+    """The member-major kernel, one einsum per member on ``log c`` taken a
+    chunk at a time, equals the single item-first contraction bit for
+    bit."""
 
     def instance(self, shape):
         assert len(s.sds._chunks(*shape)) >= 2
@@ -310,8 +311,9 @@ class TestLogWeightsMatchReference:
 
     def test_batch(self, shape):
         probs, pi, nu = self.instance(shape)
-        w = s.sds._log_weight_matrix(s.sds._member_major(probs),
-                                     s.sds._log_weight_terms(pi, nu))
+        terms = s.sds._log_weight_terms(pi, nu)
+        w = np.concatenate([s.sds._log_weights(s.sds._member_major(probs[rows]), terms)
+                            for rows in s.sds._chunks(*shape)])
         assert np.array_equal(w, reference_log_weights(probs, pi, nu))
 
     def test_one_item_batches(self, shape):
@@ -319,7 +321,7 @@ class TestLogWeightsMatchReference:
         terms = s.sds._log_weight_terms(pi, nu)
         for i in (0, s.sds._chunks(*shape)[0].stop, shape[0] - 1):
             one = probs[i:i + 1]
-            w = s.sds._log_weight_matrix(s.sds._member_major(one), terms)
+            w = s.sds._log_weights(s.sds._member_major(one), terms)
             assert np.array_equal(w, reference_log_weights(one, pi, nu))
 
 
@@ -423,7 +425,14 @@ class TestFit:
         assert len(s.sds._chunks(*preds.probs.shape)) >= 2
         cfg = s.SdsConfig(em_iterations=5)
         m1, p1, _ = s.fit(preds, cfg, threads=1)
-        m8, p8, _ = s.fit(preds, cfg, threads=8)
+        # the workers write their chunks' rows of one posterior in place;
+        # switching threads every microsecond would expose a lost update
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            m8, p8, _ = s.fit(preds, cfg, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(m1.pi.pi, m8.pi.pi)
         assert np.array_equal(p1.rows, p8.rows)
 
