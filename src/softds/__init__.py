@@ -42,7 +42,6 @@ from .metrics import (
     reliability_bins,
     true_confusion,
 )
-from .optim import AdamState, adamw_step
 from .sds import (
     Explanation,
     FitTrace,
@@ -60,7 +59,6 @@ from .synth import GenerativeSpec, bayes_posterior, sample
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "ClassPrior",
     "ConfusionTensor",
     "Explanation",
@@ -75,7 +73,6 @@ __all__ = [
     "SdsConfig",
     "SdsModel",
     "accuracy",
-    "adamw_step",
     "auroc",
     "bayes_posterior",
     "brier",

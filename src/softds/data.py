@@ -352,9 +352,6 @@ class SdsConfig:
     inner_steps: int = 5
     learning_rate: float = 1e-4
     weight_decay: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     pi_floor: float = 1e-6
     ds_init_concentration: float = 10.0
     ds_init_smoothing: float = 0.01

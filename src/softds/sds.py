@@ -6,7 +6,8 @@ Dirichlet whose parameter vector is row t_i of that member's positive
 J x J confusion tensor pi^(k).  Fitting alternates a damped E-step
 (posterior over t, mixed into the previous posterior with weight alpha)
 with an M-step (closed form for nu, a few AdamW steps on pi against the
-expected complete-data log likelihood Q).
+expected complete-data log likelihood Q).  The AdamW update is this
+module's own, in :func:`_adamw_pi`; :func:`fit` owns its moments.
 
 :func:`fit` runs each EM iteration as one pass over the private kernels,
 sharing one ``log c`` per fit and one set of evidence statistics per
@@ -52,7 +53,6 @@ from .data import (
     harden,
 )
 from .mathutils import digamma, log_gamma, sorted_sum
-from .optim import AdamState, adamw_step
 
 __all__ = [
     "NumericError",
@@ -80,6 +80,11 @@ _TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 # on array shapes - never on the thread count - which is what makes
 # threaded runs byte-identical.
 _CHUNK_TARGET = 1 << 16
+
+# AdamW's moment decay rates and the guard added to sqrt(v_hat).
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 class NumericError(RuntimeError):
@@ -173,8 +178,18 @@ def _normalizer_per_member(pi):
 
 def _log_weight_terms(pi, nu):
     """The model's part of the log weights: ``pi - 1`` as (K, J, L) and
-    const[j] = ln nu_j - sum_k (sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl))."""
-    return pi - 1.0, _log_nu(nu) - sorted_sum(_normalizer_per_member(pi), axis=0)
+    const[j] = ln nu_j - sum_k (sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl)).
+    Raises :class:`NumericError` when the sum of pi or the constant is not
+    finite."""
+    # an overflow is reported by the checks below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one sum catches any row sum that log_gamma would reject
+        if not np.isfinite(pi.sum()):
+            raise NumericError("confusion tensor entries sum past the float range")
+        const = _log_nu(nu) - sorted_sum(_normalizer_per_member(pi), axis=0)
+    if not np.all(np.isfinite(const)):
+        raise NumericError("log-Gamma normalizer of the confusion tensor is not finite")
+    return pi - 1.0, const
 
 
 def _log_weights(log_c, terms):
@@ -280,30 +295,39 @@ def _grad_from_stats(s, mass, pi):
     return s + mass[None, :, None] * correction
 
 
-def _adamw_pi(s, mass, pi, config, state):
-    """``config.inner_steps`` AdamW updates of pi minimizing -Q with the
-    analytic gradient, clamping entries to ``config.pi_floor`` after
-    every step.  Returns ``(pi', state')``."""
-    params = pi.ravel().copy()
-    for _ in range(config.inner_steps):
+def _adamw_pi(s, mass, pi, config, m, v, step):
+    """``config.inner_steps`` AdamW steps (Loshchilov & Hutter 2019) on pi
+    minimizing -Q with the analytic gradient, clamping entries to
+    ``config.pi_floor`` after every step.  ``step`` is the number of
+    steps the moments ``m`` and ``v``, shaped like pi, have taken; they
+    are updated in place.  Returns the new pi:
+
+        m <- b1*m + (1-b1)*g          v <- b2*v + (1-b2)*g^2
+        pi <- pi - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * pi
+
+    with g = -dQ/dpi and the bias-corrected moments m_hat and v_hat."""
+    lr = config.learning_rate
+    decay = lr * config.weight_decay
+    for t in range(step + 1, step + config.inner_steps + 1):
         # a gradient or step that overflows is reported by the checks
         # below, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            grad_q = _grad_from_stats(s, mass, params.reshape(pi.shape))
-            if not np.all(np.isfinite(grad_q)):
+            grad = -_grad_from_stats(s, mass, pi)
+            if not np.all(np.isfinite(grad)):
                 raise NumericError("non-finite gradient in the AdamW M-step")
-            params, state = adamw_step(
-                params, -grad_q.ravel(), state,
-                lr=config.learning_rate,
-                beta1=config.adam_beta1, beta2=config.adam_beta2,
-                eps=config.adam_epsilon, weight_decay=config.weight_decay,
-            )
-            params = np.maximum(params, config.pi_floor)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * grad
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - _ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - _ADAM_BETA2 ** t)
+            pi = np.maximum(pi - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS) - decay * pi,
+                            config.pi_floor)
             # One sum catches a non-finite entry and any row sum that
             # would overflow in the next gradient's digamma.
-            if not np.isfinite(params.sum()):
+            if not np.isfinite(pi.sum()):
                 raise NumericError("confusion tensor overflowed in the AdamW M-step")
-    return params.reshape(pi.shape), state
+    return pi
 
 
 def _checked_model(preds, model: SdsModel):
@@ -353,6 +377,8 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     confusion tensor starts at
     ``ds_init_concentration * (D + ds_init_smoothing)`` (clamped to
     ``pi_floor``), and the posterior starts from the ensemble average.
+    A start whose confusion sums or log-Gamma normalizer overflow raises
+    :class:`NumericError`.
 
     Memory: besides ``preds.probs`` the fit holds one ``log c`` array,
     (K, N, J), and the (N, J) posterior; everything else that grows with
@@ -369,9 +395,10 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
        normalizes and damps its rows and writes them in place;
     2. the evidence statistics S/mass of that posterior, computed once;
     3. the prior ``nu = mass / sum(mass)``;
-    4. ``inner_steps`` AdamW steps on pi against -Q, with the optimizer
-       state carried across iterations unless
-       ``reset_optimizer_each_m_step``;
+    4. ``inner_steps`` AdamW steps on pi against -Q (:func:`_adamw_pi`,
+       betas 0.9 and 0.999, eps 1e-8), with the moments and the step
+       count carried across iterations unless
+       ``reset_optimizer_each_m_step`` zeroes them at each M-step;
     5. Q of the updated model on the same statistics.
 
     Q is recorded after every iteration; when ``q_rel_tolerance > 0`` the
@@ -389,12 +416,15 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     cfg.validate()
 
     hard = harden(preds)
-    conf, nu = _ds_m_step(hard, _label_frequencies(hard, preds.n_classes),
-                          cfg.ds_init_smoothing)
+    # a start that overflows is reported by _log_weight_terms, not by numpy
+    with np.errstate(over="ignore"):
+        conf, nu = _ds_m_step(hard, _label_frequencies(hard, preds.n_classes),
+                              cfg.ds_init_smoothing)
+        pi = np.maximum(cfg.ds_init_concentration * (conf + cfg.ds_init_smoothing),
+                        cfg.pi_floor)
     del hard
-    pi = np.maximum(cfg.ds_init_concentration * (conf + cfg.ds_init_smoothing),
-                    cfg.pi_floor)
-    state = AdamState.zeros(pi.size)
+    # AdamW's moments, carried across iterations
+    m, v = np.zeros_like(pi), np.zeros_like(pi)
     terms = _log_weight_terms(pi, nu)
     probs = preds.probs
     chunks = _chunks(*probs.shape)
@@ -416,8 +446,12 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
             s, mass = _evidence_stats(log_c, post, map_chunks)
             nu = mass / mass.sum()
             if cfg.reset_optimizer_each_m_step:
-                state = AdamState.zeros(pi.size)
-            pi, state = _adamw_pi(s, mass, pi, cfg, state)
+                m.fill(0.0)
+                v.fill(0.0)
+                steps_taken = 0
+            else:
+                steps_taken = it * cfg.inner_steps
+            pi = _adamw_pi(s, mass, pi, cfg, m, v, steps_taken)
             # shared by this iteration's Q and the next iteration's E-step
             terms = _log_weight_terms(pi, nu)
             q = _q_from_stats(s, mass, terms)

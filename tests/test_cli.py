@@ -194,10 +194,21 @@ class TestAggregate:
         ({"alpha_schedule": [[0.7, 0.5]]}, 1),
         ({"alpha_schedule": [[0, "0.5"]]}, 1),
         ({"alpha_schedule": [[0, 0.5], [3, True]]}, 1),
+        # the confusion tensor's row sums overflow at the fit's start
+        ({"pi_floor": 1e308}, 3),
+        ({"ds_init_smoothing": 1e308}, 3),
+        ({"ds_init_concentration": 1e308}, 3),
+        # the AdamW constants are not config fields
+        ({"adam_beta1": 1.0}, 1),
+        ({"adam_beta2": -5.0}, 1),
+        ({"adam_epsilon": -1.0}, 1),
     ], ids=["em_iterations_zero", "weight_decay_inf", "learning_rate_nan",
             "learning_rate_overflow", "seed_unknown", "prob_floor_unknown",
             "em_iterations_float", "learning_rate_string", "em_iterations_bool",
-            "schedule_start_float", "schedule_alpha_string", "schedule_alpha_bool"])
+            "schedule_start_float", "schedule_alpha_string", "schedule_alpha_bool",
+            "pi_floor_overflow", "ds_init_smoothing_overflow",
+            "ds_init_concentration_overflow", "adam_beta1_unknown",
+            "adam_beta2_unknown", "adam_epsilon_unknown"])
     def test_bad_config_exit_code(self, sim_dir, tmp_path, config, code):
         _, out_dir = sim_dir
         cfg = tmp_path / "cfg.json"
@@ -533,10 +544,12 @@ class TestEdges:
         assert abs(posterior.sum() - 1.0) <= 1e-9
         assert np.array_equal(posterior, post.rows[2])
 
-    def test_huge_pi_model_exits_3(self, tmp_path, capsys):
-        # every pi entry 1e300: the log weights cannot be normalized
+    # every pi entry 1e300: the log weights cannot be normalized; 1e308:
+    # the rows of pi sum past the float range
+    @pytest.mark.parametrize("entry", [1e300, 1e308], ids=["1e300", "1e308"])
+    def test_huge_pi_model_exits_3(self, tmp_path, capsys, entry):
         model_path = tmp_path / "huge.model.json"
-        s.save_model(s.SdsModel(s.ConfusionTensor(np.full((2, 3, 3), 1e300)),
+        s.save_model(s.SdsModel(s.ConfusionTensor(np.full((2, 3, 3), entry)),
                                 s.ClassPrior(np.full(3, 1 / 3))), model_path)
         probs = np.random.default_rng(91).dirichlet(np.ones(3), size=(4, 2))
         preds = s.PredictionSet.from_probs(probs)

@@ -1,6 +1,8 @@
 """Containers, validation, and file-format round-trips."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,6 +520,17 @@ class TestSdsConfig:
         assert cfg.learning_rate == 1e-4
         assert cfg.weight_decay == 1e-4
         assert cfg.pi_floor == 1e-6
+        # README's Configuration table: one row per field, in field order,
+        # each default written as the JSON a config file would hold
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Configuration\n", 1)[1].split("\n#", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines()
+                if line.startswith("| `")]
+        assert [name.strip().strip("`") for name, _ in rows] == \
+            [f.name for f in dataclasses.fields(s.SdsConfig)]
+        for (_, default), f in zip(rows, dataclasses.fields(s.SdsConfig)):
+            expected = json.loads(json.dumps(getattr(cfg, f.name)))
+            assert json.loads(default.strip().strip("`")) == expected, f.name
 
     def test_json_round_trip_with_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"

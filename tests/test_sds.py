@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import softds as s
 from softds.mathutils import dirichlet_log_density
-from softds.optim import AdamState
 from util import (diagonal_spec, m_step_pi, model, q_function, q_grad_pi,
                   random_instance, reference_evidence_stats, reference_fit,
                   reference_log_weights)
@@ -161,24 +160,36 @@ class TestMStepNu:
                 assert q_function(preds, post, model(pi, other)) <= q_star + 1e-12
 
 
+def adamw(pi, grad, cfg, moments=None, step=0):
+    """``fit``'s AdamW M-step on a loss whose gradient in pi is ``grad``:
+    with zero class mass dQ/dpi is exactly S, so S is ``-grad``.  Returns
+    ``(pi, m, v)``; ``moments``, if given, are updated in place."""
+    m, v = moments if moments is not None else (np.zeros_like(pi), np.zeros_like(pi))
+    new_pi = s.sds._adamw_pi(-grad, np.zeros(pi.shape[1]), pi, cfg.validate(), m, v, step)
+    return new_pi, m, v
+
+
+def one_step(lr, weight_decay=0.0):
+    return s.SdsConfig(inner_steps=1, learning_rate=lr, weight_decay=weight_decay)
+
+
 class TestMStepPi:
     def test_zero_posterior_mass_leaves_pi(self):
         preds, _, nu = single_item_instance()
         pi = np.array([[[1.2, 0.8], [0.5, 1.5]]])
         cfg = s.SdsConfig(weight_decay=0.0).validate()
         post = np.zeros((1, 2))
-        new_pi, state = m_step_pi(preds, post, model(pi, nu), cfg,
-                                  AdamState.zeros(pi.size))
+        new_pi, m, v = m_step_pi(preds, post, model(pi, nu), cfg)
         np.testing.assert_array_equal(new_pi, pi)
-        assert state.step == cfg.inner_steps
+        # a zero gradient leaves both moments at zero over all inner steps
+        assert not np.any(m) and not np.any(v)
 
     def test_single_step_moves_by_learning_rate(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[1.0, 1.0], [1.0, 1.0]]])
         cfg = s.SdsConfig(inner_steps=1, learning_rate=0.1,
                           weight_decay=0.0).validate()
-        new_pi, _ = m_step_pi(preds, post, model(pi, nu), cfg,
-                              AdamState.zeros(pi.size))
+        new_pi, _, _ = m_step_pi(preds, post, model(pi, nu), cfg)
         # gradient is positive on row 0, so entries rise by ~lr
         np.testing.assert_allclose(new_pi[0, 0], 1.1, rtol=1e-5)
         np.testing.assert_array_equal(new_pi[0, 1], pi[0, 1])
@@ -187,8 +198,7 @@ class TestMStepPi:
         preds, post, nu = single_item_instance()
         pi = np.full((1, 2, 2), 2e-6)
         cfg = s.SdsConfig(inner_steps=3, learning_rate=0.1).validate()
-        new_pi, _ = m_step_pi(preds, post, model(pi, nu), cfg,
-                              AdamState.zeros(pi.size))
+        new_pi, _, _ = m_step_pi(preds, post, model(pi, nu), cfg)
         assert np.all(new_pi >= cfg.pi_floor)
 
     def test_inner_steps_do_not_reduce_q(self):
@@ -202,6 +212,66 @@ class TestMStepPi:
             assert q_after >= q_before - 1e-6 * abs(q_before)
 
         reference_fit(preds, s.SdsConfig(em_iterations=25), on_m_step=check)
+
+    def test_first_step_equals_learning_rate(self):
+        new_pi, m, v = adamw(np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 1.0),
+                             one_step(0.1))
+        assert new_pi[0, 0, 0] == pytest.approx(0.9, abs=1e-6)
+        assert m[0, 0, 0] == 1.0 - 0.9
+        assert v[0, 0, 0] == 1.0 - 0.999
+
+    def test_decoupled_weight_decay(self):
+        new_pi, _, _ = adamw(np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 1.0),
+                             one_step(0.1, weight_decay=0.1))
+        # extra -lr * wd * pi = -0.01 on top of the plain step
+        assert new_pi[0, 0, 0] == pytest.approx(0.89, abs=1e-6)
+
+    def test_zero_gradient_leaves_params(self):
+        pi = np.array([[[2.5, 1.0], [0.5, 3.0]]])
+        new_pi, _, _ = adamw(pi, np.zeros_like(pi), one_step(0.1))
+        np.testing.assert_array_equal(new_pi, pi)
+
+    def test_constant_gradient_update_magnitude_converges_to_lr(self):
+        # the loss falls as pi grows, so pi rises away from the floor
+        lr = 0.01
+        pi, grad = np.full((1, 1, 1), 1.0), np.full((1, 1, 1), -3.0)
+        moments = np.zeros_like(pi), np.zeros_like(pi)
+        last = pi
+        for step in range(500):
+            last = pi
+            pi, _, _ = adamw(pi, grad, one_step(lr), moments, step)
+        assert abs(abs(pi[0, 0, 0] - last[0, 0, 0]) - lr) <= 0.01 * lr
+
+    def test_first_step_independent_of_gradient_scale(self):
+        steps = [adamw(np.full((1, 1, 1), 1.0), np.full((1, 1, 1), g),
+                       one_step(0.05))[0][0, 0, 0] for g in (1e-3, 1.0, 1e3)]
+        np.testing.assert_allclose(steps, steps[0], rtol=1e-4)
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(0)
+        pi = rng.uniform(0.5, 2.0, size=(2, 3, 3))
+        grad = rng.standard_normal((2, 3, 3))
+        cfg = s.SdsConfig(inner_steps=3, learning_rate=0.01, weight_decay=0.01)
+        first, second = adamw(pi, grad, cfg), adamw(pi, grad, cfg)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    def test_second_moment_nonnegative_and_carried(self):
+        pi = np.full((1, 3, 3), 1.0)
+        grad = np.tile([1.0, -2.0, 0.5], (1, 3, 1))
+        moments = np.zeros_like(pi), np.zeros_like(pi)
+        for step in range(5):
+            pi, _, v = adamw(pi, grad, one_step(0.1), moments, step)
+            assert np.all(v >= 0.0)
+        # five one-step calls carrying the moments are one five-step call
+        once = adamw(np.full((1, 3, 3), 1.0), grad,
+                     s.SdsConfig(inner_steps=5, learning_rate=0.1, weight_decay=0.0))
+        for a, b in zip((pi, *moments), once):
+            assert np.array_equal(a, b)
+
+    def test_rejects_non_finite_gradient(self):
+        with pytest.raises(s.NumericError, match="non-finite gradient"):
+            adamw(np.full((1, 1, 2), 1.0), np.array([[[1.0, np.nan]]]), one_step(0.1))
 
 
 class TestEStepRaw:

@@ -7,7 +7,6 @@ import numpy as np
 import softds as s
 from softds.data import FormatError, _check_prob_header
 from softds.mathutils import sorted_sum
-from softds.optim import AdamState
 
 
 def random_instance(rng, n_items, n_members, n_classes):
@@ -126,19 +125,56 @@ def q_grad_pi(preds, post, m):
     return s.sds._grad_from_stats(*evidence_stats(preds, post), m.pi.pi)
 
 
-def m_step_pi(preds, post, m, cfg, state):
-    """``fit``'s AdamW M-step on ``m``'s confusion tensor.  Returns
-    ``(pi, AdamState)``."""
-    return s.sds._adamw_pi(*evidence_stats(preds, post), m.pi.pi, cfg, state)
+def m_step_pi(preds, post, m, cfg):
+    """``fit``'s AdamW M-step on ``m``'s confusion tensor from zero moments.
+    Returns ``(pi, first moment, second moment)``."""
+    pi = m.pi.pi
+    moments = np.zeros_like(pi), np.zeros_like(pi)
+    return s.sds._adamw_pi(*evidence_stats(preds, post), pi, cfg, *moments, 0), *moments
+
+
+def reference_adamw_step(params, grad, m, v, step, lr, weight_decay,
+                         beta1=0.9, beta2=0.999, eps=1e-8):
+    """AdamW step number ``step`` (Loshchilov & Hutter 2019), written
+    functionally:
+
+        m <- b1*m + (1-b1)*g          v <- b2*v + (1-b2)*g^2
+        params' = params - lr * m_hat / (sqrt(v_hat) + eps)
+                         - lr * weight_decay * params
+
+    with the bias-corrected moments.  Returns ``(params', m', v')``."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** step)
+    v_hat = v / (1.0 - beta2 ** step)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * params
+    return new_params, m, v
+
+
+def reference_m_step_pi(preds, post, m, cfg, state):
+    """``cfg.inner_steps`` steps of :func:`reference_adamw_step` on
+    ``m``'s confusion tensor against -Q, each clamped to ``cfg.pi_floor``.
+    ``state`` is ``[step count, first moment, second moment]`` and is
+    advanced in place.  Returns the new confusion tensor."""
+    stats = evidence_stats(preds, post)
+    pi = m.pi.pi
+    for _ in range(cfg.inner_steps):
+        grad = -s.sds._grad_from_stats(*stats, pi)
+        state[0] += 1
+        pi, state[1], state[2] = reference_adamw_step(
+            pi, grad, state[1], state[2], state[0], cfg.learning_rate, cfg.weight_decay)
+        pi = np.maximum(pi, cfg.pi_floor)
+    return pi
 
 
 def reference_fit(preds, cfg, on_m_step=None):
-    """The EM loop of ``s.fit`` spelled out over :func:`s.e_step_raw` and
-    the steps above, single-threaded, with ``log c`` and the evidence
-    statistics taken afresh by every step and the model terms taken from
-    each :class:`SdsModel`.  ``on_m_step(post, before, after)``, if given,
-    sees each M-step's posterior and the models (new prior) with the
-    confusion tensor before and after the AdamW steps.
+    """The EM loop of ``s.fit`` spelled out over :func:`s.e_step_raw`,
+    :func:`reference_m_step_pi` and the steps above, single-threaded, with
+    ``log c`` and the evidence statistics taken afresh by every step and
+    the model terms taken from each :class:`SdsModel`.
+    ``on_m_step(post, before, after)``, if given, sees each M-step's
+    posterior and the models (new prior) with the confusion tensor before
+    and after the AdamW steps.
 
     Returns ``(SdsModel, posterior rows, q values)``."""
     cfg = cfg.validate()
@@ -147,7 +183,7 @@ def reference_fit(preds, cfg, on_m_step=None):
                     cfg.pi_floor)
     model = s.SdsModel(s.ConfusionTensor(pi), prior)
     post = s.ensemble_average(preds).rows
-    state = AdamState.zeros(pi.size)
+    state = [0, np.zeros_like(pi), np.zeros_like(pi)]
     qs = []
     for it in range(cfg.em_iterations):
         alpha = [a for start, a in cfg.alpha_schedule if start <= it][-1]
@@ -155,10 +191,10 @@ def reference_fit(preds, cfg, on_m_step=None):
         mass = post.sum(axis=0)
         nu = s.ClassPrior(mass / mass.sum())
         if cfg.reset_optimizer_each_m_step:
-            state = AdamState.zeros(pi.size)
+            state = [0, np.zeros_like(pi), np.zeros_like(pi)]
         before = s.SdsModel(model.pi, nu)
-        new_pi, state = m_step_pi(preds, post, before, cfg, state)
-        model = s.SdsModel(s.ConfusionTensor(new_pi), nu)
+        model = s.SdsModel(s.ConfusionTensor(reference_m_step_pi(preds, post, before,
+                                                                 cfg, state)), nu)
         if on_m_step is not None:
             on_m_step(post, before, model)
         qs.append(q_function(preds, post, model))
