@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ClassPrior, PosteriorMatrix, PredictionSet, harden
+from .data import ClassPrior, NumericError, PosteriorMatrix, PredictionSet, harden
 from .mathutils import sorted_sum
 
 __all__ = ["majority_vote", "ensemble_average", "ds_em"]
@@ -22,7 +22,8 @@ def _label_frequencies(hard, n_classes):
     freq = np.zeros((n, n_classes))
     for m in range(k):
         freq[items, hard[:, m]] += 1.0
-    return freq / k
+    freq /= k
+    return freq
 
 
 def _ds_m_step(hard, post, smoothing):
@@ -32,19 +33,29 @@ def _ds_m_step(hard, post, smoothing):
     + J * smoothing)`` and the prior is the mean posterior.  Returns
     ``(confusion, prior)`` as (K, J, J) and (J,) arrays; zero-count rows
     (possible only when ``smoothing == 0``) are uniform, the
-    ``smoothing -> 0`` limit."""
-    n, k = hard.shape
+    ``smoothing -> 0`` limit.  A count or row sum past the float range
+    raises :class:`NumericError`.
+
+    Each member's counts are summed in item order, ``post``'s rows added
+    into the row of their label: the sums of a one-hot product over items,
+    bit for bit, without an (N, J) one-hot."""
+    k = hard.shape[1]
     j = post.shape[1]
-    items = np.arange(n)
     conf = np.empty((k, j, j))
-    for m in range(k):
-        # one member's (N, J) one-hot at a time, freed after its use
-        onehot = np.zeros((n, j))
-        onehot[items, hard[:, m]] = 1.0
-        counts = np.einsum("ij,il->jl", post, onehot) + smoothing
-        denom = counts.sum(axis=1, keepdims=True)
-        safe = denom > 0.0
-        conf[m] = np.where(safe, counts / np.where(safe, denom, 1.0), 1.0 / j)
+    # an overflow is reported by the check below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(k):
+            counts_t = np.zeros((j, j))
+            np.add.at(counts_t, hard[:, m], post)
+            # C-contiguous, so that the row sums run as over a fresh array
+            counts = counts_t.T.copy()
+            counts += smoothing
+            denom = counts.sum(axis=1, keepdims=True)
+            # a count that is not finite leaves its row sum not finite
+            if not np.all(np.isfinite(denom)):
+                raise NumericError("Dawid-Skene counts or their row sums are not finite")
+            safe = denom > 0.0
+            conf[m] = np.where(safe, counts / np.where(safe, denom, 1.0), 1.0 / j)
     return conf, post.mean(axis=0)
 
 

@@ -29,6 +29,7 @@ from .data import (
     SdsConfig,
     _csv_line,
     _json_text,
+    _load_probs,
     _parse_record,
     _save_json,
     _write_table,
@@ -45,8 +46,8 @@ from .metrics import (ECE_BINS, auroc, evaluate_posterior, ood_score, reliabilit
 from .sds import (
     NumericError,
     SdsModel,
+    _fit,
     explain,
-    fit,
     load_model,
     online_infer,
     save_model,
@@ -92,10 +93,16 @@ def _cmd_aggregate(args):
     threads = _resolve_threads(args.threads)
     config = SdsConfig.from_json(args.config) if args.config else SdsConfig()
     start = time.perf_counter()
-    preds = load_predictions(args.manifest)
+    if args.method == "sds":
+        # the fit writes log c over the array, which it alone holds
+        probs, item_ids = _load_probs(args.manifest)
+        shape = probs.shape
+    else:
+        preds = load_predictions(args.manifest)
+        shape = preds.probs.shape
     loaded = time.perf_counter()
-    _log(f"loaded {preds.n_items} items x {preds.n_members} members x "
-         f"{preds.n_classes} classes in {loaded - start:.3f} s")
+    _log(f"loaded {shape[0]} items x {shape[1]} members x "
+         f"{shape[2]} classes in {loaded - start:.3f} s")
 
     model = None
     if args.method == "ea":
@@ -109,7 +116,8 @@ def _cmd_aggregate(args):
             model = SdsModel(ConfusionTensor(np.maximum(confusion, config.pi_floor)),
                              prior)
     else:  # sds
-        model, post, trace = fit(preds, config, threads=threads)
+        model, post, trace = _fit(probs, item_ids, config, threads)
+        del probs
     fitted = time.perf_counter()
 
     if args.method == "sds":

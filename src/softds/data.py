@@ -47,6 +47,7 @@ import numpy as np
 
 __all__ = [
     "FormatError",
+    "NumericError",
     "PROB_FLOOR",
     "NU_LOG_FLOOR",
     "ROW_SUM_TOL",
@@ -83,6 +84,10 @@ _RENORM_SKIP_TOL = 5e-13
 
 class FormatError(ValueError):
     """An input file or in-memory container violates its format contract."""
+
+
+class NumericError(RuntimeError):
+    """A numeric failure (NaN/inf) was detected during fitting."""
 
 
 def _frozen(arr, dtype=np.float64):
@@ -142,6 +147,23 @@ def _check_raw_rows(raw, where):
 # containers
 
 
+def _check_probs(probs):
+    """Raise :class:`FormatError` unless ``probs`` is an (N, K, J) array of
+    floored, renormalized probabilities; the checks' scratch is O(N * K)."""
+    if probs.ndim != 3:
+        raise FormatError("prediction array must be N x K x J")
+    n, k, j = probs.shape
+    if n < 1 or k < 1 or j < 2:
+        raise FormatError(f"need N >= 1, K >= 1, J >= 2, got shape {probs.shape}")
+    # a NaN fails the first comparison
+    if not (probs.min() > 0.0 and probs.max() < np.inf):
+        raise FormatError("probabilities must be finite and > 0 after flooring")
+    if np.max(np.abs(probs.sum(axis=2) - 1.0)) > 1e-12:
+        raise FormatError(
+            "rows are not renormalized; use PredictionSet.from_probs"
+        )
+
+
 @dataclass
 class PredictionSet:
     """N x K x J per-(item, member) class probabilities.
@@ -169,19 +191,9 @@ class PredictionSet:
 
     def _check(self, probs):
         """Validate the read-only ``probs`` and ``self.item_ids``, then
-        set ``self.probs``; every check's scratch is O(N * K)."""
-        if probs.ndim != 3:
-            raise FormatError("prediction array must be N x K x J")
-        n, k, j = probs.shape
-        if n < 1 or k < 1 or j < 2:
-            raise FormatError(f"need N >= 1, K >= 1, J >= 2, got shape {probs.shape}")
-        # a NaN fails the first comparison
-        if not (probs.min() > 0.0 and probs.max() < np.inf):
-            raise FormatError("probabilities must be finite and > 0 after flooring")
-        if np.max(np.abs(probs.sum(axis=2) - 1.0)) > 1e-12:
-            raise FormatError(
-                "rows are not renormalized; use PredictionSet.from_probs"
-            )
+        set ``self.probs``."""
+        _check_probs(probs)
+        n = probs.shape[0]
         if self.item_ids is None:
             self.item_ids = [str(i) for i in range(n)]
         if len(self.item_ids) != n:
@@ -265,7 +277,22 @@ class PosteriorMatrix:
     item_ids: list[str] | None = None
 
     def __post_init__(self):
-        rows = _frozen(self.rows)
+        self._check(_frozen(self.rows))
+
+    @classmethod
+    def _take(cls, rows, item_ids=None):
+        """The posterior of ``rows``, a C-contiguous float64 array that no
+        one else holds: it is marked read-only in place instead of
+        copied."""
+        rows.setflags(write=False)
+        post = cls.__new__(cls)
+        post.item_ids = item_ids
+        post._check(rows)
+        return post
+
+    def _check(self, rows):
+        """Validate the read-only ``rows`` and ``self.item_ids``, then set
+        ``self.rows``."""
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise FormatError("posterior must be N x J with J >= 2")
         if not np.all(np.isfinite(rows)) or np.any(rows < 0.0):
@@ -429,7 +456,11 @@ def _posterior_rows(post):
 def harden(preds: PredictionSet) -> np.ndarray:
     """(N, K) argmax class per (item, member); ties broken toward the
     lowest class index."""
-    probs = preds.probs
+    return _hard_labels(preds.probs)
+
+
+def _hard_labels(probs):
+    """:func:`harden` of the (N, K, J) array ``probs``."""
     hard = np.empty(probs.shape[:2], dtype=np.intp)
     # np.argmax copies a read-only array whole, so it gets a block at a time
     step = max(1, _BLOCK_CELLS // (probs.shape[1] * probs.shape[2]))
@@ -657,6 +688,13 @@ def load_predictions(manifest_path):
     or a missing column raises :class:`FormatError` naming the file and
     line.
     """
+    return PredictionSet._take(*_load_probs(manifest_path))
+
+
+def _load_probs(manifest_path):
+    """``(probs, item_ids)`` of :func:`load_predictions`: the floored,
+    renormalized and checked (N, K, J) array, writable and owned by the
+    caller, which :class:`PredictionSet` would freeze."""
     manifest = _load_json(manifest_path, "manifest")
     n_classes = manifest.get("n_classes")
     members = manifest.get("members")
@@ -695,7 +733,8 @@ def load_predictions(manifest_path):
         del ids, mat
     # every row is checked above, with its file and line
     _floor_and_renormalize_in_place(probs)
-    return PredictionSet._take(probs, ids0)
+    _check_probs(probs)
+    return probs, ids0
 
 
 def save_predictions(preds: PredictionSet, out_dir, labels_filename=None):

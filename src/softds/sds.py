@@ -40,9 +40,11 @@ from .data import (
     ClassPrior,
     ConfusionTensor,
     FormatError,
+    NumericError,
     PosteriorMatrix,
     PredictionSet,
     SdsConfig,
+    _hard_labels,
     _json_numbers,
     _load_json,
     _members_pi,
@@ -50,7 +52,6 @@ from .data import (
     _read_table,
     _save_json,
     _write_table,
-    harden,
 )
 from .mathutils import digamma, log_gamma, sorted_sum
 
@@ -70,10 +71,11 @@ __all__ = [
 _TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 
 # Items per chunk are this many float64 elements over K*J, the size of
-# one item's part of the E-step's (K, chunk, J) block and of the item-last
-# ``log c`` copy that S makes of each chunk; the fit's start, both kernels
-# and e_step_raw share the one chunk list.  Smaller chunks lose to
-# per-call overhead at J = 100.
+# one item's part of the fit's (N, K, J) buffer, of the E-step's
+# (K, chunk, J) block and of the item-last ``log c`` copy that S makes of
+# each chunk; the fit's start, its one task per chunk and iteration, and
+# e_step_raw share the one chunk list.  Smaller chunks lose to per-call
+# overhead at J = 100.
 # 2^17 ran a few percent faster but raised peak memory at K = 3, J = 10:
 # its freed 1 MB block lifts malloc's mmap threshold above the fit's N x J
 # temporaries, which then stay in the heap.  Chunk boundaries depend only
@@ -85,10 +87,6 @@ _CHUNK_TARGET = 1 << 16
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-
-
-class NumericError(RuntimeError):
-    """A numeric failure (NaN/inf) was detected during fitting."""
 
 
 @dataclass(frozen=True)
@@ -197,16 +195,16 @@ def _log_weights(log_c, terms):
 
         w[i, j] = const[j] + sum_{k,l} (pi_kjl - 1) ln c_ikl
 
-    with ``log_c`` a (K, n, J) block of :func:`_member_major` and
-    ``terms`` from :func:`_log_weight_terms`.  Each row's value is
-    independent of the block it is computed in."""
+    with ``log_c`` an item-first (n, K, J) block and ``terms`` from
+    :func:`_log_weight_terms`.  Each row's value is independent of the
+    block it is computed in."""
     pim1, const = terms
-    n_members, n_items, _ = log_c.shape
+    n_items, n_members, _ = log_c.shape
     block = np.empty((n_members, n_items, const.size))
     # numpy's own einsum loop, not BLAS: each row's sums over l then run
     # in one order, whatever the block around it
     for k in range(n_members):
-        np.einsum("il,jl->ij", log_c[k], pim1[k], out=block[k])
+        np.einsum("il,jl->ij", log_c[:, k], pim1[k], out=block[k])
     return sorted_sum(block, axis=0) + const
 
 
@@ -224,58 +222,51 @@ def _normalize_log_rows(w):
     return rows
 
 
-def _member_major(probs):
-    """``log c`` of (n, K, J) probabilities as a (K, n, J) array."""
-    # the log runs on the item-first layout, so its bits match every caller's
-    return np.ascontiguousarray(np.log(probs).transpose(1, 0, 2))
-
-
 def _drain(map_chunks, task, chunks):
     """Run ``task`` on every chunk, so that a chunk's error is raised here."""
     for _ in map_chunks(task, chunks):
         pass
 
 
-def _start_chunk(probs, post, log_c, rows):
-    """Write the ensemble average of ``rows`` into ``post`` and their
-    ``log c`` into the (K, N, J) ``log_c``."""
-    post[rows] = _average_rows(probs[rows])
-    log_c[:, rows] = _member_major(probs[rows])
+def _start_chunk(buf, post, rows):
+    """Write the ensemble average of the probabilities ``buf[rows]`` into
+    ``post``, then their logs over them."""
+    post[rows] = _average_rows(buf[rows])
+    np.log(buf[rows], out=buf[rows])
 
 
-def _damped_e_step_chunk(log_c, post, terms, alpha, rows):
-    """Replace ``post[rows]`` by ``(1 - alpha) * old + alpha * new``, with
-    ``new`` the undamped E-step rows of :func:`_e_step_rows`."""
-    fresh = _normalize_log_rows(_log_weights(log_c[:, rows], terms))
+def _evidence_part(log_c, post, rows):
+    """The chunk ``rows``'s part of S, (K, J, J): sum over its items of
+    post[i, j] * ln c_ikl.  The chunk's slices of the item-first ``log_c``
+    and of ``post`` are copied item-last, O(chunk * K * J) scratch, so
+    each sum over items runs over contiguous memory.  numpy's einsum
+    loop, not BLAS: a BLAS product's sums change with the member order
+    and with its thread count."""
+    post_t = np.ascontiguousarray(post[rows].T)
+    log_c_t = np.ascontiguousarray(log_c[rows].transpose(1, 2, 0))
+    return np.einsum("jc,klc->kjl", post_t, log_c_t)
+
+
+def _em_chunk(log_c, post, terms, alpha, rows):
+    """One EM iteration's task on the chunk ``rows``: replace ``post[rows]``
+    by ``(1 - alpha) * old + alpha * new``, with ``new`` the undamped
+    E-step rows of :func:`_e_step_rows`, then return the chunk's part of
+    S under the new rows."""
+    fresh = _normalize_log_rows(_log_weights(log_c[rows], terms))
     fresh *= alpha
     old = post[rows]
     old *= 1.0 - alpha
     old += fresh
+    return _evidence_part(log_c, post, rows)
 
 
-def _evidence_stats(log_c, post_rows, map_chunks=map):
-    """S[k, j, l] = sum_i post[i, j] * ln c_ikl and the per-class mass
-    vector sum_i post[i, j], accumulated over chunks in fixed order.
-    ``log_c`` is the (K, N, J) array of :func:`_member_major`; each chunk
-    copies its slices of ``log_c`` and ``post_rows`` item-last,
-    O(chunk * K * J) scratch, so each sum over items runs over contiguous
-    memory.  numpy's einsum loop, not BLAS: a
-    BLAS product's sums change with the member order and with its thread
-    count."""
-    n_members, n_items, n_classes = log_c.shape
-
-    def chunk(rows):
-        post_t = np.ascontiguousarray(post_rows[rows].T)
-        log_c_t = np.ascontiguousarray(log_c[:, rows].transpose(0, 2, 1))
-        return np.einsum("jc,klc->kjl", post_t, log_c_t)
-
-    # summed as the chunks arrive, so that one (K, J, J) part per chunk
-    # is not held at once
-    parts = map_chunks(chunk, _chunks(n_items, n_members, n_classes))
+def _sum_parts(parts):
+    """The sum of the S ``parts`` in their order, added as they arrive, so
+    that one (K, J, J) part per chunk is not held at once."""
     s = next(parts)
     for p in parts:
         s += p
-    return s, post_rows.sum(axis=0)
+    return s
 
 
 def _q_from_stats(s, mass, terms):
@@ -346,7 +337,7 @@ def _e_step_rows(preds, model):
     probs = preds.probs
     rows_out = np.empty((preds.n_items, preds.n_classes))
     for rows in _chunks(*probs.shape):
-        rows_out[rows] = _normalize_log_rows(_log_weights(_member_major(probs[rows]),
+        rows_out[rows] = _normalize_log_rows(_log_weights(np.log(probs[rows]),
                                                           model._terms))
     return rows_out
 
@@ -377,23 +368,28 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     confusion tensor starts at
     ``ds_init_concentration * (D + ds_init_smoothing)`` (clamped to
     ``pi_floor``), and the posterior starts from the ensemble average.
-    A start whose confusion sums or log-Gamma normalizer overflow raises
-    :class:`NumericError`.
+    A start whose Dawid-Skene counts, confusion sums or log-Gamma
+    normalizer overflow raises :class:`NumericError`.
 
-    Memory: besides ``preds.probs`` the fit holds one ``log c`` array,
-    (K, N, J), and the (N, J) posterior; everything else that grows with
-    N is O(chunk * K * J) scratch of one item chunk.  The start
-    posterior and ``log c`` are written a chunk at a time, and each
-    E-step and S task works on its own chunk.
+    Memory: the fit works on a copy of ``preds.probs``, which it leaves
+    untouched.  That one (N, K, J) buffer holds the probabilities until
+    the start and ``log c`` after it; besides it the fit holds the (N, J)
+    posterior, and everything else that grows with N is the start's
+    (N, K) labels and (N, J) label frequencies or O(chunk * K * J)
+    scratch of one item chunk.  Each start task writes its chunk's
+    ensemble average, then the logs of its chunk's probabilities over
+    them.
 
-    Each iteration is one pass over plain arrays, with ``log c`` taken
-    once per fit:
+    Each iteration is one pass over the item chunks, one task per chunk,
+    with ``log c`` taken once per fit:
 
     1. the undamped E-step posterior (as :func:`e_step_raw`), mixed into
        the previous posterior as ``(1 - alpha) * old + alpha * new``, with
        the alpha active per ``alpha_schedule``; each chunk's task
-       normalizes and damps its rows and writes them in place;
-    2. the evidence statistics S/mass of that posterior, computed once;
+       normalizes and damps its rows and writes them in place, then
+       returns its part of the evidence statistics S;
+    2. S, the parts summed in chunk order, and the per-class mass of the
+       posterior;
     3. the prior ``nu = mass / sum(mass)``;
     4. ``inner_steps`` AdamW steps on pi against -Q (:func:`_adamw_pi`,
        betas 0.9 and 0.999, eps 1e-8), with the moments and the step
@@ -412,13 +408,22 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     identical inputs and config produce bitwise identical results for any
     ``threads``.
     """
-    cfg = config if config is not None else SdsConfig()
-    cfg.validate()
+    return _fit(np.array(preds.probs), list(preds.item_ids),
+                config if config is not None else SdsConfig(), threads)
 
-    hard = harden(preds)
-    # a start that overflows is reported by _log_weight_terms, not by numpy
+
+def _fit(buf, item_ids, cfg, threads):
+    """:func:`fit` of the writable, C-contiguous (N, K, J) array ``buf`` of
+    floored, renormalized probabilities under ``item_ids``; the fit
+    writes ``log c`` over ``buf``."""
+    cfg.validate()
+    n_items, _, n_classes = buf.shape
+
+    hard = _hard_labels(buf)
+    # a start that overflows is reported by _ds_m_step and
+    # _log_weight_terms, not by numpy
     with np.errstate(over="ignore"):
-        conf, nu = _ds_m_step(hard, _label_frequencies(hard, preds.n_classes),
+        conf, nu = _ds_m_step(hard, _label_frequencies(hard, n_classes),
                               cfg.ds_init_smoothing)
         pi = np.maximum(cfg.ds_init_concentration * (conf + cfg.ds_init_smoothing),
                         cfg.pi_floor)
@@ -426,24 +431,23 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     # AdamW's moments, carried across iterations
     m, v = np.zeros_like(pi), np.zeros_like(pi)
     terms = _log_weight_terms(pi, nu)
-    probs = preds.probs
-    chunks = _chunks(*probs.shape)
-    post = np.empty((preds.n_items, preds.n_classes))
-    # the fit's one N*K*J array: the E-step and S both read it
-    log_c = np.empty((preds.n_members, preds.n_items, preds.n_classes))
+    chunks = _chunks(*buf.shape)
+    post = np.empty((n_items, n_classes))
 
     iters, qs, alphas, millis = [], [], [], []
     prev_q = None
     # the executor starts no thread until the first task is submitted
     with ThreadPoolExecutor(max_workers=threads) as pool:
         map_chunks = pool.map if threads > 1 else map
-        _drain(map_chunks, partial(_start_chunk, probs, post, log_c), chunks)
+        _drain(map_chunks, partial(_start_chunk, buf, post), chunks)
+        # from here on the buffer holds log c, which the E-step and S read
+        log_c = buf
         for it in range(cfg.em_iterations):
             t0 = time.perf_counter()
             alpha = _alpha_at(cfg.alpha_schedule, it)
-            _drain(map_chunks, partial(_damped_e_step_chunk, log_c, post, terms, alpha),
-                   chunks)
-            s, mass = _evidence_stats(log_c, post, map_chunks)
+            s = _sum_parts(map_chunks(partial(_em_chunk, log_c, post, terms, alpha),
+                                      chunks))
+            mass = post.sum(axis=0)
             nu = mass / mass.sum()
             if cfg.reset_optimizer_each_m_step:
                 m.fill(0.0)
@@ -465,12 +469,11 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
                     and abs(q - prev_q) / abs(q) < cfg.q_rel_tolerance):
                 break
             prev_q = q
-    del log_c
 
     model = SdsModel(ConfusionTensor(pi), ClassPrior(nu))
     trace = FitTrace(np.asarray(iters), np.asarray(qs), np.asarray(alphas),
                      np.asarray(millis))
-    return model, PosteriorMatrix(post, list(preds.item_ids)), trace
+    return model, PosteriorMatrix._take(post, item_ids), trace
 
 
 def online_infer(item_probs, model: SdsModel) -> np.ndarray:
@@ -529,12 +532,12 @@ def explain(preds: PredictionSet, model: SdsModel, item_index: int) -> Explanati
     if not 0 <= item_index < preds.n_items:
         raise IndexError(f"item index {item_index} out of range [0, {preds.n_items})")
     pi, nu = _checked_model(preds, model)
-    log_c = _member_major(preds.probs[item_index:item_index + 1])  # (K, 1, J)
+    log_c = np.log(preds.probs[item_index:item_index + 1])  # (1, K, J)
     log_weights = _log_weights(log_c, model._terms)
     return Explanation(
         item_id=preds.item_ids[item_index],
         log_prior=_log_nu(nu),
-        member_evidence=((pi - 1.0) * log_c[:, 0, None, :]).sum(axis=2),  # (K, J)
+        member_evidence=((pi - 1.0) * log_c[0, :, None, :]).sum(axis=2),  # (K, J)
         member_normalizer=-_normalizer_per_member(pi),  # (K, J)
         log_weights=log_weights[0],
         posterior=_normalize_log_rows(log_weights)[0],

@@ -1,10 +1,14 @@
 """Majority voting, ensemble averaging, and classic hard-label EM."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import softds as s
-from util import accurate_hard_labels, label_preds
+from softds.baselines import _ds_m_step, _label_frequencies
+from util import (REFERENCE_SHAPES, accurate_hard_labels, label_preds, random_instance,
+                  reference_ds_m_step)
 
 
 class TestMajorityVote:
@@ -149,9 +153,39 @@ class TestDsEm:
         assert np.array_equal(prior.nu, prior_p.nu)
         assert np.array_equal(conf[perm], conf_p)
 
+    def test_overflowing_counts_raise_numeric_error(self):
+        # the smoothed counts of a row sum past the float range
+        preds = label_preds([[0, 1], [1, 1], [2, 0]], 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(s.NumericError, match="not finite"):
+                s.ds_em(preds, 1, smoothing=1e308)
+
     def test_rejects_bad_arguments(self):
         preds = label_preds([[0]], 2)
         with pytest.raises(ValueError):
             s.ds_em(preds, 0)
         with pytest.raises(ValueError):
             s.ds_em(preds, 1, smoothing=-0.1)
+
+
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES + [(1, 3, 5)],
+                         ids=lambda sh: "x".join(map(str, sh)))
+@pytest.mark.parametrize("smoothing", [0.01, 0.0])
+class TestDsMStepMatchesReference:
+    """The M-step's counts, each posterior row added into the row of its
+    label in item order, equal the one-hot einsum bit for bit."""
+
+    def test_equals_one_hot_einsum(self, shape, smoothing):
+        preds, post, _, _ = random_instance(np.random.default_rng(sum(shape)), *shape)
+        hard = s.harden(preds)
+        # the fit's start: a class no member votes for has a zero-count row
+        freq = _label_frequencies(hard, shape[2])
+        for rows in (post, freq):
+            conf, prior = _ds_m_step(hard, rows, smoothing)
+            want_conf, want_prior = reference_ds_m_step(hard, rows, smoothing)
+            assert np.array_equal(conf, want_conf)
+            assert np.array_equal(prior, want_prior)
+        if smoothing == 0.0:
+            unvoted = freq.sum(axis=0) == 0.0
+            assert np.all(conf[:, unvoted] == 1.0 / shape[2])

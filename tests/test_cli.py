@@ -178,48 +178,75 @@ class TestAggregate:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config,code", [
-        ({"em_iterations": 0}, 1),
-        ({"weight_decay": float("inf"), "em_iterations": 3}, 1),
-        ({"learning_rate": float("nan")}, 1),
+    @pytest.mark.parametrize("method,config,code", [
+        ("sds", {"em_iterations": 0}, 1),
+        ("sds", {"weight_decay": float("inf"), "em_iterations": 3}, 1),
+        ("sds", {"learning_rate": float("nan")}, 1),
         # pi overflows in the first AdamW step: a numeric failure
-        ({"learning_rate": 1e308, "em_iterations": 3}, 3),
+        ("sds", {"learning_rate": 1e308, "em_iterations": 3}, 3),
         # the fit is deterministic and has no seed
-        ({"seed": 0}, 1),
+        ("sds", {"seed": 0}, 1),
         # the probability floor is a constant, not a field
-        ({"prob_floor": 1e-5}, 1),
-        ({"em_iterations": 5.5}, 1),
-        ({"learning_rate": "0.1"}, 1),
-        ({"em_iterations": True}, 1),
-        ({"alpha_schedule": [[0.7, 0.5]]}, 1),
-        ({"alpha_schedule": [[0, "0.5"]]}, 1),
-        ({"alpha_schedule": [[0, 0.5], [3, True]]}, 1),
+        ("sds", {"prob_floor": 1e-5}, 1),
+        ("sds", {"em_iterations": 5.5}, 1),
+        ("sds", {"learning_rate": "0.1"}, 1),
+        ("sds", {"em_iterations": True}, 1),
+        ("sds", {"alpha_schedule": [[0.7, 0.5]]}, 1),
+        ("sds", {"alpha_schedule": [[0, "0.5"]]}, 1),
+        ("sds", {"alpha_schedule": [[0, 0.5], [3, True]]}, 1),
         # the confusion tensor's row sums overflow at the fit's start
-        ({"pi_floor": 1e308}, 3),
-        ({"ds_init_smoothing": 1e308}, 3),
-        ({"ds_init_concentration": 1e308}, 3),
+        ("sds", {"pi_floor": 1e308}, 3),
+        ("sds", {"ds_init_smoothing": 1e308}, 3),
+        ("sds", {"ds_init_concentration": 1e308}, 3),
         # the AdamW constants are not config fields
-        ({"adam_beta1": 1.0}, 1),
-        ({"adam_beta2": -5.0}, 1),
-        ({"adam_epsilon": -1.0}, 1),
+        ("sds", {"adam_beta1": 1.0}, 1),
+        ("sds", {"adam_beta2": -5.0}, 1),
+        ("sds", {"adam_epsilon": -1.0}, 1),
+        # the smoothed counts' row sums overflow in the first DS M-step
+        ("ds", {"ds_init_smoothing": 1e308}, 3),
     ], ids=["em_iterations_zero", "weight_decay_inf", "learning_rate_nan",
             "learning_rate_overflow", "seed_unknown", "prob_floor_unknown",
             "em_iterations_float", "learning_rate_string", "em_iterations_bool",
             "schedule_start_float", "schedule_alpha_string", "schedule_alpha_bool",
             "pi_floor_overflow", "ds_init_smoothing_overflow",
             "ds_init_concentration_overflow", "adam_beta1_unknown",
-            "adam_beta2_unknown", "adam_epsilon_unknown"])
-    def test_bad_config_exit_code(self, sim_dir, tmp_path, config, code):
+            "adam_beta2_unknown", "adam_epsilon_unknown",
+            "ds_method_smoothing_overflow"])
+    def test_bad_config_exit_code(self, sim_dir, tmp_path, method, config, code):
         _, out_dir = sim_dir
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         # recorded here, a RuntimeWarning would print to stderr outside pytest
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
+            assert main(["aggregate", "--method", method,
+                         "--manifest", str(out_dir / "manifest.json"),
                          "--config", str(cfg),
                          "--out", str(tmp_path / "o.csv")]) == code
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sds_files_equal_public_fit(self, tmp_path, threads):
+        # the CLI fits the loaded array in place, a chunk at a time; the
+        # public fit copies it
+        probs = np.random.default_rng(97).dirichlet(np.ones(2), size=(12000, 3))
+        assert len(s.sds._chunks(*probs.shape)) >= 2
+        manifest = s.save_predictions(s.PredictionSet.from_probs(probs), tmp_path / "data")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"em_iterations": 6}))
+        out = tmp_path / "post.csv"
+        assert main(["aggregate", "--method", "sds", "--manifest", str(manifest),
+                     "--config", str(cfg), "--threads", threads,
+                     "--out", str(out)]) == 0
+        model, post, trace = s.fit(s.load_predictions(manifest),
+                                   s.SdsConfig.from_json(cfg), threads=int(threads))
+        s.save_posterior(post, tmp_path / "want.csv")
+        s.save_model(model, tmp_path / "want.model.json")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "post.model.json").read_bytes() == \
+            (tmp_path / "want.model.json").read_bytes()
+        got_q = s.FitTrace.load_csv(tmp_path / "post.trace.csv").q
+        assert got_q.tobytes() == trace.q.tobytes()
 
     def test_thread_counts_agree(self, sim_dir, tmp_path):
         _, out_dir = sim_dir

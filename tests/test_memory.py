@@ -2,12 +2,14 @@
 numpy's and Python's allocations, in multiples of the (N, K, J)
 probability array's bytes at a tall shape: many items over many chunks."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import softds as s
+from softds.cli import main
 
 # K = 3, J = 10 as in the tall benchmark; 20000 items span ten fit chunks
 SHAPE = (20000, 3, 10)
@@ -45,6 +47,20 @@ def test_fit_holds_log_c_and_posterior(tall):
     _, preds = tall
     _, peak = traced_peak(lambda: s.fit(preds, s.SdsConfig(em_iterations=2)))
     assert peak <= 2.0 * preds.probs.nbytes
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_aggregate_holds_one_probability_array(tall, tmp_path, threads):
+    # the load's own peak: the fit writes log c over the loaded array, and
+    # its posterior (1/K) and start labels fit under that peak
+    manifest, preds = tall
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"em_iterations": 2}))
+    code, peak = traced_peak(lambda: main([
+        "aggregate", "--manifest", str(manifest), "--out", str(tmp_path / "post.csv"),
+        "--method", "sds", "--config", str(cfg), "--threads", threads]))
+    assert code == 0
+    assert peak <= 2.5 * preds.probs.nbytes
 
 
 def test_harden_copies_a_block_at_a_time(tall):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import softds as s
 from softds.mathutils import dirichlet_log_density
-from util import (diagonal_spec, m_step_pi, model, q_function, q_grad_pi,
-                  random_instance, reference_evidence_stats, reference_fit,
-                  reference_log_weights)
+from util import (REFERENCE_SHAPES, diagonal_spec, evidence_stats, m_step_pi, model,
+                  q_function, q_grad_pi, random_instance, reference_evidence_stats,
+                  reference_fit, reference_log_weights)
 
 LN_HALF = -0.6931471805599453
 LN_THREE_QUARTERS = -0.2876820724517809  # ln 0.5 + 2 ln 0.5 + ln 6
@@ -362,16 +362,11 @@ class TestEStepContracts:
         assert np.array_equal(permuted.rows, s.e_step_raw(preds, m).rows)
 
 
-# (N, K, J): each spans two item chunks of the kernel
-REFERENCE_SHAPES = [(12000, 3, 2), (2500, 3, 10), (600, 4, 33), (150, 5, 100),
-                    (40, 2, 1000)]
-
-
 @pytest.mark.parametrize("shape", REFERENCE_SHAPES,
                          ids=lambda sh: "x".join(map(str, sh)))
 class TestLogWeightsMatchReference:
-    """The member-major kernel, one einsum per member on ``log c`` taken a
-    chunk at a time, equals the single item-first contraction bit for
+    """The kernel, one einsum per member on the item-first ``log c`` taken
+    a chunk at a time, equals the single item-first contraction bit for
     bit."""
 
     def instance(self, shape):
@@ -382,7 +377,7 @@ class TestLogWeightsMatchReference:
     def test_batch(self, shape):
         probs, pi, nu = self.instance(shape)
         terms = s.sds._log_weight_terms(pi, nu)
-        w = np.concatenate([s.sds._log_weights(s.sds._member_major(probs[rows]), terms)
+        w = np.concatenate([s.sds._log_weights(np.log(probs[rows]), terms)
                             for rows in s.sds._chunks(*shape)])
         assert np.array_equal(w, reference_log_weights(probs, pi, nu))
 
@@ -391,20 +386,21 @@ class TestLogWeightsMatchReference:
         terms = s.sds._log_weight_terms(pi, nu)
         for i in (0, s.sds._chunks(*shape)[0].stop, shape[0] - 1):
             one = probs[i:i + 1]
-            w = s.sds._log_weights(s.sds._member_major(one), terms)
+            w = s.sds._log_weights(np.log(one), terms)
             assert np.array_equal(w, reference_log_weights(one, pi, nu))
 
 
 @pytest.mark.parametrize("shape", REFERENCE_SHAPES,
                          ids=lambda sh: "x".join(map(str, sh)))
 class TestEvidenceStatsMatchReference:
-    """S, with each chunk copied item-last on its own, equals the
-    whole-array item-last kernel bit for bit, serial or threaded."""
+    """S of the item-first ``log c``, with each chunk copied item-last on
+    its own, equals the whole-array item-last kernel bit for bit, serial
+    or threaded."""
 
     def check(self, shape, map_chunks):
         assert len(s.sds._chunks(*shape)) >= 2
         preds, post, _, _ = random_instance(np.random.default_rng(sum(shape)), *shape)
-        got = s.sds._evidence_stats(s.sds._member_major(preds.probs), post, map_chunks)
+        got = evidence_stats(preds, post, map_chunks)
         want = reference_evidence_stats(preds.probs, post)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -521,6 +517,12 @@ class TestFit:
         assert np.array_equal(model.nu.nu, ref_model.nu.nu)
         assert np.array_equal(post.rows, ref_post)
         assert np.array_equal(trace.q, ref_q)
+
+    def test_leaves_predictions_untouched(self, chunked_preds):
+        before = chunked_preds.probs.copy()
+        s.fit(chunked_preds, s.SdsConfig(em_iterations=2), threads=2)
+        assert chunked_preds.probs.tobytes() == before.tobytes()
+        assert not chunked_preds.probs.flags.writeable
 
     def test_member_permutation_equivariance(self):
         spec = diagonal_spec(4.0, 0.4, seed=35, n_items=150, n_classes=4)

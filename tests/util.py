@@ -1,12 +1,18 @@
 """Shared builders for the test suite."""
 
 import csv
+from functools import partial
 
 import numpy as np
 
 import softds as s
 from softds.data import FormatError, _check_prob_header
 from softds.mathutils import sorted_sum
+
+
+# (N, K, J): each spans two item chunks of the fit's kernels
+REFERENCE_SHAPES = [(12000, 3, 2), (2500, 3, 10), (600, 4, 33), (150, 5, 100),
+                    (40, 2, 1000)]
 
 
 def random_instance(rng, n_items, n_members, n_classes):
@@ -91,17 +97,39 @@ def reference_log_weights(probs, pi, nu):
     return sorted_sum(block, axis=0) + s.sds._log_weight_terms(pi, nu)[1][None, :]
 
 
-def evidence_stats(preds, post):
-    """``S`` and mass of the (N, J) posterior rows ``post``, with ``log c``
-    taken afresh."""
-    return s.sds._evidence_stats(s.sds._member_major(preds.probs), post)
+def reference_ds_m_step(hard, post, smoothing):
+    """The Dawid-Skene M-step with each member's counts as one
+    ``"ij,il->jl"`` einsum of ``post`` against the (N, J) one-hot of its
+    labels.  Returns ``(confusion, prior)``; zero-count rows are
+    uniform."""
+    n, k = hard.shape
+    j = post.shape[1]
+    conf = np.empty((k, j, j))
+    for m in range(k):
+        onehot = np.zeros((n, j))
+        onehot[np.arange(n), hard[:, m]] = 1.0
+        counts = np.einsum("ij,il->jl", post, onehot) + smoothing
+        denom = counts.sum(axis=1, keepdims=True)
+        safe = denom > 0.0
+        conf[m] = np.where(safe, counts / np.where(safe, denom, 1.0), 1.0 / j)
+    return conf, post.mean(axis=0)
+
+
+def evidence_stats(preds, post, map_chunks=map):
+    """``S`` and mass of the (N, J) posterior rows ``post`` as ``fit``
+    sums them: one part per item chunk of ``log c``, taken afresh, added
+    in chunk order."""
+    log_c = np.log(preds.probs)
+    parts = map_chunks(partial(s.sds._evidence_part, log_c, post),
+                       s.sds._chunks(*log_c.shape))
+    return s.sds._sum_parts(parts), post.sum(axis=0)
 
 
 def reference_evidence_stats(probs, post):
     """``S`` and mass from one whole-array item-last copy of ``log c``:
     the ``"jc,klc->kjl"`` einsum per :func:`s.sds._chunks` chunk, and the
     chunk parts summed in order."""
-    log_c_t = np.ascontiguousarray(s.sds._member_major(probs).transpose(0, 2, 1))
+    log_c_t = np.ascontiguousarray(np.log(probs).transpose(1, 2, 0))
     n_members, n_classes, n_items = log_c_t.shape
     post_t = np.ascontiguousarray(post.T)
 
