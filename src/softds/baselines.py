@@ -65,7 +65,7 @@ def majority_vote(preds: PredictionSet) -> PosteriorMatrix:
     freq = _label_frequencies(harden(preds), preds.n_classes)
     rows = np.zeros_like(freq)
     rows[np.arange(preds.n_items), np.argmax(freq, axis=1)] = 1.0
-    return PosteriorMatrix(rows, list(preds.item_ids))
+    return PosteriorMatrix._take(rows, list(preds.item_ids))
 
 
 def ensemble_average(preds: PredictionSet) -> PosteriorMatrix:
@@ -73,7 +73,7 @@ def ensemble_average(preds: PredictionSet) -> PosteriorMatrix:
 
     The member axis is reduced with an order-insensitive sum, so
     permuting members leaves the output bitwise unchanged."""
-    return PosteriorMatrix(_average_rows(preds.probs), list(preds.item_ids))
+    return PosteriorMatrix._take(_average_rows(preds.probs), list(preds.item_ids))
 
 
 def _average_rows(probs):
@@ -127,4 +127,4 @@ def ds_em(preds: PredictionSet, n_iterations: int, smoothing: float = 0.01):
         for m in range(k):
             per_member[m] = log_conf[m][:, hard[:, m]].T
         post = _rows_from_log(log_prior[None, :] + sorted_sum(per_member, axis=0))
-    return conf, ClassPrior(prior), PosteriorMatrix(post, list(preds.item_ids))
+    return conf, ClassPrior(prior), PosteriorMatrix._take(post, list(preds.item_ids))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import os
 import sys
 import time
@@ -31,6 +30,7 @@ from .data import (
     _json_text,
     _load_probs,
     _parse_record,
+    _records,
     _save_json,
     _write_table,
     load_ground_truth,
@@ -199,19 +199,6 @@ def _cmd_simulate(args):
     return 0
 
 
-def _csv_records(fh):
-    """``csv.reader(fh)``'s records; a record it rejects, such as one with a
-    field over its size limit, comes back as its ``csv.Error``."""
-    reader = csv.reader(fh)
-    while True:
-        try:
-            yield next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            yield exc
-
-
 def _cmd_online(args):
     model = load_model(args.model)
     k, j = model.n_members, model.n_classes
@@ -228,13 +215,7 @@ def _cmd_online(args):
             open(args.input, newline="", encoding="utf-8"))
         fout = sys.stdout if args.out in (None, "-") else files.enter_context(
             open(args.out, "w", newline="", encoding="utf-8"))
-        line_no = 0
-        for row in _csv_records(fin):
-            # a blank record after the header is skipped and not numbered,
-            # as in a member CSV
-            if row == [] and line_no:
-                continue
-            line_no += 1
+        for line_no, row in _records(fin):
             if line_no == 1:
                 if row != expected:
                     _log(f"line 1: bad header, expected "
@@ -246,14 +227,9 @@ def _cmd_online(args):
                 fout.flush()
                 wrote_header = True
             try:
-                if isinstance(row, csv.Error):
-                    raise row
-                if len(row) != 1 + k * j:
-                    raise FormatError(
-                        f"expected {1 + k * j} columns, found {len(row)}"
-                    )
-                posterior = online_infer(_parse_record(row, row_dtype)["p"][0], model)
-            except (ValueError, csv.Error) as exc:
+                posterior = online_infer(
+                    _parse_record(row, 1 + k * j, row_dtype)["p"][0], model)
+            except ValueError as exc:
                 _log(f"line {line_no}: skipped ({exc})")
                 skipped += 1
                 continue

@@ -18,14 +18,16 @@ stream, must sum to 1 within ``ROW_SUM_TOL`` and hold only finite entries
 >= 0; it is then floored at ``PROB_FLOOR`` and renormalized.  Floats are
 serialized with ``repr`` so save -> load round-trips are bit-exact.
 
-Every CSV table is read by ``_read_table``: its header with ``csv``, its
-body with one ``np.loadtxt`` call into a structured array.  Fields split
+CSV records are walked by ``_records`` (the header is line 1; blank
+records after it are skipped and not numbered) and checked and parsed
+by ``_parse_record``.  ``_read_table`` reads every table: its header as
+the first record, its body with one ``np.loadtxt`` call.  Fields split
 as ``csv.reader`` splits them, numbers convert with ``float()``'s C
-routine (without its underscores and non-ASCII digits) and blank lines
-are skipped; a rejected file is re-read record by record to name the
-line.  Every CSV file is written by ``_write_table``, a block of rows per
-``write``, in the bytes of ``csv.writer``; the ``online`` stream parses
-and writes each row with the same ``_parse_record`` and ``_csv_line``.
+routine (without its underscores and non-ASCII digits); a rejected
+table is walked again to name the line.  ``_write_table`` writes every
+CSV file in the bytes of ``csv.writer``; the ``online`` stream reads
+and writes each row with the same ``_records``, ``_parse_record`` and
+``_csv_line``.
 
 Containers validate on construction and mark their arrays read-only,
 which makes instances safe to share across threads; ``ConfusionTensor``
@@ -484,22 +486,58 @@ _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
 _BLOCK_CELLS = 1 << 15
 
 
+def _records(fh):
+    """``(line, record)`` for each CSV record of ``fh``: ``record`` is
+    ``csv.reader``'s list of str, or the ``csv.Error`` of a record it
+    rejects, such as one with a field over its size limit.  The first
+    record is line 1; after it, blank records are skipped and not
+    numbered."""
+    reader = csv.reader(fh)
+    line = 0
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            record = exc
+        if line and record == []:
+            continue
+        line += 1
+        yield line, record
+
+
+def _parse_record(record, n_fields, dtype):
+    """One record of :func:`_records` parsed under ``dtype`` as
+    :func:`_read_table` parses a line of a table: written back as one CSV
+    line and read by ``np.loadtxt``.  Returns a one-element array.  A
+    rejected record or one without ``n_fields`` fields raises
+    :class:`FormatError`; a field that does not convert, ``ValueError``."""
+    if isinstance(record, csv.Error):
+        raise FormatError(str(record))
+    if len(record) != n_fields:
+        raise FormatError(
+            f"expected {n_fields} columns, found {len(record)} (missing column?)")
+    return np.loadtxt([",".join(map(_csv_field, record))], dtype=dtype, **_LOADTXT)
+
+
 def _read_table(path, row_dtype, what):
     """The data rows of the CSV table at ``path`` as a structured array.
 
-    ``row_dtype(header)`` checks the header, read with ``csv`` as a list
-    of str, and returns the dtype of one data row.  The body is read with
-    ``np.loadtxt``, which splits fields as ``csv.reader`` does, converts
-    numbers with ``float()``'s C routine and skips blank lines.  If it
-    fails, the file is re-read to raise a :class:`FormatError` naming the
+    ``row_dtype(header)`` checks the header, the first record of
+    :func:`_records`, and returns the dtype of one data row.  The body is
+    read with one ``np.loadtxt`` call, which splits fields as
+    ``csv.reader`` does, converts numbers with ``float()``'s C routine
+    and skips blank lines.  If it fails, the records are walked again
+    with :func:`_parse_record` to raise a :class:`FormatError` naming the
     first bad line (``what`` describes a field that does not convert).
-    Line numbers count the header as line 1 and one per non-blank record
-    after it, the numbering of the table's rows.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+        _, header = next(_records(fh), (1, None))
         if header is None:
             raise FormatError(f"{path}: empty file")
+        if isinstance(header, csv.Error):
+            raise FormatError(f"{path}, line 1: {header}")
         dtype = np.dtype(row_dtype(header))
         try:
             with warnings.catch_warnings():
@@ -507,40 +545,16 @@ def _read_table(path, row_dtype, what):
                 warnings.simplefilter("ignore", UserWarning)
                 return np.loadtxt(fh, dtype=dtype, **_LOADTXT)
         except ValueError as exc:
-            _raise_bad_line(path, len(header), dtype, what, exc)
-
-
-def _raise_bad_line(path, n_fields, dtype, what, exc):
-    """Raise the :class:`FormatError` for the first record of ``path`` that
-    ``np.loadtxt`` rejects: each record is re-read with ``csv``, written
-    back as one CSV line and parsed alone under ``dtype``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        records = csv.reader(fh)
-        next(records)
-        line = 1
-        for record in records:
-            if not record:
-                continue
-            line += 1
-            if len(record) != n_fields:
-                raise FormatError(
-                    f"{path}, line {line}: expected {n_fields} columns, found "
-                    f"{len(record)} (missing column?)"
-                )
+            failure = exc
+        fh.seek(0)
+        for line, record in itertools.islice(_records(fh), 1, None):
             try:
-                _parse_record(record, dtype)
+                _parse_record(record, len(header), dtype)
+            except FormatError as exc:
+                raise FormatError(f"{path}, line {line}: {exc}") from None
             except ValueError:
                 raise FormatError(f"{path}, line {line}: {what}") from None
-    raise FormatError(f"{path}: unreadable CSV ({exc})")
-
-
-def _parse_record(record, dtype):
-    """One CSV record, a list of str as ``csv.reader`` yields it, parsed
-    under ``dtype`` as :func:`_read_table` parses a line of a table: the
-    record is written back as one CSV line and read by ``np.loadtxt``.
-    Returns a one-element array; raises ``ValueError`` for a field that
-    does not convert."""
-    return np.loadtxt([",".join(map(_csv_field, record))], dtype=dtype, **_LOADTXT)
+    raise FormatError(f"{path}: unreadable CSV ({failure})")
 
 
 def _csv_field(value):
@@ -682,11 +696,13 @@ def load_predictions(manifest_path):
     """Load the member CSVs referenced by a manifest into a validated,
     floored, renormalized :class:`PredictionSet`.
 
-    Item order follows member file 0; all member files must list the
-    same item ids in the same order.  A row whose probabilities sum
-    further than ``ROW_SUM_TOL`` from 1, a negative or non-finite entry,
-    or a missing column raises :class:`FormatError` naming the file and
-    line.
+    Item order follows member file 0; every member file must list the
+    same item ids, and one that lists them in another order is
+    re-aligned to member file 0.  A different id set, or duplicate ids
+    in a re-aligned file, raise :class:`FormatError`.  So does a row
+    whose probabilities sum further than ``ROW_SUM_TOL`` from 1, a
+    negative or non-finite entry, or a missing column, naming the file
+    and line.
     """
     return PredictionSet._take(*_load_probs(manifest_path))
 

@@ -350,7 +350,7 @@ def e_step_raw(preds: PredictionSet, model: SdsModel) -> PosteriorMatrix:
     """Posterior over the latent class of every item under the current
     parameters: row i is the normalized exponential of the log weights of
     :func:`_log_weights`.  No damping is applied here."""
-    return PosteriorMatrix(_e_step_rows(preds, model), list(preds.item_ids))
+    return PosteriorMatrix._take(_e_step_rows(preds, model), list(preds.item_ids))
 
 
 def _alpha_at(schedule, iteration):

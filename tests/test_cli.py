@@ -93,6 +93,44 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
 
+LONG_FIELD = "x" * 200_000
+FIELD_LIMIT = "field larger than field limit (131072)"
+
+
+class TestOverlongFieldExits1:
+    """A table whose field is over ``csv``'s limit is a validation error
+    naming the file and the line, not a traceback."""
+
+    @pytest.mark.parametrize("bad, line", [("posterior", 3), ("truth", 1)])
+    def test_evaluate(self, tmp_path, capsys, bad, line):
+        post = tmp_path / "p.csv"
+        truth = tmp_path / "t.csv"
+        post.write_text("item_id,p_0,p_1\na,0.5,0.5\n"
+                        + (f"b,{LONG_FIELD},0.5\n" if bad == "posterior" else ""))
+        truth.write_text("item_id,label" + (f",{LONG_FIELD}" if bad == "truth" else "")
+                         + "\na,0\n")
+        assert main(["evaluate", "--posterior", str(post), "--truth", str(truth)]) == 1
+        err = capsys.readouterr().err
+        path = post if bad == "posterior" else truth
+        assert f"error: {path}, line {line}: {FIELD_LIMIT}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_aggregate_ea(self, tmp_path, capsys, line):
+        member = tmp_path / "m0.csv"
+        if line == 1:
+            member.write_text(f"item_id,p_0,p_1,{LONG_FIELD}\na,0.5,0.5\n")
+        else:
+            member.write_text(f"item_id,p_0,p_1\na,0.5,0.5\n\nb,0.5,{LONG_FIELD}\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"n_classes": 2, "members": ["m0.csv"]}))
+        assert main(["aggregate", "--method", "ea", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "post.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {member}, line {line}: {FIELD_LIMIT}" in err
+        assert "Traceback" not in err
+
+
 class TestAggregate:
     def test_ensemble_average(self, sim_dir, tmp_path):
         _, out_dir = sim_dir
@@ -489,6 +527,45 @@ class TestOnline:
         assert got.item_ids == [preds.item_ids[0]]
         batch = s.e_step_raw(preds, s.load_model(model_path)).rows
         assert np.array_equal(got.rows, batch[:1])
+
+    def test_records_numbered_as_in_tables(self, tmp_path, capsys):
+        # one text read as a posterior table and as a K=1, J=2 stream,
+        # whose rows both have 3 columns: a blank record (not numbered), a
+        # quoted id over two physical lines, then a short row on line 4
+        # and an over-long field on line 5
+        model_path = tmp_path / "m.model.json"
+        s.save_model(s.SdsModel(s.ConfusionTensor(np.array([[[4.0, 1.0], [1.0, 4.0]]])),
+                                s.ClassPrior(np.array([0.5, 0.5]))), model_path)
+        short, long = "d,0.5", f"e,{LONG_FIELD},0.5"
+
+        def text(header, row4, row5):
+            return "\r\n".join([header, "", "a,0.5,0.5", '"b\r\nc",0.25,0.75', row4,
+                                row5, "f,1,0"]) + "\r\n"
+
+        table = tmp_path / "p.csv"
+        messages = {}
+        for line, rows in ((4, (short, "e,0.5,0.5")), (5, ("d,0.5,0.5", long))):
+            table.write_text(text("item_id,p_0,p_1", *rows), newline="")
+            with pytest.raises(s.FormatError) as got:
+                s.load_posterior(table)
+            prefix = f"{table}, line {line}: "
+            assert str(got.value).startswith(prefix)
+            messages[line] = str(got.value)[len(prefix):]
+        assert messages == {4: "expected 3 columns, found 2 (missing column?)",
+                            5: FIELD_LIMIT}
+        table.write_text(text("item_id,p_0,p_1", "d,0.5,0.5", "e,0.5,0.5"), newline="")
+        assert s.load_posterior(table).item_ids == ["a", "b\r\nc", "d", "e", "f"]
+
+        stream = tmp_path / "stream.csv"
+        stream.write_text(text("item_id,m0_p0,m0_p1", short, long), newline="")
+        out = tmp_path / "o.csv"
+        assert main(["online", "--model", str(model_path), "--input", str(stream),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        for line, message in messages.items():
+            assert f"line {line}: skipped ({message})" in err
+        assert "online: 3 rows written, 2 skipped" in err
+        assert s.load_posterior(out).item_ids == ["a", "b\r\nc", "f"]
 
     def test_huge_log_weights_exit_3(self, tmp_path):
         # ln J is lost when added to log weights of ~1e287, so the row

@@ -486,6 +486,48 @@ class TestTableReaderEdges:
             s.FitTrace.load_csv(path)
 
 
+def _load_member(path):
+    write_manifest(path.parent / "m.json", 2, [path.name])
+    return s.load_predictions(path.parent / "m.json")
+
+
+# kind: (header, a valid row, the valid row with a number field replaced
+# by {}, loader)
+TABLE_KINDS = {
+    "member": ("item_id,p_0,p_1", "a,0.5,0.5", "b,{},0.5", _load_member),
+    "posterior": ("item_id,p_0,p_1", "a,0.5,0.5", "b,{},0.5", s.load_posterior),
+    "truth": ("item_id,label", "a,0", "b,{}", s.load_ground_truth),
+    "trace": ("iteration,q,alpha,millis", "0,-3.5,0.001,1.5", "1,{},0.001,2",
+              s.FitTrace.load_csv),
+}
+
+
+class TestOverlongField:
+    """A field over ``csv``'s 131072-character limit in a table that
+    ``np.loadtxt`` rejects is a :class:`FormatError` at its line."""
+
+    LONG = "x" * 200_000
+    MESSAGE = "field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_in_header(self, tmp_path, kind):
+        header, row, _, load = TABLE_KINDS[kind]
+        path = write_text(tmp_path / "t.csv", f"{header},{self.LONG}\n{row}\n")
+        with pytest.raises(FormatError) as got:
+            load(path)
+        assert str(got.value) == f"{path}, line 1: {self.MESSAGE}"
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_in_number_column(self, tmp_path, kind):
+        # the blank record is not numbered, so the long field is on line 3
+        header, row, bad, load = TABLE_KINDS[kind]
+        path = write_text(tmp_path / "t.csv",
+                          f"{header}\n{row}\n\n{bad.format(self.LONG)}\n")
+        with pytest.raises(FormatError) as got:
+            load(path)
+        assert str(got.value) == f"{path}, line 3: {self.MESSAGE}"
+
+
 class TestContainers:
     def test_posterior_row_sum_checked(self):
         with pytest.raises(FormatError):
