@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 import softds as s
+from softds.cli import _resolve_threads
 
 
 def parse_args():
@@ -45,7 +46,9 @@ def main():
         args.n_items, args.n_members, args.n_classes,
         s.ClassPrior(np.full(args.n_classes, 1.0 / args.n_classes)),
         s.ConfusionTensor(pi), args.seed)
-    preds, truth = s.sample(spec)
+    # SOFTDS_THREADS, else every core, as the command line resolves it
+    workers = _resolve_threads(None)
+    preds, truth = s.sample(spec, workers)
     n_learn = max(1, int(args.n_items * args.learn_fraction))
     learn = s.PredictionSet(preds.probs[:n_learn], preds.item_ids[:n_learn])
     rest = s.PredictionSet(preds.probs[n_learn:], preds.item_ids[n_learn:])

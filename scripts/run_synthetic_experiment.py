@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 import softds as s
+from softds.cli import _resolve_threads
 
 
 def parse_args():
@@ -57,7 +58,9 @@ def tv_per_row(fitted, true):
 def main():
     args = parse_args()
     spec = build_spec(args)
-    preds, truth = s.sample(spec)
+    # SOFTDS_THREADS, else every core, as the command line resolves it
+    workers = _resolve_threads(None)
+    preds, truth = s.sample(spec, workers)
     print(f"sampled N={preds.n_items} K={preds.n_members} J={preds.n_classes} "
           f"(seed {spec.seed})", file=sys.stderr)
 
@@ -89,7 +92,8 @@ def main():
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         s.save_ground_truth(truth, os.path.join(args.out_dir, "truth.csv"))
-        s.save_predictions(preds, args.out_dir, labels_filename="truth.csv")
+        s.save_predictions(preds, args.out_dir, labels_filename="truth.csv",
+                           workers=workers)
         for name, post in posteriors.items():
             safe = name.rstrip("*")
             s.save_posterior(post, os.path.join(args.out_dir,

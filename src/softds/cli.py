@@ -185,12 +185,13 @@ def _cmd_evaluate(args):
 
 def _cmd_simulate(args):
     spec = GenerativeSpec.from_json(args.spec)
-    preds, truth = sample(spec)
+    workers = _resolve_threads(None)
+    preds, truth = sample(spec, workers)
     os.makedirs(args.out_dir, exist_ok=True)
     truth_name = "truth.csv"
     save_ground_truth(truth, os.path.join(args.out_dir, truth_name))
     manifest_path = save_predictions(preds, args.out_dir,
-                                     labels_filename=truth_name)
+                                     labels_filename=truth_name, workers=workers)
     if args.bayes:
         save_posterior(bayes_posterior(spec, preds),
                        os.path.join(args.out_dir, "bayes_posterior.csv"))

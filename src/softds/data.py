@@ -24,7 +24,8 @@ by ``_parse_record``.  ``_read_table`` reads every table: its header as
 the first record, its body with one ``np.loadtxt`` call.  Fields split
 as ``csv.reader`` splits them, numbers convert with ``float()``'s C
 routine (without its underscores and non-ASCII digits); a rejected
-table is walked again to name the line.  ``_write_table`` writes every
+table, or one holding an item id over ``csv``'s field size limit, is
+walked again to name the line.  ``_write_table`` writes every
 CSV file in the bytes of ``csv.writer``; the ``online`` stream reads
 and writes each row with the same ``_records``, ``_parse_record`` and
 ``_csv_line``.
@@ -42,6 +43,7 @@ import json
 import numbers
 import os
 import sys
+import threading
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -472,6 +474,52 @@ def _hard_labels(probs):
 
 
 # ---------------------------------------------------------------------------
+# worker processes
+
+
+# The function of _fork_map's current pool; set only in its worker
+# processes, by their initializer, never in the caller's process.
+_fork_func = None
+
+
+def _set_fork_func(func):
+    global _fork_func
+    _fork_func = func
+
+
+def _call_fork_func(item):
+    return _fork_func(item)
+
+
+def _fork_map(func, items, workers):
+    """``map(func, items)``, in order.
+
+    With ``workers > 1`` the calls run on ``min(workers, len(items))``
+    worker processes forked from this one.  ``func`` (a closure is fine)
+    and everything it reads reach them through the fork, copy-on-write;
+    only the items and the results are pickled.  The pool forks all its
+    workers before it starts its own thread, so no thread is copied into
+    them; in a process that already runs other threads, or where
+    ``fork`` is unavailable, this is the builtin ``map``.  An exception
+    raised by ``func`` in a worker is raised here, a worker that dies
+    raises ``BrokenProcessPool``, and no worker outlives the call.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers > 1 and threading.active_count() == 1:
+        # imported here, so that a process that never forks, such as
+        # aggregate, does not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_set_fork_func, initargs=(func,)) as pool:
+                return list(pool.map(_call_fork_func, items))
+    return map(func, items)
+
+
+# ---------------------------------------------------------------------------
 # CSV / JSON I/O: the only places that open a file for a format
 
 
@@ -528,8 +576,9 @@ def _read_table(path, row_dtype, what):
     :func:`_records`, and returns the dtype of one data row.  The body is
     read with one ``np.loadtxt`` call, which splits fields as
     ``csv.reader`` does, converts numbers with ``float()``'s C routine
-    and skips blank lines.  If it fails, the records are walked again
-    with :func:`_parse_record` to raise a :class:`FormatError` naming the
+    and skips blank lines.  If it fails, or a text field it read is over
+    ``csv.field_size_limit()``, the records are walked again with
+    :func:`_parse_record` to raise a :class:`FormatError` naming the
     first bad line (``what`` describes a field that does not convert).
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -543,9 +592,17 @@ def _read_table(path, row_dtype, what):
             with warnings.catch_warnings():
                 # a file without data rows is the caller's to report
                 warnings.simplefilter("ignore", UserWarning)
-                return np.loadtxt(fh, dtype=dtype, **_LOADTXT)
+                table = np.loadtxt(fh, dtype=dtype, **_LOADTXT)
         except ValueError as exc:
             failure = exc
+        else:
+            # np.loadtxt has no field size limit; csv.reader, and so the
+            # online stream, rejects a longer text field
+            limit = csv.field_size_limit()
+            if all(max(map(len, table[name]), default=0) <= limit
+                   for name in dtype.names if dtype[name] == object):
+                return table
+            failure = "over-long field"
         fh.seek(0)
         for line, record in itertools.islice(_records(fh), 1, None):
             try:
@@ -753,16 +810,21 @@ def _load_probs(manifest_path):
     return probs, ids0
 
 
-def save_predictions(preds: PredictionSet, out_dir, labels_filename=None):
+def save_predictions(preds: PredictionSet, out_dir, labels_filename=None, workers=1):
     """Write ``member_<k>.csv`` per member plus ``manifest.json``; returns
-    the manifest path."""
+    the manifest path.
+
+    With ``workers > 1`` the member files are written on up to that many
+    forked worker processes (see :func:`_fork_map`), one file per task;
+    every file holds the same bytes for any ``workers``."""
     os.makedirs(out_dir, exist_ok=True)
-    member_files = []
-    for k in range(preds.n_members):
-        name = f"member_{k}.csv"
-        _write_prob_file(os.path.join(out_dir, name), preds.item_ids,
+    member_files = [f"member_{k}.csv" for k in range(preds.n_members)]
+
+    def write_member(k):
+        _write_prob_file(os.path.join(out_dir, member_files[k]), preds.item_ids,
                          preds.probs[:, k, :])
-        member_files.append(name)
+
+    list(_fork_map(write_member, range(preds.n_members), workers))
     manifest = {"n_classes": preds.n_classes, "members": member_files}
     if labels_filename is not None:
         manifest["labels"] = labels_filename

@@ -17,6 +17,7 @@ from .data import (
     GroundTruth,
     PosteriorMatrix,
     PredictionSet,
+    _fork_map,
     _is_int,
     _json_numbers,
     _load_json,
@@ -95,8 +96,9 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
-# Items per block of seeds and draws; the seeding scratch is O(block * K).
-_BLOCK_ITEMS = 4096
+# Items per block of seeds and draws, the unit of work of a worker
+# process; the seeding scratch is O(block * K).
+_BLOCK_ITEMS = 1024
 
 
 def _int_words(n):
@@ -165,7 +167,7 @@ def _pcg64_states(entropy):
     return states
 
 
-def sample(spec: GenerativeSpec):
+def sample(spec: GenerativeSpec, workers=1):
     """Draw a dataset from the generative model.
 
     Per item: the latent class comes from the true prior (inverse-CDF on
@@ -181,7 +183,10 @@ def sample(spec: GenerativeSpec):
     for the latent label and ``(seed, 1, item, member)`` for that member's
     probability vector, so adding members or items never perturbs earlier
     draws.  The streams are seeded a block of items at a time and drawn
-    from one reused generator.
+    from one reused generator.  With ``workers > 1`` the blocks are drawn
+    on up to that many forked worker processes (see
+    :func:`softds.data._fork_map`); since every site has its own stream,
+    the result is bitwise the same for any ``workers``.
 
     Returns ``(PredictionSet, GroundTruth)``.
     """
@@ -206,23 +211,30 @@ def sample(spec: GenerativeSpec):
         return np.column_stack([np.tile(seed_words, (rows, 1)),
                                 *(np.broadcast_to(c, rows) for c in columns)])
 
-    labels = np.empty(n, dtype=np.int64)
-    probs = np.empty((n, k, j))
-    for start in range(0, n, _BLOCK_ITEMS):
-        stop = min(start + _BLOCK_ITEMS, n)
-        items = np.arange(start, stop, dtype=np.uint32)
+    def draw_block(start):
+        """The labels and the unnormalised Gamma draws, ``(block, K, J)``,
+        of the items from ``start`` on."""
+        items = np.arange(start, min(start + _BLOCK_ITEMS, n), dtype=np.uint32)
         u = np.empty(items.size)
         for row, site in enumerate(_pcg64_states(keys(0, items))):
             seed_site(site)
             u[row] = gen.random()
-        labels[start:stop] = np.minimum(np.searchsorted(cdf, u, side="right"),
-                                        j - 1)
+        labels = np.minimum(np.searchsorted(cdf, u, side="right"), j - 1)
         item_of, member = np.divmod(np.arange(items.size * k, dtype=np.uint32), k)
-        shapes = pi[member, labels[start:stop][item_of]]
-        gammas = probs[start:stop].reshape(-1, j)
+        shapes = pi[member, labels[item_of]]
+        gammas = np.empty((items.size, k, j))
+        rows = gammas.reshape(-1, j)
         for row, site in enumerate(_pcg64_states(keys(1, items[item_of], member))):
             seed_site(site)
-            gen.standard_gamma(shapes[row], out=gammas[row])
+            gen.standard_gamma(shapes[row], out=rows[row])
+        return labels, gammas
+
+    labels = np.empty(n, dtype=np.int64)
+    probs = np.empty((n, k, j))
+    starts = range(0, n, _BLOCK_ITEMS)
+    for start, (block_labels, gammas) in zip(starts, _fork_map(draw_block, starts, workers)):
+        labels[start:start + block_labels.size] = block_labels
+        probs[start:start + block_labels.size] = gammas
     total = probs.sum(axis=2, keepdims=True)
     drawn = total > 0.0
     np.divide(probs, total, out=probs, where=drawn)

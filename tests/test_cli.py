@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, and file contracts."""
 
 import json
+import multiprocessing
 import re
 import warnings
 
@@ -92,6 +93,33 @@ class TestSimulate:
         assert exc.value.code == 2
         assert not (tmp_path / "x").exists()
 
+    def test_same_files_at_any_worker_count(self, tmp_path, monkeypatch):
+        # 2100 items make three sampler blocks
+        spec_path = tmp_path / "spec.json"
+        diagonal_spec(3.0, 0.4, seed=82, n_items=2100, n_classes=3).to_json(spec_path)
+        trees = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SOFTDS_THREADS", threads)
+            out = tmp_path / threads
+            assert main(["simulate", "--spec", str(spec_path),
+                         "--out-dir", str(out), "--bayes"]) == 0
+            assert multiprocessing.active_children() == []
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(trees[0]) == 6
+        assert trees[0] == trees[1]
+
+    def test_io_error_on_a_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        spec_path = tmp_path / "spec.json"
+        diagonal_spec(3.0, 0.4, seed=83, n_items=30, n_classes=3).to_json(spec_path)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SOFTDS_THREADS", threads)
+            bad = tmp_path / threads / "member_1.csv"
+            bad.mkdir(parents=True)
+            assert main(["simulate", "--spec", str(spec_path),
+                         "--out-dir", str(bad.parent)]) == 2
+            assert multiprocessing.active_children() == []
+            assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{bad}'\n"
+
 
 LONG_FIELD = "x" * 200_000
 FIELD_LIMIT = "field larger than field limit (131072)"
@@ -128,6 +156,17 @@ class TestOverlongFieldExits1:
                      "--out", str(tmp_path / "post.csv")]) == 1
         err = capsys.readouterr().err
         assert f"error: {member}, line {line}: {FIELD_LIMIT}" in err
+        assert "Traceback" not in err
+
+    def test_evaluate_item_id(self, tmp_path, capsys):
+        # np.loadtxt reads this posterior; csv.reader rejects its second id
+        post = tmp_path / "p.csv"
+        truth = tmp_path / "t.csv"
+        post.write_text(f"item_id,p_0,p_1\na,0.5,0.5\n{LONG_FIELD},0.5,0.5\n")
+        truth.write_text("item_id,label\na,0\n")
+        assert main(["evaluate", "--posterior", str(post), "--truth", str(truth)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {post}, line 3: {FIELD_LIMIT}" in err
         assert "Traceback" not in err
 
 

@@ -1,7 +1,14 @@
 """Containers, validation, and file-format round-trips."""
 
+import csv
 import dataclasses
+import errno
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softds as s
-from softds.data import FormatError, _parse_prob_file, _write_prob_file, floor_and_renormalize
+from softds.data import (FormatError, _fork_map, _parse_prob_file, _write_prob_file,
+                         floor_and_renormalize)
 from util import reference_parse_prob_file, reference_write_prob_file
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_member_csv(path, ids, rows):
@@ -503,8 +513,9 @@ TABLE_KINDS = {
 
 
 class TestOverlongField:
-    """A field over ``csv``'s 131072-character limit in a table that
-    ``np.loadtxt`` rejects is a :class:`FormatError` at its line."""
+    """A field over ``csv``'s 131072-character limit is a
+    :class:`FormatError` at its line, as the ``online`` stream rejects
+    it, whether or not ``np.loadtxt`` reads the table."""
 
     LONG = "x" * 200_000
     MESSAGE = "field larger than field limit (131072)"
@@ -526,6 +537,92 @@ class TestOverlongField:
         with pytest.raises(FormatError) as got:
             load(path)
         assert str(got.value) == f"{path}, line 3: {self.MESSAGE}"
+
+    @pytest.mark.parametrize("kind", ["member", "posterior", "truth"])
+    def test_in_item_id(self, tmp_path, kind):
+        # np.loadtxt, which has no field limit, reads this table
+        header, row, _, load = TABLE_KINDS[kind]
+        path = write_text(tmp_path / "t.csv",
+                          f"{header}\n{row}\n\n{self.LONG}{row[1:]}\n")
+        with pytest.raises(FormatError) as got:
+            load(path)
+        assert str(got.value) == f"{path}, line 3: {self.MESSAGE}"
+
+    @pytest.mark.parametrize("kind", ["member", "posterior", "truth"])
+    def test_item_id_at_limit_loads(self, tmp_path, kind):
+        header, row, _, load = TABLE_KINDS[kind]
+        item_id = "x" * csv.field_size_limit()
+        path = write_text(tmp_path / "t.csv", f"{header}\n{item_id}{row[1:]}\n")
+        assert load(path).item_ids == [item_id]
+
+
+class TestWorkers:
+    """``_fork_map`` is ``map`` on forked worker processes; the writers
+    that use it write the same bytes for any worker count."""
+
+    def test_in_order_on_forked_workers(self):
+        got = _fork_map(lambda i: (i * i, os.getpid()), range(7), 2)
+        assert [value for value, _ in got] == [i * i for i in range(7)]
+        pids = {pid for _, pid in got}
+        assert os.getpid() not in pids and 1 <= len(pids) <= 2
+        assert multiprocessing.active_children() == []
+
+    def test_builtin_map_with_one_worker_or_other_threads(self):
+        def pid(_):
+            return os.getpid()
+
+        assert list(_fork_map(pid, range(3), 1)) == [os.getpid()] * 3
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert list(_fork_map(pid, range(3), 2)) == [os.getpid()] * 3
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_worker_exception_raised_in_caller(self):
+        def func(i):
+            if i == 2:
+                raise OSError(errno.EISDIR, "Is a directory", "f2")
+            return i
+
+        with pytest.raises(IsADirectoryError) as got:
+            _fork_map(func, range(4), 2)
+        assert str(got.value) == "[Errno 21] Is a directory: 'f2'"
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_promptly(self):
+        # in a child interpreter with a timeout, so that a hang fails the
+        # test instead of stalling the suite
+        code = (
+            "import multiprocessing, os\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from softds.data import _fork_map\n"
+            "try:\n"
+            "    _fork_map(lambda i: os._exit(1) if i == 1 else i, range(4), 2)\n"
+            "except BrokenProcessPool:\n"
+            "    print('broken', multiprocessing.active_children())\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "broken []\n"), done.stderr
+
+    def test_save_predictions_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        preds = s.PredictionSet.from_probs(rng.dirichlet(np.ones(4), size=(50, 3)),
+                                           [f"i,{i}" for i in range(50)])
+        trees = []
+        for workers in (1, 2, 3):
+            out = tmp_path / str(workers)
+            s.save_predictions(preds, out, labels_filename="truth.csv", workers=workers)
+            assert multiprocessing.active_children() == []
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(trees[0]) == ["manifest.json"] + [f"member_{k}.csv" for k in range(3)]
+        assert trees[0] == trees[1] == trees[2]
 
 
 class TestContainers:

@@ -1,9 +1,12 @@
 """Generative sampler and exact-posterior oracle."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import softds as s
+from softds import synth
 from util import diagonal_spec, reference_sample
 
 
@@ -25,25 +28,42 @@ def _underflow_spec(seed, n_items):
     return make_spec(np.full((2, 2, 2), 1e-3), [0.5, 0.5], seed, n_items)
 
 
+# Specs drawn both by the sampler and by the per-site reference
+SITE_SPECS = {
+    "seed_0": diagonal_spec(3.0, 0.4, seed=0, n_items=40, n_classes=4),
+    "seed_2_words": diagonal_spec(3.0, 0.4, seed=2**40 + 3, n_items=40, n_classes=4),
+    "seed_3_words": diagonal_spec(3.0, 0.4, seed=2**64 + 5, n_items=20, n_classes=3),
+    "k1_j2": make_spec(np.array([[[2.0, 0.5], [0.5, 2.0]]]), [0.3, 0.7], 72, 50),
+    "one_hot_prior": make_spec(np.full((2, 3, 3), 1.0), [0.0, 1.0, 0.0], 73, 30),
+    "underflow": _underflow_spec(74, 200),
+    # 1024-item blocks, the last one partial
+    "partial_block": diagonal_spec(1.5, 0.4, seed=75, n_items=2 * 4096 + 3,
+                                   n_members=1, n_classes=2),
+}
+
+
 class TestSample:
-    @pytest.mark.parametrize("spec", [
-        diagonal_spec(3.0, 0.4, seed=0, n_items=40, n_classes=4),
-        diagonal_spec(3.0, 0.4, seed=2**40 + 3, n_items=40, n_classes=4),
-        diagonal_spec(3.0, 0.4, seed=2**64 + 5, n_items=20, n_classes=3),
-        make_spec(np.array([[[2.0, 0.5], [0.5, 2.0]]]), [0.3, 0.7], 72, 50),
-        make_spec(np.full((2, 3, 3), 1.0), [0.0, 1.0, 0.0], 73, 30),
-        _underflow_spec(74, 200),
-        # 4096-item blocks, the last one partial
-        diagonal_spec(1.5, 0.4, seed=75, n_items=2 * 4096 + 3,
-                      n_members=1, n_classes=2),
-    ], ids=["seed_0", "seed_2_words", "seed_3_words", "k1_j2", "one_hot_prior",
-            "underflow", "partial_block"])
+    @pytest.mark.parametrize("spec", SITE_SPECS.values(), ids=SITE_SPECS.keys())
     def test_equals_per_site_generators_bitwise(self, spec):
         preds, truth = s.sample(spec)
         ref_preds, ref_truth = reference_sample(spec)
         assert np.array_equal(preds.probs, ref_preds.probs)
         assert np.array_equal(truth.labels, ref_truth.labels)
         assert preds.item_ids == ref_preds.item_ids
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("name", SITE_SPECS)
+    def test_workers_bitwise(self, monkeypatch, name, workers):
+        # blocks of 7 items, so that even the 20-item specs use every worker
+        if name != "partial_block":
+            monkeypatch.setattr(synth, "_BLOCK_ITEMS", 7)
+        spec = SITE_SPECS[name]
+        preds, truth = s.sample(spec, workers=workers)
+        ref_preds, ref_truth = reference_sample(spec)
+        assert np.array_equal(preds.probs, ref_preds.probs)
+        assert np.array_equal(truth.labels, ref_truth.labels)
+        assert preds.item_ids == ref_preds.item_ids
+        assert multiprocessing.active_children() == []
 
     def test_underflowing_vectors_are_uniform(self):
         preds, _ = s.sample(_underflow_spec(74, 200))
