@@ -1,7 +1,9 @@
 """Aggregation baselines: majority voting, ensemble averaging, and the
 classic hard-label Dawid-Skene EM.  Each takes a :class:`PredictionSet`;
-the hard-label methods harden it (argmax per member) themselves.  The
-soft-label fit starts from this module's label frequencies and DS M-step."""
+the hard-label methods harden it (argmax per member) themselves.  Their
+posterior rows are on the simplex by construction and are not checked
+again.  The soft-label fit starts from this module's label frequencies
+and DS M-step."""
 
 from __future__ import annotations
 

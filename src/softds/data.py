@@ -13,10 +13,11 @@ confusion tensor JSON : ``{"members": [{"pi": [[...J floats] x J]}, ...]}``.
 config JSON : keys mirror :class:`SdsConfig` field names; absent fields
     take the defaults below.
 
-A raw probability row, in a member CSV, in memory or on the ``online``
-stream, must sum to 1 within ``ROW_SUM_TOL`` and hold only finite entries
->= 0; it is then floored at ``PROB_FLOOR`` and renormalized.  Floats are
-serialized with ``repr`` so save -> load round-trips are bit-exact.
+A raw probability row, in a member CSV, on the ``online`` stream or given
+to ``PredictionSet``, must sum to 1 within ``ROW_SUM_TOL`` and hold only
+finite entries >= 0; it is then floored at ``PROB_FLOOR`` and
+renormalized.  Floats are serialized with ``repr`` so save -> load
+round-trips are bit-exact.
 
 CSV records are walked by ``_records`` (the header is line 1; blank
 records after it are skipped and not numbered) and checked and parsed
@@ -24,8 +25,8 @@ by ``_parse_record``.  ``_read_table`` reads every table: its header as
 the first record, its body with one ``np.loadtxt`` call.  Fields split
 as ``csv.reader`` splits them, numbers convert with ``float()``'s C
 routine (without its underscores and non-ASCII digits); a rejected
-table, or one holding an item id over ``csv``'s field size limit, is
-walked again to name the line.  ``_write_table`` writes every
+table, or one holding a text field or a line over ``csv``'s field size
+limit, is walked again to name the line.  ``_write_table`` writes every
 CSV file in the bytes of ``csv.writer``; the ``online`` stream reads
 and writes each row with the same ``_records``, ``_parse_record`` and
 ``_csv_line``.
@@ -118,11 +119,12 @@ def floor_and_renormalize(probs):
 
 def _floor_and_renormalize_in_place(p):
     """:func:`floor_and_renormalize` written into the float64 array ``p``;
-    its scratch is one row sum per row."""
+    its scratch is two floats and a bool per row."""
     np.maximum(p, PROB_FLOOR, out=p)
     for _ in range(3):
         sums = p.sum(axis=-1, keepdims=True)
-        off = np.abs(sums - 1.0) > _RENORM_SKIP_TOL
+        dev = sums - 1.0
+        off = np.abs(dev, out=dev) > _RENORM_SKIP_TOL
         if not np.any(off):
             break
         np.divide(p, sums, out=p, where=off)
@@ -151,69 +153,53 @@ def _check_raw_rows(raw, where):
 # containers
 
 
-def _check_probs(probs):
-    """Raise :class:`FormatError` unless ``probs`` is an (N, K, J) array of
-    floored, renormalized probabilities; the checks' scratch is O(N * K)."""
-    if probs.ndim != 3:
-        raise FormatError("prediction array must be N x K x J")
-    n, k, j = probs.shape
-    if n < 1 or k < 1 or j < 2:
-        raise FormatError(f"need N >= 1, K >= 1, J >= 2, got shape {probs.shape}")
-    # a NaN fails the first comparison
-    if not (probs.min() > 0.0 and probs.max() < np.inf):
-        raise FormatError("probabilities must be finite and > 0 after flooring")
-    if np.max(np.abs(probs.sum(axis=2) - 1.0)) > 1e-12:
-        raise FormatError(
-            "rows are not renormalized; use PredictionSet.from_probs"
-        )
+def _item_ids(item_ids, n, what):
+    """``item_ids``, which must name the ``n`` items, or ``"0"`` to
+    ``str(n - 1)`` without them."""
+    if item_ids is None:
+        return [str(i) for i in range(n)]
+    if len(item_ids) != n:
+        raise FormatError(f"item_ids length does not match {what} count")
+    return item_ids
 
 
 @dataclass
 class PredictionSet:
-    """N x K x J per-(item, member) class probabilities.
-
-    Rows are expected to be floored and renormalized already; build
-    instances from raw data with :meth:`from_probs` or
-    :func:`load_predictions`.
-    """
+    """N x K x J per-(item, member) class probabilities: a floored,
+    renormalized, read-only copy of the raw rows ``probs`` (N >= 1, K >= 1,
+    J >= 2; see the module docstring)."""
 
     probs: np.ndarray
     item_ids: list[str] | None = None
 
     def __post_init__(self):
-        self._check(_frozen(self.probs))
-
-    @classmethod
-    def _take(cls, probs, item_ids=None):
-        """The set of ``probs``, a C-contiguous float64 array that no one
-        else holds: it is marked read-only in place instead of copied."""
-        probs.setflags(write=False)
-        preds = cls.__new__(cls)
-        preds.item_ids = item_ids
-        preds._check(probs)
-        return preds
-
-    def _check(self, probs):
-        """Validate the read-only ``probs`` and ``self.item_ids``, then
-        set ``self.probs``."""
-        _check_probs(probs)
-        n = probs.shape[0]
-        if self.item_ids is None:
-            self.item_ids = [str(i) for i in range(n)]
-        if len(self.item_ids) != n:
-            raise FormatError("item_ids length does not match item count")
-        self.probs = probs
+        raw = np.asarray(self.probs, dtype=np.float64)
+        if raw.ndim != 3:
+            raise FormatError("prediction array must be N x K x J")
+        if raw.shape[0] < 1 or raw.shape[1] < 1 or raw.shape[2] < 2:
+            raise FormatError(f"need N >= 1, K >= 1, J >= 2, got shape {raw.shape}")
+        # checked before the copy, and the ids made after flooring it, so
+        # that no two of the check's scratch, the flooring's and the ids
+        # are held at once
+        _check_raw_rows(raw, lambda i, k: f"member {k} item {i}")
+        self.probs = np.array(raw, order="C")
+        _floor_and_renormalize_in_place(self.probs)
+        self.probs.setflags(write=False)
+        self.item_ids = _item_ids(self.item_ids, raw.shape[0], "item")
 
     @classmethod
     def from_probs(cls, raw, item_ids=None):
-        """Check raw probabilities (each row sums to 1 within
-        ``ROW_SUM_TOL``, entries finite and >= 0), floor at ``PROB_FLOOR``
-        and renormalize."""
-        raw = np.asarray(raw, dtype=np.float64)
-        if raw.ndim != 3:
-            raise FormatError("prediction array must be N x K x J")
-        _check_raw_rows(raw, lambda i, k: f"member {k} item {i}")
-        return cls._take(np.ascontiguousarray(floor_and_renormalize(raw)), item_ids)
+        """The same as ``PredictionSet(raw, item_ids)``."""
+        return cls(raw, item_ids)
+
+    @classmethod
+    def _take(cls, probs, item_ids):
+        """The set of ``probs``, a floored C-contiguous float64 array that
+        softds has checked and no one else holds, marked read-only in place."""
+        probs.setflags(write=False)
+        preds = cls.__new__(cls)
+        preds.probs, preds.item_ids = probs, item_ids
+        return preds
 
     @property
     def n_items(self):
@@ -281,22 +267,7 @@ class PosteriorMatrix:
     item_ids: list[str] | None = None
 
     def __post_init__(self):
-        self._check(_frozen(self.rows))
-
-    @classmethod
-    def _take(cls, rows, item_ids=None):
-        """The posterior of ``rows``, a C-contiguous float64 array that no
-        one else holds: it is marked read-only in place instead of
-        copied."""
-        rows.setflags(write=False)
-        post = cls.__new__(cls)
-        post.item_ids = item_ids
-        post._check(rows)
-        return post
-
-    def _check(self, rows):
-        """Validate the read-only ``rows`` and ``self.item_ids``, then set
-        ``self.rows``."""
+        rows = _frozen(self.rows)
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise FormatError("posterior must be N x J with J >= 2")
         if not np.all(np.isfinite(rows)) or np.any(rows < 0.0):
@@ -305,11 +276,17 @@ class PosteriorMatrix:
             i = int(np.argmax(np.abs(rows.sum(axis=1) - 1.0)))
             raise FormatError(
                 f"posterior row {i} sums to {float(rows[i].sum())!r}")
-        if self.item_ids is None:
-            self.item_ids = [str(i) for i in range(rows.shape[0])]
-        if len(self.item_ids) != rows.shape[0]:
-            raise FormatError("item_ids length does not match row count")
+        self.item_ids = _item_ids(self.item_ids, rows.shape[0], "row")
         self.rows = rows
+
+    @classmethod
+    def _take(cls, rows, item_ids):
+        """The posterior of ``rows``, a C-contiguous float64 array that
+        softds has computed and no one else holds, marked read-only in place."""
+        rows.setflags(write=False)
+        post = cls.__new__(cls)
+        post.rows, post.item_ids = rows, item_ids
+        return post
 
     @property
     def n_items(self):
@@ -336,10 +313,7 @@ class GroundTruth:
             raise FormatError("negative class label")
         if self.n_classes is not None and labels.max() >= self.n_classes:
             raise FormatError("label outside [0, n_classes)")
-        if self.item_ids is None:
-            self.item_ids = [str(i) for i in range(labels.size)]
-        if len(self.item_ids) != labels.size:
-            raise FormatError("item_ids length does not match label count")
+        self.item_ids = _item_ids(self.item_ids, labels.size, "label")
         self.labels = labels
 
     @property
@@ -363,7 +337,6 @@ _FIELD_KINDS = {
     "float": ("a finite number",
               lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
               and abs(v) <= sys.float_info.max),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
 }
 
 
@@ -387,7 +360,6 @@ class SdsConfig:
     ds_init_concentration: float = 10.0
     ds_init_smoothing: float = 0.01
     q_rel_tolerance: float = 0.0
-    reset_optimizer_each_m_step: bool = False
 
     def validate(self):
         """Check every field against its annotation and range, and convert
@@ -441,7 +413,11 @@ class SdsConfig:
 
     @classmethod
     def from_json(cls, path):
-        return cls.from_dict(_load_json(path, "config"))
+        obj = _load_json(path, "config")
+        try:
+            return cls.from_dict(obj)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +552,12 @@ def _read_table(path, row_dtype, what):
     :func:`_records`, and returns the dtype of one data row.  The body is
     read with one ``np.loadtxt`` call, which splits fields as
     ``csv.reader`` does, converts numbers with ``float()``'s C routine
-    and skips blank lines.  If it fails, or a text field it read is over
-    ``csv.field_size_limit()``, the records are walked again with
-    :func:`_parse_record` to raise a :class:`FormatError` naming the
-    first bad line (``what`` describes a field that does not convert).
+    and skips blank lines.  If it fails, or the table may hold a field
+    over ``csv.field_size_limit()`` (a text field or a line of the file
+    is longer), the records are walked again with :func:`_parse_record`
+    to raise a :class:`FormatError` naming the first bad line (``what``
+    describes a field that does not convert); a walk that finds none
+    returns the table.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         _, header = next(_records(fh), (1, None))
@@ -594,23 +572,30 @@ def _read_table(path, row_dtype, what):
                 warnings.simplefilter("ignore", UserWarning)
                 table = np.loadtxt(fh, dtype=dtype, **_LOADTXT)
         except ValueError as exc:
-            failure = exc
+            table, failure = None, exc
         else:
             # np.loadtxt has no field size limit; csv.reader, and so the
-            # online stream, rejects a longer text field
+            # online stream, rejects a longer field.  A number field lies
+            # within one line, whose bytes are at least its characters.
             limit = csv.field_size_limit()
-            if all(max(map(len, table[name]), default=0) <= limit
-                   for name in dtype.names if dtype[name] == object):
-                return table
-            failure = "over-long field"
+            with open(path, "rb") as raw:
+                if (all(max(map(len, table[name]), default=0) <= limit
+                        for name in dtype.names if dtype[name] == object)
+                        and max(map(len, raw), default=0) <= limit):
+                    return table
         fh.seek(0)
         for line, record in itertools.islice(_records(fh), 1, None):
             try:
-                _parse_record(record, len(header), dtype)
+                # a record of a table np.loadtxt read can fail only in csv
+                if table is None or isinstance(record, csv.Error):
+                    _parse_record(record, len(header), dtype)
             except FormatError as exc:
                 raise FormatError(f"{path}, line {line}: {exc}") from None
             except ValueError:
                 raise FormatError(f"{path}, line {line}: {what}") from None
+    if table is not None:
+        # long lines, each of short fields
+        return table
     raise FormatError(f"{path}: unreadable CSV ({failure})")
 
 
@@ -806,7 +791,6 @@ def _load_probs(manifest_path):
         del ids, mat
     # every row is checked above, with its file and line
     _floor_and_renormalize_in_place(probs)
-    _check_probs(probs)
     return probs, ids0
 
 

@@ -349,7 +349,8 @@ def _e_step_rows(preds, model):
 def e_step_raw(preds: PredictionSet, model: SdsModel) -> PosteriorMatrix:
     """Posterior over the latent class of every item under the current
     parameters: row i is the normalized exponential of the log weights of
-    :func:`_log_weights`.  No damping is applied here."""
+    :func:`_log_weights`, checked by :func:`_normalize_log_rows`.  No
+    damping is applied here."""
     return PosteriorMatrix._take(_e_step_rows(preds, model), list(preds.item_ids))
 
 
@@ -393,16 +394,16 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     3. the prior ``nu = mass / sum(mass)``;
     4. ``inner_steps`` AdamW steps on pi against -Q (:func:`_adamw_pi`,
        betas 0.9 and 0.999, eps 1e-8), with the moments and the step
-       count carried across iterations unless
-       ``reset_optimizer_each_m_step`` zeroes them at each M-step;
+       count carried across iterations;
     5. Q of the updated model on the same statistics.
 
     Q is recorded after every iteration; when ``q_rel_tolerance > 0`` the
     loop stops early once |dQ| / |Q| falls below it.  The model and
-    posterior containers are built once, after the loop.  An E-step
-    posterior, confusion tensor or Q that stops being finite raises
-    :class:`NumericError`.  With ``threads > 1`` the item chunks run on
-    one thread pool, opened for the whole fit.
+    posterior containers are built once, after the loop; the posterior's
+    rows are not checked again.  An E-step posterior, confusion tensor or
+    Q that stops being finite raises :class:`NumericError`.  With
+    ``threads > 1`` the item chunks run on one thread pool, opened for
+    the whole fit.
 
     Returns ``(SdsModel, PosteriorMatrix, FitTrace)``.  Deterministic:
     identical inputs and config produce bitwise identical results for any
@@ -449,13 +450,7 @@ def _fit(buf, item_ids, cfg, threads):
                                       chunks))
             mass = post.sum(axis=0)
             nu = mass / mass.sum()
-            if cfg.reset_optimizer_each_m_step:
-                m.fill(0.0)
-                v.fill(0.0)
-                steps_taken = 0
-            else:
-                steps_taken = it * cfg.inner_steps
-            pi = _adamw_pi(s, mass, pi, cfg, m, v, steps_taken)
+            pi = _adamw_pi(s, mass, pi, cfg, m, v, it * cfg.inner_steps)
             # shared by this iteration's Q and the next iteration's E-step
             terms = _log_weight_terms(pi, nu)
             q = _q_from_stats(s, mass, terms)
@@ -481,13 +476,13 @@ def online_infer(item_probs, model: SdsModel) -> np.ndarray:
     :func:`e_step_raw` row of a one-item batch, with no parameter updates.
 
     ``item_probs`` is the K x J matrix of raw member probabilities for
-    the item.  It is checked, floored and renormalized by
-    :meth:`PredictionSet.from_probs`, under the same rule as
-    :func:`load_predictions`, so the result is bitwise identical to the
-    item's row of :func:`e_step_raw` on any batch holding the same raw
+    the item.  The :class:`PredictionSet` of the one-item batch checks,
+    floors and renormalizes it under the raw-row rule of a member-file
+    row in :func:`load_predictions`, so the result is bitwise identical to
+    the item's row of :func:`e_step_raw` on any batch holding the same raw
     values.  The row is a fresh, writeable array.
     """
-    item = PredictionSet.from_probs(np.asarray(item_probs)[None])
+    item = PredictionSet(np.asarray(item_probs)[None])
     return _e_step_rows(item, model)[0]
 
 

@@ -15,8 +15,10 @@ from .data import (
     ConfusionTensor,
     FormatError,
     GroundTruth,
+    NumericError,
     PosteriorMatrix,
     PredictionSet,
+    _floor_and_renormalize_in_place,
     _fork_map,
     _is_int,
     _json_numbers,
@@ -176,7 +178,9 @@ def sample(spec: GenerativeSpec, workers=1):
     latent class, via normalized independent Gamma draws (numpy's
     Marsaglia-Tsang sampler with the shape < 1 boost, valid for all
     positive shapes).  A vector whose Gamma draws all underflow to 0 is
-    uniform.  Fully determined by ``spec.seed``.
+    uniform; one whose draws sum past the float range raises
+    :class:`NumericError` naming the first such item and member.  Fully
+    determined by ``spec.seed``.
 
     Each draw site has its own PCG64 stream, bitwise the stream of
     ``Generator(PCG64(SeedSequence(key)))`` with key ``(seed, 0, item)``
@@ -235,12 +239,20 @@ def sample(spec: GenerativeSpec, workers=1):
     for start, (block_labels, gammas) in zip(starts, _fork_map(draw_block, starts, workers)):
         labels[start:start + block_labels.size] = block_labels
         probs[start:start + block_labels.size] = gammas
-    total = probs.sum(axis=2, keepdims=True)
+    # a sum past the float range is reported below, not by numpy
+    with np.errstate(over="ignore"):
+        total = probs.sum(axis=2, keepdims=True)
+    if not np.all(np.isfinite(total)):
+        item, member = np.argwhere(~np.isfinite(total[..., 0]))[0]
+        raise NumericError(f"item {item} member {member}: Gamma draws sum past "
+                           f"the float range")
     drawn = total > 0.0
     np.divide(probs, total, out=probs, where=drawn)
     probs[~drawn[..., 0]] = 1.0 / j
+    # every row now holds finite entries >= 0 summing to 1 up to rounding
+    _floor_and_renormalize_in_place(probs)
     item_ids = [str(i) for i in range(n)]
-    preds = PredictionSet.from_probs(probs, item_ids)
+    preds = PredictionSet._take(probs, item_ids)
     return preds, GroundTruth(labels, list(item_ids), n_classes=j)
 
 

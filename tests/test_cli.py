@@ -83,6 +83,19 @@ class TestSimulate:
         assert "spec.json: seed must be" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_draws_past_the_float_range_exit_3(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "n_items": 3, "n_members": 1, "n_classes": 2, "nu_true": [0.5, 0.5],
+            "pi_true": [[[1e308, 1e308], [1e308, 1e308]]], "seed": 0}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--spec", str(spec_path),
+                         "--out-dir", str(tmp_path / "x")]) == 3
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "numeric error: item 0 member 0: Gamma draws sum past the float range\n")
+
     def test_seed_flag_is_a_usage_error(self, tmp_path):
         # the spec file carries the seed; there is no override
         spec_path = tmp_path / "spec.json"

@@ -101,6 +101,45 @@ class TestPredictionSet:
         with pytest.raises(ValueError):
             preds.probs[0, 0, 0] = 0.9
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from([(3, 2, 4), (1, 1, 2), (2, 3, 10), (0, 2, 2), (2, 0, 2),
+                                  (2, 2, 1), (4, 2), (1, 2, 2, 2)]),
+           defect=st.sampled_from(["none", "zero", "off_sum", "nan", "inf", "negative"]))
+    @settings(max_examples=80, deadline=None)
+    def test_constructor_equals_from_probs(self, seed, shape, defect):
+        # one rule for every array: the same bits, or the same error
+        rng = np.random.default_rng(seed)
+        x = np.zeros(shape)
+        if x.size:
+            x = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+            row = x.reshape(-1, shape[-1])[rng.integers(x.size // shape[-1])]
+            if defect == "zero":
+                row[0] += row[-1]
+                row[-1] = 0.0
+            elif defect == "off_sum":
+                row *= 1.0 + rng.uniform(-2e-3, 2e-3)
+            elif defect != "none":
+                row[-1] = {"nan": np.nan, "inf": np.inf, "negative": -1e-9}[defect]
+        outcomes = []
+        for build in (s.PredictionSet, s.PredictionSet.from_probs):
+            try:
+                outcomes.append(build(x.copy()).probs.tobytes())
+            except FormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_constructor_floors_and_keeps_floored_arrays(self):
+        # an un-floored array is floored as from_probs floors it; flooring
+        # is a bitwise fixed point, so a floored array passes unchanged
+        preds = s.PredictionSet(np.array([[[0.0, 0.6, 0.4]], [[0.2, 0.3, 0.5]]]))
+        assert preds.probs[0, 0, 0] == pytest.approx(1e-12, rel=1e-6)
+        assert preds.probs.tobytes() == floor_and_renormalize(preds.probs).tobytes()
+        assert s.PredictionSet(preds.probs).probs.tobytes() == preds.probs.tobytes()
+
+    def test_item_id_count_checked(self):
+        with pytest.raises(FormatError, match="item_ids length does not match item count"):
+            s.PredictionSet(np.full((2, 1, 2), 0.5), ["a"])
+
     def test_caller_array_is_copied(self):
         # the set freezes a copy; the caller's array stays its own
         for build in (s.PredictionSet, s.PredictionSet.from_probs):
@@ -547,6 +586,32 @@ class TestOverlongField:
         with pytest.raises(FormatError) as got:
             load(path)
         assert str(got.value) == f"{path}, line 3: {self.MESSAGE}"
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_valid_long_number(self, tmp_path, kind):
+        # np.loadtxt reads this number, 0.5 or 0, as csv.reader does not
+        header, row, bad, load = TABLE_KINDS[kind]
+        number = ("0" if kind == "truth" else "0.5") + "0" * 200_000
+        path = write_text(tmp_path / "t.csv", f"{header}\n{row}\n\n{bad.format(number)}\n")
+        with pytest.raises(FormatError) as got:
+            load(path)
+        assert str(got.value) == f"{path}, line 3: {self.MESSAGE}"
+
+    @pytest.mark.parametrize("kind", ["member", "posterior"])
+    def test_long_lines_of_short_fields_load(self, tmp_path, kind):
+        # the header and each row are over the limit, every field under it
+        _, _, _, load = TABLE_KINDS[kind]
+        j = 25_000
+        line = ",".join(["4e-05"] * j)
+        assert len(line) > csv.field_size_limit()
+        path = write_text(tmp_path / "t.csv", ",".join(["item_id"] + [f"p_{c}" for c in range(j)])
+                          + f"\na,{line}\nb,{line}\n")
+        if kind == "member":
+            write_manifest(tmp_path / "m.json", j, [path.name])
+            loaded = s.load_predictions(tmp_path / "m.json").probs[:, 0]
+        else:
+            loaded = load(path).rows
+        assert loaded.shape == (2, j) and np.all(loaded == 4e-05)
 
     @pytest.mark.parametrize("kind", ["member", "posterior", "truth"])
     def test_item_id_at_limit_loads(self, tmp_path, kind):

@@ -34,6 +34,16 @@ def tall(tmp_path_factory):
     return s.save_predictions(preds, tmp_path_factory.mktemp("tall")), preds
 
 
+def test_prediction_set_checks_then_floors_one_copy(tall):
+    # the floored copy, plus the larger of the flooring's row sums and the
+    # item ids; the check's scratch is freed before the copy is made
+    _, preds = tall
+    raw = np.random.default_rng(94).dirichlet(np.ones(SHAPE[2]), size=SHAPE[:2])
+    built, peak = traced_peak(lambda: s.PredictionSet(raw))
+    assert np.array_equal(built.probs, preds.probs)
+    assert peak <= 1.3 * raw.nbytes
+
+
 def test_load_predictions_parses_into_one_array(tall):
     # the array, plus one member file's table and the item ids at a time
     manifest, preds = tall

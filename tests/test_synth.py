@@ -152,6 +152,18 @@ class TestSample:
         assert np.array_equal(t2.labels, t4.labels)
         assert np.array_equal(p2.probs, p4.probs[:, :2, :])
 
+    def test_draws_summing_past_the_float_range_raise(self):
+        # Gamma(1e308) draws are about 1e308, so two of them sum past the
+        # float range, while two Gamma(1e307) draws still sum within it
+        pi = np.ones((2, 2, 2))
+        pi[1] = 1e308
+        with pytest.raises(s.NumericError) as got:
+            s.sample(make_spec(pi, [0.5, 0.5], 77, 5))
+        assert str(got.value) == "item 0 member 1: Gamma draws sum past the float range"
+        pi[1] = 1e307
+        preds, _ = s.sample(make_spec(pi, [0.5, 0.5], 77, 5))
+        assert np.max(np.abs(preds.probs.sum(axis=2) - 1.0)) <= 1e-12
+
     def test_spec_validation(self):
         with pytest.raises(s.FormatError):
             diagonal_spec(3.0, 0.4, seed=0, n_items=0)

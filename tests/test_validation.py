@@ -1,0 +1,228 @@
+"""Every rejected input gets its own message: a container built in memory
+raises :class:`FormatError`, and a bad file is a validation error (exit 1)
+whose message names the file."""
+
+import json
+
+import numpy as np
+import pytest
+
+import softds as s
+from softds.cli import main
+from softds.data import FormatError
+
+
+@pytest.fixture
+def cli(capsys):
+    """``run(*argv)``: the exit code and stderr of ``softds argv``."""
+    def run(*argv):
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().err
+    return run
+
+
+def write(path, obj):
+    """``obj`` written to ``path``, as JSON unless it is a str."""
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return path
+
+
+@pytest.fixture
+def manifest(tmp_path):
+    """A valid two-item, two-member, J=2 dataset."""
+    preds = s.PredictionSet(np.array([[[0.7, 0.3], [0.6, 0.4]], [[0.2, 0.8], [0.5, 0.5]]]),
+                            ["a", "b"])
+    return s.save_predictions(preds, tmp_path / "data")
+
+
+class TestContainers:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: s.ConfusionTensor(np.ones((2, 2))), "confusion tensor must be K x J x J"),
+        (lambda: s.ConfusionTensor(np.ones((1, 2, 3))), "confusion tensor must be K x J x J"),
+        (lambda: s.ClassPrior(np.array([1.0])),
+         "class prior must be a 1-D vector of length >= 2"),
+        (lambda: s.ClassPrior(np.array([1.5, -0.5])),
+         "class prior entries must be finite and >= 0"),
+        (lambda: s.PosteriorMatrix(np.full(2, 0.5)), "posterior must be N x J with J >= 2"),
+        (lambda: s.PosteriorMatrix(np.ones((2, 1))), "posterior must be N x J with J >= 2"),
+        (lambda: s.PosteriorMatrix(np.array([[1.5, -0.5]])),
+         "posterior entries must be finite and >= 0"),
+        (lambda: s.PosteriorMatrix(np.full((2, 2), 0.5), ["a"]),
+         "item_ids length does not match row count"),
+        (lambda: s.GroundTruth(np.array([], dtype=np.int64)),
+         "ground truth must be a non-empty 1-D label vector"),
+        (lambda: s.GroundTruth(np.array([0, -1])), "negative class label"),
+        (lambda: s.GroundTruth(np.array([0, 2]), n_classes=2), "label outside [0, n_classes)"),
+        (lambda: s.GroundTruth(np.array([0, 1]), ["a"]),
+         "item_ids length does not match label count"),
+        (lambda: s.FitTrace([0, 1], [1.0], [1.0], [1.0]), "trace columns must have equal length"),
+    ], ids=["pi_2d", "pi_not_square", "nu_short", "nu_negative", "posterior_1d",
+            "posterior_j1", "posterior_negative", "posterior_ids", "truth_empty",
+            "truth_negative", "truth_too_large", "truth_ids", "trace_columns"])
+    def test_rejects(self, build, message):
+        with pytest.raises(FormatError) as got:
+            build()
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("posterior, truth, bad, message", [
+        ("a,1.5,-0.5\n", "a,0\n", "posterior", "posterior entries must be finite and >= 0"),
+        ("a,0.5,0.5\n", "a,-1\n", "truth", "negative class label"),
+    ])
+    def test_bad_files_exit_1(self, tmp_path, cli, posterior, truth, bad, message):
+        paths = {"posterior": write(tmp_path / "p.csv", "item_id,p_0,p_1\n" + posterior),
+                 "truth": write(tmp_path / "t.csv", "item_id,label\n" + truth)}
+        assert cli("evaluate", "--posterior", paths["posterior"],
+                   "--truth", paths["truth"]) == (1, f"error: {paths[bad]}: {message}\n")
+
+
+class TestConfig:
+    """A config error names the config file, as in a model or spec."""
+
+    SCHEDULE = ("alpha_schedule must be a list of [start_iteration, alpha] pairs of an "
+                "integer and a finite number")
+    RATES = "need learning_rate > 0 and weight_decay >= 0"
+    INIT = "need ds_init_concentration > 0 and ds_init_smoothing >= 0"
+
+    @pytest.mark.parametrize("config, message", [
+        ({"em_iterations": "3"}, "config field em_iterations must be an integer, got '3'"),
+        ({"seed": 1}, "unknown config fields: ['seed']"),
+        ({"reset_optimizer_each_m_step": False},
+         "unknown config fields: ['reset_optimizer_each_m_step']"),
+        ({"alpha_schedule": [[0]]}, SCHEDULE),
+        ({"alpha_schedule": [[0, 0.5, 1]]}, SCHEDULE),
+        ({"alpha_schedule": []}, "alpha_schedule must be non-empty"),
+        ({"learning_rate": 0}, RATES),
+        ({"weight_decay": -1e-4}, RATES),
+        ({"pi_floor": 0.0}, "pi_floor must be > 0"),
+        ({"ds_init_concentration": 0}, INIT),
+        ({"ds_init_smoothing": -0.5}, INIT),
+        ({"q_rel_tolerance": -1e-3}, "q_rel_tolerance must be >= 0"),
+        ("{", None),
+        ([1], "config must be a JSON object"),
+    ], ids=["em_iterations_string", "seed_unknown", "reset_flag_unknown",
+            "schedule_entry_short", "schedule_entry_long", "schedule_empty",
+            "learning_rate_zero", "weight_decay_negative", "pi_floor_zero",
+            "concentration_zero", "smoothing_negative", "tolerance_negative",
+            "invalid_json", "not_an_object"])
+    def test_exits_1_naming_the_file(self, tmp_path, cli, manifest, config, message):
+        cfg = write(tmp_path / "cfg.json", config)
+        code, err = cli("aggregate", "--manifest", manifest, "--config", cfg,
+                        "--out", tmp_path / "post.csv")
+        assert code == 1
+        if message is None:
+            assert err.startswith(f"error: {cfg}: invalid JSON (")
+        else:
+            assert err == f"error: {cfg}: {message}\n"
+
+
+class TestManifest:
+    @pytest.mark.parametrize("text, message", [
+        ("{", None),
+        ("[1]", "manifest must be a JSON object"),
+        ('{"n_classes": 2, "members": []}', "members must be a non-empty list"),
+    ], ids=["invalid_json", "not_an_object", "no_members"])
+    def test_exits_1_naming_the_file(self, tmp_path, cli, text, message):
+        path = write(tmp_path / "m.json", text)
+        code, err = cli("aggregate", "--method", "ea", "--manifest", path,
+                        "--out", tmp_path / "post.csv")
+        assert code == 1
+        if message is None:
+            assert err.startswith(f"error: {path}: invalid JSON (")
+        else:
+            assert err == f"error: {path}: {message}\n"
+
+    def test_member_with_other_ids_exits_1(self, tmp_path, cli):
+        write(tmp_path / "m0.csv", "item_id,p_0,p_1\na,0.5,0.5\nb,0.5,0.5\n")
+        other = write(tmp_path / "m1.csv", "item_id,p_0,p_1\na,0.5,0.5\nc,0.5,0.5\n")
+        path = write(tmp_path / "m.json", {"n_classes": 2, "members": ["m0.csv", "m1.csv"]})
+        assert cli("aggregate", "--method", "ea", "--manifest", path,
+                   "--out", tmp_path / "post.csv") == (
+            1, f"error: {other}: item ids disagree with m0.csv\n")
+
+
+PI = [[1.0, 2.0], [2.0, 1.0]]
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("model, message", [
+        ({"nu": [0.5, 0.5], "members": 5}, "members must be a non-empty list"),
+        ({"nu": [0.5, 0.5], "members": [{}]}, "member 0 must be an object with a pi key"),
+        ({"nu": [0.5, 0.5], "members": [{"pi": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]}]},
+         "member 0 pi must be a square matrix"),
+        ({"nu": [0.5, 0.5], "members": [{"pi": PI}, {"pi": np.ones((3, 3)).tolist()}]},
+         "member matrices have inconsistent shapes"),
+        ({"members": [{"pi": PI}]}, "model must be an object with nu and members"),
+        ({"nu": [0.25, 0.25, 0.5], "members": [{"pi": PI}]},
+         "confusion tensor and class prior disagree on J"),
+    ], ids=["members_not_a_list", "no_pi", "pi_not_square", "mixed_shapes", "no_nu",
+            "j_mismatch"])
+    def test_exits_1_naming_the_file(self, tmp_path, cli, model, message):
+        path = write(tmp_path / "model.json", model)
+        stream = write(tmp_path / "in.csv", "item_id,m0_p0,m0_p1\n")
+        assert cli("online", "--model", path, "--input", stream) == (
+            1, f"error: {path}: {message}\n")
+
+
+class TestTraceFile:
+    def test_bad_header(self, tmp_path):
+        path = write(tmp_path / "trace.csv", "iteration,q,alpha\n0,-1.5,0.001\n")
+        with pytest.raises(FormatError) as got:
+            s.FitTrace.load_csv(path)
+        assert str(got.value) == f"{path}: header must be iteration,q,alpha,millis"
+
+
+SPEC = {"n_items": 4, "n_members": 1, "n_classes": 2, "nu_true": [0.5, 0.5],
+        "pi_true": [PI], "seed": 0}
+
+
+class TestSpecFile:
+    @pytest.mark.parametrize("change, message", [
+        ({"nu_true": [0.25, 0.25, 0.5]}, "nu_true length does not match n_classes"),
+        ({"pi_true": [np.ones((3, 3)).tolist()]}, "pi_true shape does not match (K, J, J)"),
+        ({"seed": None}, "generative spec needs keys ['n_classes', 'n_items', 'n_members', "
+                         "'nu_true', 'pi_true', 'seed']"),
+    ], ids=["nu_length", "pi_shape", "missing_key"])
+    def test_exits_1_naming_the_file(self, tmp_path, cli, change, message):
+        spec = {key: value for key, value in {**SPEC, **change}.items() if value is not None}
+        path = write(tmp_path / "spec.json", spec)
+        assert cli("simulate", "--spec", path, "--out-dir", tmp_path / "out") == (
+            1, f"error: {path}: {message}\n")
+
+
+class TestCommandLine:
+    def test_zero_threads(self, tmp_path, cli, manifest):
+        assert cli("aggregate", "--manifest", manifest, "--out", tmp_path / "post.csv",
+                   "--threads", 0) == (1, "error: thread count must be >= 1\n")
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--posterior", "--posterior and --truth must be given together"),
+        ("--ood-in", "--ood-in and --ood-out must be given together"),
+    ])
+    def test_unpaired_flag(self, tmp_path, cli, flag, message):
+        post = write(tmp_path / "p.csv", "item_id,p_0,p_1\na,0.5,0.5\n")
+        assert cli("evaluate", flag, post) == (1, f"error: {message}\n")
+
+    def test_confusion_of_the_posterior_without_a_manifest(self, tmp_path, cli):
+        post = write(tmp_path / "p.csv", "item_id,p_0,p_1\na,0.9,0.1\nb,0.8,0.2\nc,0.3,0.7\n")
+        truth = write(tmp_path / "t.csv", "item_id,label\na,0\nb,1\nc,1\n")
+        out = tmp_path / "conf.json"
+        code, _ = cli("evaluate", "--posterior", post, "--truth", truth,
+                      "--confusion-out", out, "--out", tmp_path / "report.json")
+        assert code == 0
+        assert json.loads(out.read_text()) == {"members": [{"pi": [[1.0, 0.0], [0.5, 0.5]]}]}
+
+
+class TestMetrics:
+    POST = np.array([[0.9, 0.1], [0.4, 0.6]])
+
+    @pytest.mark.parametrize("compute, message", [
+        (lambda post: s.metrics.reliability_bins(post, [0, 1], n_bins=0),
+         "n_bins must be >= 1"),
+        (lambda post: s.accuracy(post, [0, 2]), "truth label outside [0, J)"),
+        (lambda post: s.true_confusion(post, [0, 2]), "truth label outside [0, J)"),
+        (lambda post: s.true_confusion(post, [0]), "prediction and truth lengths differ"),
+    ], ids=["no_bins", "label_outside", "confusion_label_outside", "confusion_length"])
+    def test_rejects(self, compute, message):
+        with pytest.raises(ValueError) as got:
+            compute(self.POST)
+        assert str(got.value) == message

@@ -218,8 +218,6 @@ def reference_fit(preds, cfg, on_m_step=None):
         post = (1.0 - alpha) * post + alpha * s.e_step_raw(preds, model).rows
         mass = post.sum(axis=0)
         nu = s.ClassPrior(mass / mass.sum())
-        if cfg.reset_optimizer_each_m_step:
-            state = [0, np.zeros_like(pi), np.zeros_like(pi)]
         before = s.SdsModel(model.pi, nu)
         model = s.SdsModel(s.ConfusionTensor(reference_m_step_pi(preds, post, before,
                                                                  cfg, state)), nu)
