@@ -92,8 +92,7 @@ def main():
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         s.save_ground_truth(truth, os.path.join(args.out_dir, "truth.csv"))
-        s.save_predictions(preds, args.out_dir, labels_filename="truth.csv",
-                           workers=workers)
+        s.save_predictions(preds, args.out_dir, labels_filename="truth.csv")
         for name, post in posteriors.items():
             safe = name.rstrip("*")
             s.save_posterior(post, os.path.join(args.out_dir,

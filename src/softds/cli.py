@@ -38,8 +38,6 @@ from .data import (
     load_predictions,
     save_confusion_tensor,
     save_posterior,
-    save_predictions,
-    save_ground_truth,
 )
 from .metrics import (ECE_BINS, auroc, evaluate_posterior, ood_score, reliability_bins,
                       true_confusion)
@@ -52,7 +50,7 @@ from .sds import (
     online_infer,
     save_model,
 )
-from .synth import GenerativeSpec, bayes_posterior, sample
+from .synth import GenerativeSpec, _save_sample
 
 __all__ = ["main", "build_parser"]
 
@@ -185,17 +183,8 @@ def _cmd_evaluate(args):
 
 def _cmd_simulate(args):
     spec = GenerativeSpec.from_json(args.spec)
-    workers = _resolve_threads(None)
-    preds, truth = sample(spec, workers)
-    os.makedirs(args.out_dir, exist_ok=True)
-    truth_name = "truth.csv"
-    save_ground_truth(truth, os.path.join(args.out_dir, truth_name))
-    manifest_path = save_predictions(preds, args.out_dir,
-                                     labels_filename=truth_name, workers=workers)
-    if args.bayes:
-        save_posterior(bayes_posterior(spec, preds),
-                       os.path.join(args.out_dir, "bayes_posterior.csv"))
-    _log(f"wrote {preds.n_items} items to {args.out_dir} "
+    manifest_path = _save_sample(spec, args.out_dir, _resolve_threads(None), bayes=args.bayes)
+    _log(f"wrote {spec.n_items} items to {args.out_dir} "
          f"(manifest: {manifest_path})")
     return 0
 

@@ -26,10 +26,11 @@ the first record, its body with one ``np.loadtxt`` call.  Fields split
 as ``csv.reader`` splits them, numbers convert with ``float()``'s C
 routine (without its underscores and non-ASCII digits); a rejected
 table, or one holding a text field or a line over ``csv``'s field size
-limit, is walked again to name the line.  ``_write_table`` writes every
-CSV file in the bytes of ``csv.writer``; the ``online`` stream reads
-and writes each row with the same ``_records``, ``_parse_record`` and
-``_csv_line``.
+limit, is walked again to name the line.  ``_csv_rows`` formats the
+body of every CSV file in the bytes of ``csv.writer``, for
+``_write_table`` and for ``simulate``'s blocks; the ``online`` stream
+reads and writes each row with the same ``_records``, ``_parse_record``
+and ``_csv_line``.
 
 Containers validate on construction and mark their arrays read-only,
 which makes instances safe to share across threads; ``ConfusionTensor``
@@ -468,17 +469,22 @@ def _call_fork_func(item):
 
 
 def _fork_map(func, items, workers):
-    """``map(func, items)``, in order.
+    """``map(func, items)``, in order, as a generator.
 
     With ``workers > 1`` the calls run on ``min(workers, len(items))``
-    worker processes forked from this one.  ``func`` (a closure is fine)
-    and everything it reads reach them through the fork, copy-on-write;
-    only the items and the results are pickled.  The pool forks all its
-    workers before it starts its own thread, so no thread is copied into
-    them; in a process that already runs other threads, or where
-    ``fork`` is unavailable, this is the builtin ``map``.  An exception
-    raised by ``func`` in a worker is raised here, a worker that dies
-    raises ``BrokenProcessPool``, and no worker outlives the call.
+    worker processes forked from this one, all submitted at once; each
+    result is yielded as soon as it and those before it are done.
+    ``func`` (a closure is fine) and everything it reads reach the
+    workers through the fork, copy-on-write; only the items and the
+    results are pickled.  The pool forks all its workers before it
+    starts its own thread, so no thread is copied into them; in a
+    process that already runs other threads, or where ``fork`` is
+    unavailable, this is the builtin ``map``.  An exception raised by
+    ``func`` in a worker is raised here, at its item, and a worker that
+    dies raises ``BrokenProcessPool``.  When the generator is exhausted
+    or closed, calls not yet started are cancelled and no worker
+    outlives it; a caller that may stop early closes it (for example
+    with ``contextlib.closing``).
     """
     items = list(items)
     workers = min(workers, len(items))
@@ -489,10 +495,14 @@ def _fork_map(func, items, workers):
         from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_set_fork_func, initargs=(func,)) as pool:
-                return list(pool.map(_call_fork_func, items))
-    return map(func, items)
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_set_fork_func, initargs=(func,))
+            try:
+                yield from pool.map(_call_fork_func, items)
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    yield from map(func, items)
 
 
 # ---------------------------------------------------------------------------
@@ -616,20 +626,36 @@ def _csv_line(first, cells):
     return f"{_csv_field(first)},{','.join(cells)}\r\n"
 
 
-def _write_table(path, header, ids, values):
-    """A header line, then one :func:`_csv_line` per row: ``ids[i]``, then
+def _csv_rows(ids, values):
+    """The body of a table, one :func:`_csv_line` per row: ``ids[i]``, then
     the entries of row ``i`` of the 2-D array ``values`` written with
-    ``repr``.  The text is the ``csv`` module's and is written a block of
-    rows at a time."""
-    ids = list(ids)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    ``repr``, as the ``csv`` module writes them.  Yields the text a block
+    of rows at a time."""
+    width = values.shape[1]
+    step = max(1, _BLOCK_CELLS // width)
+    for lo in range(0, len(ids), step):
+        cells = list(map(repr, values[lo:lo + step].ravel().tolist()))
+        yield "".join([_csv_line(item, cells[r * width:(r + 1) * width])
+                       for r, item in enumerate(ids[lo:lo + step])])
+
+
+def _open_table(path, header):
+    """``path`` opened for a CSV table, its header line written and
+    flushed, so that a process forked after it holds no buffered text."""
+    fh = open(path, "w", newline="", encoding="utf-8")
+    try:
         fh.write(_csv_line(header[0], header[1:]))
-        width = values.shape[1]
-        step = max(1, _BLOCK_CELLS // width)
-        for lo in range(0, len(ids), step):
-            cells = list(map(repr, values[lo:lo + step].ravel().tolist()))
-            fh.write("".join([_csv_line(item, cells[r * width:(r + 1) * width])
-                              for r, item in enumerate(ids[lo:lo + step])]))
+        fh.flush()
+    except BaseException:
+        fh.close()
+        raise
+    return fh
+
+
+def _write_table(path, header, ids, values):
+    """A header line, then the :func:`_csv_rows` of ``ids`` and ``values``."""
+    with _open_table(path, header) as fh:
+        fh.writelines(_csv_rows(list(ids), values))
 
 
 def _load_json(path, what):
@@ -794,27 +820,28 @@ def _load_probs(manifest_path):
     return probs, ids0
 
 
-def save_predictions(preds: PredictionSet, out_dir, labels_filename=None, workers=1):
-    """Write ``member_<k>.csv`` per member plus ``manifest.json``; returns
-    the manifest path.
+def _member_files(n_members):
+    return [f"member_{k}.csv" for k in range(n_members)]
 
-    With ``workers > 1`` the member files are written on up to that many
-    forked worker processes (see :func:`_fork_map`), one file per task;
-    every file holds the same bytes for any ``workers``."""
-    os.makedirs(out_dir, exist_ok=True)
-    member_files = [f"member_{k}.csv" for k in range(preds.n_members)]
 
-    def write_member(k):
-        _write_prob_file(os.path.join(out_dir, member_files[k]), preds.item_ids,
-                         preds.probs[:, k, :])
-
-    list(_fork_map(write_member, range(preds.n_members), workers))
-    manifest = {"n_classes": preds.n_classes, "members": member_files}
+def _save_manifest(out_dir, n_classes, n_members, labels_filename):
+    """Write the ``manifest.json`` of :func:`save_predictions`; returns its
+    path."""
+    manifest = {"n_classes": n_classes, "members": _member_files(n_members)}
     if labels_filename is not None:
         manifest["labels"] = labels_filename
     manifest_path = os.path.join(out_dir, "manifest.json")
     _save_json(manifest, manifest_path)
     return manifest_path
+
+
+def save_predictions(preds: PredictionSet, out_dir, labels_filename=None):
+    """Write ``member_<k>.csv`` per member plus ``manifest.json``; returns
+    the manifest path."""
+    os.makedirs(out_dir, exist_ok=True)
+    for k, name in enumerate(_member_files(preds.n_members)):
+        _write_prob_file(os.path.join(out_dir, name), preds.item_ids, preds.probs[:, k, :])
+    return _save_manifest(out_dir, preds.n_classes, preds.n_members, labels_filename)
 
 
 def load_posterior(path) -> PosteriorMatrix:
@@ -829,9 +856,12 @@ def save_posterior(post: PosteriorMatrix, path):
     _write_prob_file(path, post.item_ids, post.rows)
 
 
+_TRUTH_HEADER = ["item_id", "label"]
+
+
 def load_ground_truth(path) -> GroundTruth:
     def row_dtype(header):
-        if header != ["item_id", "label"]:
+        if header != _TRUTH_HEADER:
             raise FormatError(f"{path}: header must be item_id,label")
         return [("id", object), ("label", np.int64)]
 
@@ -845,7 +875,7 @@ def load_ground_truth(path) -> GroundTruth:
 
 
 def save_ground_truth(truth: GroundTruth, path):
-    _write_table(path, ["item_id", "label"], truth.item_ids, truth.labels[:, None])
+    _write_table(path, _TRUTH_HEADER, truth.item_ids, truth.labels[:, None])
 
 
 def _members_pi(pi):

@@ -5,6 +5,8 @@ form the ground-truth oracle used to verify fitting and online inference.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +20,19 @@ from .data import (
     NumericError,
     PosteriorMatrix,
     PredictionSet,
+    _TRUTH_HEADER,
+    _csv_rows,
     _floor_and_renormalize_in_place,
     _fork_map,
     _is_int,
     _json_numbers,
     _load_json,
+    _member_files,
+    _open_table,
+    _prob_header,
     _save_json,
+    _save_manifest,
+    save_posterior,
 )
 from .mathutils import dirichlet_log_density
 
@@ -98,9 +107,21 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
-# Items per block of seeds and draws, the unit of work of a worker
-# process; the seeding scratch is O(block * K).
+# Items per block of seeds, draws and formatted rows, the unit of work of
+# a worker process; the seeding scratch is O(block * K).
 _BLOCK_ITEMS = 1024
+
+# A confusion row whose shapes form at most this many runs of equal
+# consecutive values is drawn with one scalar-shape standard_gamma call
+# per run, any other row with one call on the whole row.  Both draw each
+# entry with numpy's random_standard_gamma, in order, from the same
+# stream, so the draws are the same; the scalar call skips the array
+# call's broadcast set-up and shape checks.  Timed on a 2-vCPU Xeon VM
+# (numpy 2.4.6), a row of r runs cost about 0.5 + 1.6 r us by runs
+# against 12 us in one call at J = 10, and 7 + 1.6 r us against 18 us
+# at J = 100: the two meet at 7 runs at both widths.  A diagonal row
+# (one diagonal, one off-diagonal value) has 2 or 3 runs.
+_MAX_RUNS = 6
 
 
 def _int_words(n):
@@ -169,34 +190,34 @@ def _pcg64_states(entropy):
     return states
 
 
-def sample(spec: GenerativeSpec, workers=1):
-    """Draw a dataset from the generative model.
+def _draw_plans(pi_rows):
+    """Per confusion row (a row of the (K * J, J) ``pi_rows``), the
+    ``(lo, hi, shape)`` calls that draw it: one per run of equal
+    consecutive shapes, ``shape`` a float, or with more than
+    ``_MAX_RUNS`` runs one call, ``(0, J, row)``."""
+    j = pi_rows.shape[1]
+    starts = pi_rows[:, 1:] != pi_rows[:, :-1]
+    plans = []
+    for row, step in zip(pi_rows, starts):
+        edges = [0, *(np.flatnonzero(step) + 1).tolist(), j]
+        plans.append([(lo, hi, float(row[lo])) for lo, hi in zip(edges, edges[1:])]
+                     if len(edges) - 1 <= _MAX_RUNS else [(0, j, row)])
+    return plans
 
-    Per item: the latent class comes from the true prior (inverse-CDF on
-    one uniform); per member, a probability vector is drawn from the
-    Dirichlet whose parameters are that member's confusion row for the
-    latent class, via normalized independent Gamma draws (numpy's
-    Marsaglia-Tsang sampler with the shape < 1 boost, valid for all
-    positive shapes).  A vector whose Gamma draws all underflow to 0 is
-    uniform; one whose draws sum past the float range raises
-    :class:`NumericError` naming the first such item and member.  Fully
-    determined by ``spec.seed``.
 
-    Each draw site has its own PCG64 stream, bitwise the stream of
-    ``Generator(PCG64(SeedSequence(key)))`` with key ``(seed, 0, item)``
-    for the latent label and ``(seed, 1, item, member)`` for that member's
-    probability vector, so adding members or items never perturbs earlier
-    draws.  The streams are seeded a block of items at a time and drawn
-    from one reused generator.  With ``workers > 1`` the blocks are drawn
-    on up to that many forked worker processes (see
-    :func:`softds.data._fork_map`); since every site has its own stream,
-    the result is bitwise the same for any ``workers``.
-
-    Returns ``(PredictionSet, GroundTruth)``.
-    """
+def _blocks(spec, workers, keep=True, formatted=False):
+    """A generator to close: for each block of ``_BLOCK_ITEMS`` items, in
+    order, ``(labels, probs, texts)`` from its task, drawn on up to
+    ``workers`` forked worker processes (see
+    :func:`softds.data._fork_map`).  ``probs`` is the floored
+    ``(block, K, J)`` array if ``keep``, else ``None``; ``texts`` is
+    ``None``, or with ``formatted`` the list of the
+    :func:`softds.data._csv_rows` texts of the block's rows of
+    ``truth.csv``, then of each ``member_<k>.csv``."""
     n, k, j = spec.n_items, spec.n_members, spec.n_classes
     cdf = np.cumsum(spec.nu_true.nu)
-    pi = spec.pi_true.pi
+    pi_rows = spec.pi_true.pi.reshape(k * j, j)
+    plans = _draw_plans(pi_rows)
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0,
@@ -215,9 +236,7 @@ def sample(spec: GenerativeSpec, workers=1):
         return np.column_stack([np.tile(seed_words, (rows, 1)),
                                 *(np.broadcast_to(c, rows) for c in columns)])
 
-    def draw_block(start):
-        """The labels and the unnormalised Gamma draws, ``(block, K, J)``,
-        of the items from ``start`` on."""
+    def task(start):
         items = np.arange(start, min(start + _BLOCK_ITEMS, n), dtype=np.uint32)
         u = np.empty(items.size)
         for row, site in enumerate(_pcg64_states(keys(0, items))):
@@ -225,35 +244,127 @@ def sample(spec: GenerativeSpec, workers=1):
             u[row] = gen.random()
         labels = np.minimum(np.searchsorted(cdf, u, side="right"), j - 1)
         item_of, member = np.divmod(np.arange(items.size * k, dtype=np.uint32), k)
-        shapes = pi[member, labels[item_of]]
-        gammas = np.empty((items.size, k, j))
-        rows = gammas.reshape(-1, j)
-        for row, site in enumerate(_pcg64_states(keys(1, items[item_of], member))):
+        probs = np.empty((items.size, k, j))
+        sites = probs.reshape(-1, j)
+        pi_row_of = (member * j + labels[item_of]).tolist()
+        for out, site, pi_row in zip(sites, _pcg64_states(keys(1, items[item_of], member)),
+                                     pi_row_of):
             seed_site(site)
-            gen.standard_gamma(shapes[row], out=rows[row])
-        return labels, gammas
+            for lo, hi, shape in plans[pi_row]:
+                gen.standard_gamma(shape, out=out[lo:hi])
+        # a sum past the float range is reported below, not by numpy
+        with np.errstate(over="ignore"):
+            total = probs.sum(axis=2, keepdims=True)
+        if not np.all(np.isfinite(total)):
+            item, m = np.argwhere(~np.isfinite(total[..., 0]))[0]
+            raise NumericError(f"item {start + item} member {m}: Gamma draws sum past "
+                               f"the float range")
+        drawn = total > 0.0
+        np.divide(probs, total, out=probs, where=drawn)
+        probs[~drawn[..., 0]] = 1.0 / j
+        # every row now holds finite entries >= 0 summing to 1 up to rounding
+        _floor_and_renormalize_in_place(probs)
+        texts = None
+        if formatted:
+            ids = list(map(str, items.tolist()))
+            texts = ["".join(_csv_rows(ids, values))
+                     for values in [labels[:, None], *probs.transpose(1, 0, 2)]]
+        return labels, probs if keep else None, texts
 
+    return _fork_map(task, range(0, n, _BLOCK_ITEMS), workers)
+
+
+def sample(spec: GenerativeSpec, workers=1):
+    """Draw a dataset from the generative model.
+
+    Per item: the latent class comes from the true prior (inverse-CDF on
+    one uniform); per member, a probability vector is drawn from the
+    Dirichlet whose parameters are that member's confusion row for the
+    latent class, via normalized independent Gamma draws (numpy's
+    ``standard_gamma``: an exponential draw for shape 1, rejection from a
+    uniform and an exponential draw below 1, Marsaglia-Tsang above 1).
+    A vector whose Gamma draws all underflow to 0 is uniform; one whose
+    draws sum past the float range raises :class:`NumericError` naming
+    the first such item and member.  Fully determined by ``spec.seed``.
+
+    Each draw site has its own PCG64 stream, bitwise the stream of
+    ``Generator(PCG64(SeedSequence(key)))`` with key ``(seed, 0, item)``
+    for the latent label and ``(seed, 1, item, member)`` for that member's
+    probability vector, so adding members or items never perturbs earlier
+    draws.  The streams are seeded a block of items at a time and drawn
+    from one reused generator; a confusion row of at most ``_MAX_RUNS``
+    runs of equal shapes is drawn one call per run, any other row in one
+    call, the same draws either way.  With ``workers > 1`` the blocks
+    are drawn on up to that many forked worker processes; since every
+    site has its own stream, the result is bitwise the same for any
+    ``workers``.
+
+    Returns ``(PredictionSet, GroundTruth)``.
+    """
+    n, k, j = spec.n_items, spec.n_members, spec.n_classes
     labels = np.empty(n, dtype=np.int64)
     probs = np.empty((n, k, j))
-    starts = range(0, n, _BLOCK_ITEMS)
-    for start, (block_labels, gammas) in zip(starts, _fork_map(draw_block, starts, workers)):
-        labels[start:start + block_labels.size] = block_labels
-        probs[start:start + block_labels.size] = gammas
-    # a sum past the float range is reported below, not by numpy
-    with np.errstate(over="ignore"):
-        total = probs.sum(axis=2, keepdims=True)
-    if not np.all(np.isfinite(total)):
-        item, member = np.argwhere(~np.isfinite(total[..., 0]))[0]
-        raise NumericError(f"item {item} member {member}: Gamma draws sum past "
-                           f"the float range")
-    drawn = total > 0.0
-    np.divide(probs, total, out=probs, where=drawn)
-    probs[~drawn[..., 0]] = 1.0 / j
-    # every row now holds finite entries >= 0 summing to 1 up to rounding
-    _floor_and_renormalize_in_place(probs)
+    stop = 0
+    with contextlib.closing(_blocks(spec, workers)) as blocks:
+        for block_labels, block_probs, _ in blocks:
+            start, stop = stop, stop + block_labels.size
+            labels[start:stop] = block_labels
+            probs[start:stop] = block_probs
     item_ids = [str(i) for i in range(n)]
     preds = PredictionSet._take(probs, item_ids)
     return preds, GroundTruth(labels, list(item_ids), n_classes=j)
+
+
+def _save_sample(spec: GenerativeSpec, out_dir, workers=1, bayes=False):
+    """Write the dataset of ``sample(spec)`` to ``out_dir`` as
+    :func:`softds.data.save_ground_truth` and
+    :func:`softds.data.save_predictions` write it: ``truth.csv``,
+    ``member_<k>.csv`` and ``manifest.json`` (labels ``truth.csv``), and
+    with ``bayes`` the :func:`bayes_posterior` in
+    ``bayes_posterior.csv``.  Returns the manifest path.
+
+    The directory and the truth and member files are created before the
+    first draw.  Each block's task formats its rows of every file, on a
+    worker with ``workers > 1``; the texts are written in block order,
+    so every file holds the same bytes for any ``workers``.  Only with
+    ``bayes`` is the (N, K, J) array gathered here.  An error while the
+    truth and member files are written removes those of them created so
+    far.
+    """
+    n, k, j = spec.n_items, spec.n_members, spec.n_classes
+    truth_name = "truth.csv"
+    tables = [(truth_name, _TRUTH_HEADER)] + [(name, _prob_header(j))
+                                              for name in _member_files(k)]
+    os.makedirs(out_dir, exist_ok=True)
+    probs = np.empty((n, k, j)) if bayes else None
+    stop = 0
+    created = []
+    try:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for name, header in tables:
+                files.append(stack.enter_context(_open_table(os.path.join(out_dir, name),
+                                                             header)))
+                created.append(files[-1].name)
+            blocks = stack.enter_context(contextlib.closing(
+                _blocks(spec, workers, keep=bayes, formatted=True)))
+            for block_labels, block_probs, texts in blocks:
+                for fh, text in zip(files, texts):
+                    fh.write(text)
+                start, stop = stop, stop + block_labels.size
+                if bayes:
+                    probs[start:stop] = block_probs
+    except BaseException:
+        # no partial dataset is left behind
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    manifest_path = _save_manifest(out_dir, j, k, truth_name)
+    if bayes:
+        preds = PredictionSet._take(probs, [str(i) for i in range(n)])
+        save_posterior(bayes_posterior(spec, preds), os.path.join(out_dir, "bayes_posterior.csv"))
+    return manifest_path
 
 
 def bayes_posterior(spec: GenerativeSpec, preds: PredictionSet) -> PosteriorMatrix:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import softds as s
+from softds import synth
 from softds.cli import main
 from util import diagonal_spec
 
@@ -96,6 +97,24 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "numeric error: item 0 member 0: Gamma draws sum past the float range\n")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_draw_leaves_no_data_files(self, tmp_path, monkeypatch, capsys, threads):
+        # one item a block; at seed 2 items 0 and 1 are of class 0 and item
+        # 2 of class 1, whose Gamma draws sum past the float range, so two
+        # blocks are written before the failure
+        monkeypatch.setattr(synth, "_BLOCK_ITEMS", 1)
+        monkeypatch.setenv("SOFTDS_THREADS", threads)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "n_items": 20, "n_members": 2, "n_classes": 2, "nu_true": [0.5, 0.5],
+            "pi_true": [[[2.0, 2.0], [1e308, 1e308]]] * 2, "seed": 2}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--spec", str(spec_path), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: item 2 member 0: Gamma draws sum past the float range\n")
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
     def test_seed_flag_is_a_usage_error(self, tmp_path):
         # the spec file carries the seed; there is no override
         spec_path = tmp_path / "spec.json"
@@ -110,16 +129,31 @@ class TestSimulate:
         # 2100 items make three sampler blocks
         spec_path = tmp_path / "spec.json"
         diagonal_spec(3.0, 0.4, seed=82, n_items=2100, n_classes=3).to_json(spec_path)
-        trees = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SOFTDS_THREADS", threads)
-            out = tmp_path / threads
-            assert main(["simulate", "--spec", str(spec_path),
-                         "--out-dir", str(out), "--bayes"]) == 0
-            assert multiprocessing.active_children() == []
-            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert len(trees[0]) == 6
-        assert trees[0] == trees[1]
+        for bayes in ([], ["--bayes"]):
+            trees = []
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("SOFTDS_THREADS", threads)
+                out = tmp_path / f"{threads}{len(bayes)}"
+                assert main(["simulate", "--spec", str(spec_path),
+                             "--out-dir", str(out), *bayes]) == 0
+                assert multiprocessing.active_children() == []
+                trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert len(trees[0]) == 5 + len(bayes)
+            assert trees[0] == trees[1] == trees[2]
+
+    def test_out_dir_below_a_file_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys):
+        spec_path = tmp_path / "spec.json"
+        diagonal_spec(3.0, 0.4, seed=84, n_items=30, n_classes=3).to_json(spec_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def no_draw(*_):
+            raise AssertionError("drawn before the output files were created")
+
+        monkeypatch.setattr(synth, "_pcg64_states", no_draw)
+        out = blocker / "out"
+        assert main(["simulate", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"i/o error: [Errno 20] Not a directory: '{out}'\n"
 
     def test_io_error_on_a_worker_exits_2(self, tmp_path, monkeypatch, capsys):
         spec_path = tmp_path / "spec.json"

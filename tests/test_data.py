@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softds as s
+from softds import synth
 from softds.data import (FormatError, _fork_map, _parse_prob_file, _write_prob_file,
                          floor_and_renormalize)
-from util import reference_parse_prob_file, reference_write_prob_file
+from util import diagonal_spec, reference_parse_prob_file, reference_write_prob_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -626,7 +627,7 @@ class TestWorkers:
     that use it write the same bytes for any worker count."""
 
     def test_in_order_on_forked_workers(self):
-        got = _fork_map(lambda i: (i * i, os.getpid()), range(7), 2)
+        got = list(_fork_map(lambda i: (i * i, os.getpid()), range(7), 2))
         assert [value for value, _ in got] == [i * i for i in range(7)]
         pids = {pid for _, pid in got}
         assert os.getpid() not in pids and 1 <= len(pids) <= 2
@@ -654,7 +655,7 @@ class TestWorkers:
             return i
 
         with pytest.raises(IsADirectoryError) as got:
-            _fork_map(func, range(4), 2)
+            list(_fork_map(func, range(4), 2))
         assert str(got.value) == "[Errno 21] Is a directory: 'f2'"
         assert multiprocessing.active_children() == []
 
@@ -666,7 +667,7 @@ class TestWorkers:
             "from concurrent.futures.process import BrokenProcessPool\n"
             "from softds.data import _fork_map\n"
             "try:\n"
-            "    _fork_map(lambda i: os._exit(1) if i == 1 else i, range(4), 2)\n"
+            "    list(_fork_map(lambda i: os._exit(1) if i == 1 else i, range(4), 2))\n"
             "except BrokenProcessPool:\n"
             "    print('broken', multiprocessing.active_children())\n")
         env = dict(os.environ)
@@ -676,18 +677,34 @@ class TestWorkers:
                               text=True, env=env, timeout=60)
         assert (done.returncode, done.stdout) == (0, "broken []\n"), done.stderr
 
-    def test_save_predictions_same_bytes(self, tmp_path):
-        rng = np.random.default_rng(5)
-        preds = s.PredictionSet.from_probs(rng.dirichlet(np.ones(4), size=(50, 3)),
-                                           [f"i,{i}" for i in range(50)])
-        trees = []
+    def test_save_predictions_same_bytes(self, tmp_path, monkeypatch):
+        # simulate formats each block's rows of every file on its worker;
+        # its files hold the bytes of save_ground_truth, save_predictions
+        # and save_posterior for any worker count
+        monkeypatch.setattr(synth, "_BLOCK_ITEMS", 7)
+        spec = diagonal_spec(3.0, 0.4, seed=5, n_items=50, n_classes=4)
+        preds, truth = s.sample(spec)
+        want = tmp_path / "want"
+        s.save_predictions(preds, want, labels_filename="truth.csv")
+        s.save_ground_truth(truth, want / "truth.csv")
+        s.save_posterior(s.bayes_posterior(spec, preds), want / "bayes_posterior.csv")
+        want = {p.name: p.read_bytes() for p in want.iterdir()}
+        assert sorted(want) == ["bayes_posterior.csv", "manifest.json", "member_0.csv",
+                                "member_1.csv", "member_2.csv", "truth.csv"]
         for workers in (1, 2, 3):
-            out = tmp_path / str(workers)
-            s.save_predictions(preds, out, labels_filename="truth.csv", workers=workers)
-            assert multiprocessing.active_children() == []
-            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert sorted(trees[0]) == ["manifest.json"] + [f"member_{k}.csv" for k in range(3)]
-        assert trees[0] == trees[1] == trees[2]
+            for bayes in (False, True):
+                out = tmp_path / f"{workers}_{bayes}"
+                synth._save_sample(spec, out, workers, bayes=bayes)
+                assert multiprocessing.active_children() == []
+                assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+                    name: text for name, text in want.items()
+                    if bayes or name != "bayes_posterior.csv"}
+
+    def test_closed_generator_leaves_no_worker(self):
+        results = _fork_map(lambda i: i * i, range(20), 2)
+        assert next(results) == 0
+        results.close()
+        assert multiprocessing.active_children() == []
 
 
 class TestContainers:

@@ -28,7 +28,30 @@ def _underflow_spec(seed, n_items):
     return make_spec(np.full((2, 2, 2), 1e-3), [0.5, 0.5], seed, n_items)
 
 
-# Specs drawn both by the sampler and by the per-site reference
+def _runs_row(n_runs, n_classes):
+    """A confusion row of ``n_runs`` runs of equal consecutive shapes."""
+    lengths = np.diff(np.linspace(0, n_classes, n_runs + 1).astype(int))
+    return np.repeat(0.5 + np.arange(n_runs) % 3, lengths)
+
+
+def _runs_spec(n_runs, seed):
+    # every row of both members has n_runs runs, shifted so that they differ
+    rows = np.stack([_runs_row(n_runs, 10) + 0.1 * c for c in range(10)])
+    return make_spec(np.stack([rows, rows[:, ::-1]]), np.full(10, 0.1), seed, 40)
+
+
+# Rows mixing shapes below 1, exactly 1 (an exponential draw) and above 1
+_MIXED_ROWS = np.array([
+    [0.3, 1.0, 2.5, 1.0, 0.3, 0.3],
+    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+    [0.7, 0.7, 0.7, 4.0, 4.0, 4.0],
+    [5.0, 0.2, 1.0, 1.0, 0.2, 5.0],
+    [1.0, 0.5, 1.0, 0.5, 1.0, 0.5],
+    [0.9, 1.0, 1.1, 1.0, 0.9, 1.0],
+])
+
+# Specs drawn both by the sampler and by the per-site reference; rows of
+# at most synth._MAX_RUNS runs are drawn run by run, the others in one call
 SITE_SPECS = {
     "seed_0": diagonal_spec(3.0, 0.4, seed=0, n_items=40, n_classes=4),
     "seed_2_words": diagonal_spec(3.0, 0.4, seed=2**40 + 3, n_items=40, n_classes=4),
@@ -39,6 +62,14 @@ SITE_SPECS = {
     # 1024-item blocks, the last one partial
     "partial_block": diagonal_spec(1.5, 0.4, seed=75, n_items=2 * 4096 + 3,
                                    n_members=1, n_classes=2),
+    "distinct_shapes": make_spec(np.random.default_rng(78).uniform(0.2, 3.0, (2, 8, 8)),
+                                 np.full(8, 0.125), 78, 40),
+    "mixed_shapes": make_spec(np.stack([_MIXED_ROWS, _MIXED_ROWS[:, ::-1]]),
+                              np.full(6, 1.0 / 6), 79, 60),
+    "j100_diagonal": diagonal_spec(3.0, 0.4, seed=80, n_items=12, n_members=2,
+                                   n_classes=100),
+    "runs_at_limit": _runs_spec(synth._MAX_RUNS, 81),
+    "runs_past_limit": _runs_spec(synth._MAX_RUNS + 1, 82),
 }
 
 
@@ -64,6 +95,31 @@ class TestSample:
         assert np.array_equal(truth.labels, ref_truth.labels)
         assert preds.item_ids == ref_preds.item_ids
         assert multiprocessing.active_children() == []
+
+    def test_draw_plans_follow_the_runs(self):
+        limit = synth._MAX_RUNS
+        rows = np.stack([_runs_row(limit, 10), _runs_row(limit + 1, 10),
+                         np.full(10, 2.0), np.arange(1.0, 11.0)])
+        at_limit, past_limit, constant, distinct = synth._draw_plans(rows)
+        assert len(at_limit) == limit
+        assert [lo for lo, _, _ in at_limit] == [0] + [hi for _, hi, _ in at_limit[:-1]]
+        for lo, hi, shape in at_limit:
+            assert type(shape) is float and np.all(rows[0, lo:hi] == shape)
+        for plan, row in [(past_limit, rows[1]), (distinct, rows[3])]:
+            ((lo, hi, shape),) = plan
+            assert (lo, hi) == (0, 10) and np.array_equal(shape, row)
+        assert constant == [(0, 10, 2.0)]
+        def plans(name):
+            spec = SITE_SPECS[name]
+            return synth._draw_plans(spec.pi_true.pi.reshape(-1, spec.n_classes))
+
+        def calls(name):
+            return [len(plan) if type(plan[0][2]) is float else None for plan in plans(name)]
+
+        assert calls("runs_at_limit") == [limit] * 20
+        assert calls("runs_past_limit") == [None] * 20
+        assert calls("distinct_shapes") == [None] * 16
+        assert set(calls("j100_diagonal")) == {2, 3}
 
     def test_underflowing_vectors_are_uniform(self):
         preds, _ = s.sample(_underflow_spec(74, 200))
