@@ -2,6 +2,11 @@
 """Generate a synthetic ensemble, aggregate it with every method, and
 print a metric comparison plus a confusion-recovery summary.
 
+Then split the same dataset at --learn-fraction: fit a model on the
+first items and freeze it, and score the held-out rest three ways,
+timed: the ensemble average, one online E-step per row under the frozen
+model, and a fresh fit on the held-out items alone.
+
 Example:
     python scripts/run_synthetic_experiment.py --n-items 2000 --diag 0.8 \
         --off 0.25 --seed 23
@@ -10,6 +15,7 @@ Example:
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -18,6 +24,8 @@ from softds.cli import _resolve_threads
 
 
 def parse_args():
+    """The parsed options and the number of items the frozen model is
+    fitted on."""
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--n-items", type=int, default=2000)
@@ -31,9 +39,19 @@ def parse_args():
     p.add_argument("--seed", type=int, default=23)
     p.add_argument("--em-iterations", type=int, default=100)
     p.add_argument("--ece-bins", type=int, default=s.metrics.ECE_BINS)
+    p.add_argument("--learn-fraction", type=float, default=0.2,
+                   help="share of items the frozen model is fitted on; the "
+                        "rest are held out")
     p.add_argument("--out-dir", default=None,
                    help="also dump dataset, posteriors, model, and trace")
-    return p.parse_args()
+    args = p.parse_args()
+    # the range is checked first, so that the product is finite
+    n_learn = (int(args.n_items * args.learn_fraction)
+               if 0 < args.learn_fraction < 1 else 0)
+    if not 0 < n_learn < args.n_items:
+        p.error(f"--learn-fraction {args.learn_fraction} must lie in (0, 1) and "
+                f"split the {args.n_items} items into two non-empty parts")
+    return args, n_learn
 
 
 def build_spec(args):
@@ -55,8 +73,26 @@ def tv_per_row(fitted, true):
     return 0.5 * np.abs(a - b).sum(axis=-1)
 
 
+def timed(func, *args):
+    start = time.perf_counter()
+    out = func(*args)
+    return out, time.perf_counter() - start
+
+
+def print_table(posteriors, labels, n_bins, seconds=None):
+    """One line of accuracy, ECE, Brier and NLL per named posterior, and
+    with ``seconds`` the time each took."""
+    width = max(8, *map(len, posteriors))
+    print(f"{'method':{width}s} {'accuracy':>9s} {'ece':>9s} {'brier':>9s} {'nll':>9s}"
+          + (f" {'seconds':>8s}" if seconds else ""))
+    for name, post in posteriors.items():
+        r = s.evaluate_posterior(post, labels, n_bins=n_bins)
+        print(f"{name:{width}s} {r.accuracy:9.4f} {r.ece:9.4f} {r.brier:9.4f} {r.nll:9.4f}"
+              + (f" {seconds[name]:8.2f}" if seconds else ""))
+
+
 def main():
-    args = parse_args()
+    args, n_learn = parse_args()
     spec = build_spec(args)
     # SOFTDS_THREADS, else every core, as the command line resolves it
     workers = _resolve_threads(None)
@@ -74,12 +110,7 @@ def main():
         "sds": sds_post,
         "bayes*": s.bayes_posterior(spec, preds),
     }
-
-    print(f"{'method':8s} {'accuracy':>9s} {'ece':>9s} {'brier':>9s} {'nll':>9s}")
-    for name, post in posteriors.items():
-        report = s.evaluate_posterior(post, truth, n_bins=args.ece_bins)
-        print(f"{name:8s} {report.accuracy:9.4f} {report.ece:9.4f} "
-              f"{report.brier:9.4f} {report.nll:9.4f}")
+    print_table(posteriors, truth.labels, args.ece_bins)
     print("(* exact posterior under the true parameters: an upper bound)")
 
     tv = tv_per_row(model.pi.pi, spec.pi_true.pi)
@@ -88,6 +119,19 @@ def main():
     print(f"fit trace: {len(trace)} iterations, "
           f"q {trace.q[0]:.4g} -> {trace.q[-1]:.4g}, "
           f"{trace.millis.sum() / 1e3:.2f}s total")
+
+    learn = s.PredictionSet(preds.probs[:n_learn], preds.item_ids[:n_learn])
+    rest = s.PredictionSet(preds.probs[n_learn:], preds.item_ids[n_learn:])
+    (frozen, _, _), learn_s = timed(s.fit, learn, config)
+    print(f"\nheld out: model fitted on the first {n_learn} items in {learn_s:.2f}s "
+          f"and frozen; the other {rest.n_items} scored")
+    held_out, seconds = {}, {}
+    held_out["ea"], seconds["ea"] = timed(s.ensemble_average, rest)
+    held_out["online"], seconds["online"] = timed(lambda: s.PosteriorMatrix(
+        np.stack([s.online_infer(row, frozen) for row in rest.probs]),
+        list(rest.item_ids)))
+    (_, held_out["offline refit"], _), seconds["offline refit"] = timed(s.fit, rest, config)
+    print_table(held_out, truth.labels[n_learn:], args.ece_bins, seconds)
 
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)

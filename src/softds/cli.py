@@ -30,6 +30,7 @@ from .data import (
     _json_text,
     _load_probs,
     _parse_record,
+    _prob_header,
     _records,
     _save_json,
     _write_table,
@@ -213,7 +214,8 @@ def _cmd_online(args):
                     bad_header = True
                 continue
             if not wrote_header:
-                fout.write(_csv_line("item_id", [f"p_{c}" for c in range(j)]))
+                header = _prob_header(j)
+                fout.write(_csv_line(header[0], header[1:]))
                 fout.flush()
                 wrote_header = True
             try:
@@ -308,9 +310,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        _log(f"error: {exc}")
-        return 1
     except NumericError as exc:
         _log(f"numeric error: {exc}")
         return 3

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import _ds_m_step
 from .data import (
     PROB_FLOOR,
     GroundTruth,
@@ -192,23 +193,17 @@ def true_confusion(preds_or_post, truth) -> np.ndarray:
     if labels.min() < 0 or labels.max() >= j:
         raise ValueError("truth label outside [0, J)")
 
-    k = votes.shape[1]
-    out = np.empty((k, j, j))
-    empty = []
-    for m in range(k):
-        counts = np.zeros((j, j))
-        np.add.at(counts, (labels, votes[:, m]), 1.0)
-        row_tot = counts.sum(axis=1, keepdims=True)
-        missing = row_tot[:, 0] == 0
-        if np.any(missing):
-            empty.extend((m, int(cls)) for cls in np.flatnonzero(missing))
-        out[m] = np.where(row_tot > 0, counts / np.maximum(row_tot, 1.0), 1.0 / j)
-    if empty:
+    # exact integer counts, so the DS M-step's normalization is the
+    # plain ratio
+    conf, _ = _ds_m_step(votes, np.eye(j)[labels], 0.0)
+    missing = np.flatnonzero(np.bincount(labels, minlength=j) == 0).tolist()
+    if missing:
+        empty = [(m, cls) for m in range(votes.shape[1]) for cls in missing]
         warnings.warn(
             f"true classes never observed, rows set to uniform: {empty}",
             stacklevel=2,
         )
-    return out
+    return conf
 
 
 def evaluate_posterior(post, truth, n_bins=ECE_BINS) -> MetricReport:

@@ -32,7 +32,6 @@ from .data import (
     _prob_header,
     _save_json,
     _save_manifest,
-    save_posterior,
 )
 from .mathutils import dirichlet_log_density
 
@@ -205,15 +204,12 @@ def _draw_plans(pi_rows):
     return plans
 
 
-def _blocks(spec, workers, keep=True, formatted=False):
+def _blocks(spec, workers, finish=lambda ids, labels, probs: (labels, probs)):
     """A generator to close: for each block of ``_BLOCK_ITEMS`` items, in
-    order, ``(labels, probs, texts)`` from its task, drawn on up to
-    ``workers`` forked worker processes (see
-    :func:`softds.data._fork_map`).  ``probs`` is the floored
-    ``(block, K, J)`` array if ``keep``, else ``None``; ``texts`` is
-    ``None``, or with ``formatted`` the list of the
-    :func:`softds.data._csv_rows` texts of the block's rows of
-    ``truth.csv``, then of each ``member_<k>.csv``."""
+    order, ``finish(ids, labels, probs)`` of the block's str item ids, its
+    labels and its floored ``(block, K, J)`` probabilities, called in the
+    block's task, on up to ``workers`` forked worker processes (see
+    :func:`softds.data._fork_map`), whose results alone are pickled."""
     n, k, j = spec.n_items, spec.n_members, spec.n_classes
     cdf = np.cumsum(spec.nu_true.nu)
     pi_rows = spec.pi_true.pi.reshape(k * j, j)
@@ -264,12 +260,7 @@ def _blocks(spec, workers, keep=True, formatted=False):
         probs[~drawn[..., 0]] = 1.0 / j
         # every row now holds finite entries >= 0 summing to 1 up to rounding
         _floor_and_renormalize_in_place(probs)
-        texts = None
-        if formatted:
-            ids = list(map(str, items.tolist()))
-            texts = ["".join(_csv_rows(ids, values))
-                     for values in [labels[:, None], *probs.transpose(1, 0, 2)]]
-        return labels, probs if keep else None, texts
+        return finish(list(map(str, items.tolist())), labels, probs)
 
     return _fork_map(task, range(0, n, _BLOCK_ITEMS), workers)
 
@@ -306,7 +297,7 @@ def sample(spec: GenerativeSpec, workers=1):
     probs = np.empty((n, k, j))
     stop = 0
     with contextlib.closing(_blocks(spec, workers)) as blocks:
-        for block_labels, block_probs, _ in blocks:
+        for block_labels, block_probs in blocks:
             start, stop = stop, stop + block_labels.size
             labels[start:stop] = block_labels
             probs[start:stop] = block_probs
@@ -321,23 +312,31 @@ def _save_sample(spec: GenerativeSpec, out_dir, workers=1, bayes=False):
     :func:`softds.data.save_predictions` write it: ``truth.csv``,
     ``member_<k>.csv`` and ``manifest.json`` (labels ``truth.csv``), and
     with ``bayes`` the :func:`bayes_posterior` in
-    ``bayes_posterior.csv``.  Returns the manifest path.
+    ``bayes_posterior.csv``, as :func:`softds.data.save_posterior` writes
+    it.  Returns the manifest path.
 
-    The directory and the truth and member files are created before the
-    first draw.  Each block's task formats its rows of every file, on a
-    worker with ``workers > 1``; the texts are written in block order,
-    so every file holds the same bytes for any ``workers``.  Only with
-    ``bayes`` is the (N, K, J) array gathered here.  An error while the
-    truth and member files are written removes those of them created so
-    far.
+    Every file is created before the first draw.  Each block's task
+    formats its rows of every file, the oracle's rows included, on a
+    worker with ``workers > 1``, and returns the texts alone; they are
+    written in block order, so every file holds the same bytes for any
+    ``workers``.  An error before the manifest is written removes the
+    files created so far.
     """
-    n, k, j = spec.n_items, spec.n_members, spec.n_classes
+    k, j = spec.n_members, spec.n_classes
     truth_name = "truth.csv"
     tables = [(truth_name, _TRUTH_HEADER)] + [(name, _prob_header(j))
                                               for name in _member_files(k)]
+    if bayes:
+        tables.append(("bayes_posterior.csv", _prob_header(j)))
+
+    def texts(ids, labels, probs):
+        values = [labels[:, None], *probs.transpose(1, 0, 2)]
+        if bayes:
+            # each oracle row depends on its item alone
+            values.append(bayes_posterior(spec, PredictionSet._take(probs, ids)).rows)
+        return ["".join(_csv_rows(ids, rows)) for rows in values]
+
     os.makedirs(out_dir, exist_ok=True)
-    probs = np.empty((n, k, j)) if bayes else None
-    stop = 0
     created = []
     try:
         with contextlib.ExitStack() as stack:
@@ -346,25 +345,17 @@ def _save_sample(spec: GenerativeSpec, out_dir, workers=1, bayes=False):
                 files.append(stack.enter_context(_open_table(os.path.join(out_dir, name),
                                                              header)))
                 created.append(files[-1].name)
-            blocks = stack.enter_context(contextlib.closing(
-                _blocks(spec, workers, keep=bayes, formatted=True)))
-            for block_labels, block_probs, texts in blocks:
-                for fh, text in zip(files, texts):
+            blocks = stack.enter_context(contextlib.closing(_blocks(spec, workers, texts)))
+            for block in blocks:
+                for fh, text in zip(files, block):
                     fh.write(text)
-                start, stop = stop, stop + block_labels.size
-                if bayes:
-                    probs[start:stop] = block_probs
     except BaseException:
         # no partial dataset is left behind
         for path in created:
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise
-    manifest_path = _save_manifest(out_dir, j, k, truth_name)
-    if bayes:
-        preds = PredictionSet._take(probs, [str(i) for i in range(n)])
-        save_posterior(bayes_posterior(spec, preds), os.path.join(out_dir, "bayes_posterior.csv"))
-    return manifest_path
+    return _save_manifest(out_dir, j, k, truth_name)
 
 
 def bayes_posterior(spec: GenerativeSpec, preds: PredictionSet) -> PosteriorMatrix:

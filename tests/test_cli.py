@@ -115,6 +115,29 @@ class TestSimulate:
         assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_failed_oracle_leaves_no_file(self, tmp_path, monkeypatch, capsys, threads):
+        # one item a block; the oracle fails on item 2, after two blocks
+        # of every file are written
+        monkeypatch.setattr(synth, "_BLOCK_ITEMS", 1)
+        monkeypatch.setenv("SOFTDS_THREADS", threads)
+        oracle = synth.bayes_posterior
+
+        def failing(spec, preds):
+            if preds.item_ids == ["2"]:
+                raise s.NumericError("oracle failed")
+            return oracle(spec, preds)
+
+        monkeypatch.setattr(synth, "bayes_posterior", failing)
+        spec_path = tmp_path / "spec.json"
+        diagonal_spec(3.0, 0.4, seed=83, n_items=6, n_classes=3).to_json(spec_path)
+        out = tmp_path / "x"
+        assert main(["simulate", "--spec", str(spec_path), "--out-dir", str(out),
+                     "--bayes"]) == 3
+        assert capsys.readouterr().err == "numeric error: oracle failed\n"
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
     def test_seed_flag_is_a_usage_error(self, tmp_path):
         # the spec file carries the seed; there is no override
         spec_path = tmp_path / "spec.json"
@@ -126,9 +149,13 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
     def test_same_files_at_any_worker_count(self, tmp_path, monkeypatch):
-        # 2100 items make three sampler blocks
+        # 2100 items make three sampler blocks; each block's task formats
+        # its oracle rows, which match the oracle over the whole set
+        spec = diagonal_spec(3.0, 0.4, seed=82, n_items=2100, n_classes=3)
         spec_path = tmp_path / "spec.json"
-        diagonal_spec(3.0, 0.4, seed=82, n_items=2100, n_classes=3).to_json(spec_path)
+        spec.to_json(spec_path)
+        oracle = tmp_path / "oracle.csv"
+        s.save_posterior(s.bayes_posterior(spec, s.sample(spec)[0]), oracle)
         for bayes in ([], ["--bayes"]):
             trees = []
             for threads in ("1", "2", "3"):
@@ -140,6 +167,7 @@ class TestSimulate:
                 trees.append({p.name: p.read_bytes() for p in out.iterdir()})
             assert len(trees[0]) == 5 + len(bayes)
             assert trees[0] == trees[1] == trees[2]
+        assert trees[0]["bayes_posterior.csv"] == oracle.read_bytes()
 
     def test_out_dir_below_a_file_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys):
         spec_path = tmp_path / "spec.json"

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,12 +27,20 @@ def test_synthetic_experiment_writes_every_artifact(tmp_path):
     expected |= {f"member_{k}.csv" for k in range(3)}
     expected |= {f"posterior_{m}.csv" for m in ("mv", "ea", "ds", "sds", "bayes")}
     assert {p.name for p in out_dir.iterdir()} == expected
-    assert "sds" in done.stdout
-
-
-def test_online_experiment_reports_every_mode():
-    done = run_script("run_online_experiment.py", "--n-items", "60",
-                      "--em-iterations", "3")
-    assert done.returncode == 0, done.stderr
+    # the in-sample table, then the held-out one scored by the frozen model
+    in_sample, held_out = done.stdout.split("\nheld out: ")
+    for name in ("mv", "ea", "ds", "sds", "bayes*"):
+        assert f"\n{name} " in in_sample
+    assert "the first 12 items" in held_out
     for name in ("ea", "online", "offline refit"):
-        assert f"\n{name} " in done.stdout
+        assert f"\n{name} " in held_out
+
+
+@pytest.mark.parametrize("fraction", ["1.0", "-0.5", "0.01", "nan"])
+def test_synthetic_experiment_rejects_an_empty_split(fraction):
+    # 0.01 of 60 items fits on none of them
+    done = run_script("run_synthetic_experiment.py", "--n-items", "60",
+                      "--em-iterations", "3", "--learn-fraction", fraction)
+    assert done.returncode == 2
+    assert "error: --learn-fraction" in done.stderr
+    assert "Traceback" not in done.stderr
