@@ -18,19 +18,29 @@ def run_script(name, *args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def test_synthetic_experiment_writes_every_artifact(tmp_path):
-    out_dir = tmp_path / "out"
+@pytest.fixture(scope="module")
+def synthetic_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("synthetic") / "out"
     done = run_script("run_synthetic_experiment.py", "--n-items", "60",
                       "--em-iterations", "3", "--out-dir", str(out_dir))
     assert done.returncode == 0, done.stderr
+    # the in-sample table, then the held-out one scored by the frozen model
+    in_sample, held_out = done.stdout.split("\nheld out: ")
+    return out_dir, in_sample, held_out
+
+
+def test_synthetic_experiment_writes_every_artifact(synthetic_run):
+    out_dir, in_sample, _ = synthetic_run
     expected = {"truth.csv", "manifest.json", "model.json", "trace.csv"}
     expected |= {f"member_{k}.csv" for k in range(3)}
     expected |= {f"posterior_{m}.csv" for m in ("mv", "ea", "ds", "sds", "bayes")}
     assert {p.name for p in out_dir.iterdir()} == expected
-    # the in-sample table, then the held-out one scored by the frozen model
-    in_sample, held_out = done.stdout.split("\nheld out: ")
     for name in ("mv", "ea", "ds", "sds", "bayes*"):
         assert f"\n{name} " in in_sample
+
+
+def test_online_experiment_reports_every_mode(synthetic_run):
+    _, _, held_out = synthetic_run
     assert "the first 12 items" in held_out
     for name in ("ea", "online", "offline refit"):
         assert f"\n{name} " in held_out
