@@ -106,7 +106,7 @@ def main():
     posteriors = {
         "mv": s.majority_vote(preds),
         "ea": s.ensemble_average(preds),
-        "ds": s.ds_em(preds, args.em_iterations, config.ds_init_smoothing)[2],
+        "ds": s.ds_em(preds, args.em_iterations)[2],
         "sds": sds_post,
         "bayes*": s.bayes_posterior(spec, preds),
     }

@@ -15,7 +15,6 @@ from .data import (
     PosteriorMatrix,
     PredictionSet,
     SdsConfig,
-    floor_and_renormalize,
     harden,
     load_ground_truth,
     load_posterior,
@@ -85,7 +84,6 @@ __all__ = [
     "evaluate_posterior",
     "explain",
     "fit",
-    "floor_and_renormalize",
     "harden",
     "load_ground_truth",
     "load_model",

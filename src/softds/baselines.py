@@ -14,6 +14,10 @@ from .mathutils import sorted_sum
 
 __all__ = ["majority_vote", "ensemble_average", "ds_em"]
 
+# Additive smoothing of the Dawid-Skene counts: ds_em's default, and the
+# soft-label fit's start, which is ds_em's first M-step.
+_DS_SMOOTHING = 0.01
+
 
 def _label_frequencies(hard, n_classes):
     """(N, J) share of the members whose hard label is each class, from
@@ -99,7 +103,7 @@ def _rows_from_log(w):
     return out
 
 
-def ds_em(preds: PredictionSet, n_iterations: int, smoothing: float = 0.01):
+def ds_em(preds: PredictionSet, n_iterations: int, smoothing: float = _DS_SMOOTHING):
     """Classic Dawid-Skene EM on the hardened predictions.
 
     Item posteriors start from per-item label frequencies (a soft

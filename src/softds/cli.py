@@ -23,8 +23,8 @@ import numpy as np
 
 from .baselines import ds_em, ensemble_average, majority_vote
 from .data import (
-    ConfusionTensor,
     FormatError,
+    PredictionSet,
     SdsConfig,
     _csv_line,
     _json_text,
@@ -44,7 +44,6 @@ from .metrics import (ECE_BINS, auroc, evaluate_posterior, ood_score, reliabilit
                       true_confusion)
 from .sds import (
     NumericError,
-    SdsModel,
     _fit,
     explain,
     load_model,
@@ -89,34 +88,28 @@ def _write_report(report, out):
 
 
 def _cmd_aggregate(args):
+    if args.method != "sds" and (args.model_out or args.trace_out):
+        raise FormatError("--model-out and --trace-out apply to --method sds only")
     threads = _resolve_threads(args.threads)
     config = SdsConfig.from_json(args.config) if args.config else SdsConfig()
     start = time.perf_counter()
+    probs, item_ids = _load_probs(args.manifest)
+    loaded = time.perf_counter()
+    _log(f"loaded {probs.shape[0]} items x {probs.shape[1]} members x "
+         f"{probs.shape[2]} classes in {loaded - start:.3f} s")
+
     if args.method == "sds":
         # the fit writes log c over the array, which it alone holds
-        probs, item_ids = _load_probs(args.manifest)
-        shape = probs.shape
-    else:
-        preds = load_predictions(args.manifest)
-        shape = preds.probs.shape
-    loaded = time.perf_counter()
-    _log(f"loaded {shape[0]} items x {shape[1]} members x "
-         f"{shape[2]} classes in {loaded - start:.3f} s")
-
-    model = None
-    if args.method == "ea":
-        post = ensemble_average(preds)
-    elif args.method == "mv":
-        post = majority_vote(preds)
-    elif args.method == "ds":
-        confusion, prior, post = ds_em(preds, config.em_iterations,
-                                       config.ds_init_smoothing)
-        if args.model_out:
-            model = SdsModel(ConfusionTensor(np.maximum(confusion, config.pi_floor)),
-                             prior)
-    else:  # sds
         model, post, trace = _fit(probs, item_ids, config, threads)
-        del probs
+    else:
+        preds = PredictionSet._take(probs, item_ids)
+        if args.method == "ea":
+            post = ensemble_average(preds)
+        elif args.method == "mv":
+            post = majority_vote(preds)
+        else:  # ds
+            post = ds_em(preds, config.em_iterations)[2]
+    del probs
     fitted = time.perf_counter()
 
     if args.method == "sds":
@@ -126,8 +119,6 @@ def _cmd_aggregate(args):
         trace.save_csv(trace_path)
         _log(f"model -> {model_path}; trace -> {trace_path} "
              f"({len(trace)} iterations, final q={trace.q[-1]:.6g})")
-    elif model is not None:
-        save_model(model, args.model_out)
     save_posterior(post, args.out)
     _log(f"posterior -> {args.out} (fit {fitted - loaded:.3f} s, "
          f"write {time.perf_counter() - fitted:.3f} s)")
@@ -220,7 +211,8 @@ def _cmd_online(args):
                 wrote_header = True
             try:
                 posterior = online_infer(
-                    _parse_record(row, 1 + k * j, row_dtype)["p"][0], model)
+                    _parse_record(row, 1 + k * j, row_dtype,
+                                  "non-numeric probability")["p"][0], model)
             except ValueError as exc:
                 _log(f"line {line_no}: skipped ({exc})")
                 skipped += 1
@@ -258,8 +250,8 @@ def build_parser():
     agg.add_argument("--method", choices=["sds", "ea", "mv", "ds"], default="sds")
     agg.add_argument("--config", help="SdsConfig JSON (defaults apply otherwise)")
     agg.add_argument("--out", required=True, help="posterior CSV to write")
-    agg.add_argument("--model-out", help="model JSON (sds/ds; default derives "
-                                         "from --out for sds)")
+    agg.add_argument("--model-out", help="model JSON (sds; default derives "
+                                         "from --out)")
     agg.add_argument("--trace-out", help="fit trace CSV (sds; default derives "
                                          "from --out)")
     agg.add_argument("--threads", type=int, default=None,

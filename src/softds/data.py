@@ -57,7 +57,6 @@ __all__ = [
     "PROB_FLOOR",
     "NU_LOG_FLOOR",
     "ROW_SUM_TOL",
-    "floor_and_renormalize",
     "PredictionSet",
     "ConfusionTensor",
     "ClassPrior",
@@ -102,25 +101,18 @@ def _frozen(arr, dtype=np.float64):
     return out
 
 
-def floor_and_renormalize(probs):
-    """Clamp probabilities to >= ``PROB_FLOOR``, then renormalize any row
-    of the trailing axis whose sum drifted from 1.
+def _floor_and_renormalize_in_place(p):
+    """Clamp the float64 array ``p`` to >= ``PROB_FLOOR`` in place, then
+    renormalize any row of the trailing axis whose sum drifted from 1;
+    its scratch is two floats and a bool per row.
 
-    The output is a bitwise fixed point: every entry is >= the floor exactly
-    (division is followed by a re-clamp) and rows already summing to 1
-    within 5e-13 are returned unchanged.  Applying the function to its
+    The result is a bitwise fixed point: every entry is >= the floor
+    exactly (division is followed by a re-clamp) and rows already summing
+    to 1 within 5e-13 are left unchanged.  Applying the function to its
     own output therefore reproduces it bit for bit, which keeps batch
     loading, save/load round-trips, and per-item online processing in
     exact agreement.
     """
-    p = np.array(probs, dtype=np.float64)
-    _floor_and_renormalize_in_place(p)
-    return p
-
-
-def _floor_and_renormalize_in_place(p):
-    """:func:`floor_and_renormalize` written into the float64 array ``p``;
-    its scratch is two floats and a bool per row."""
     np.maximum(p, PROB_FLOOR, out=p)
     for _ in range(3):
         sums = p.sum(axis=-1, keepdims=True)
@@ -349,7 +341,8 @@ class SdsConfig:
     the alpha of the last pair whose start is <= the current iteration is
     in effect.  A constant damping factor is a one-entry schedule.
     ``q_rel_tolerance = 0`` disables early stopping (fixed iteration
-    count).
+    count).  The fit's start scale and smoothing and its confusion floor
+    are constants, not fields (see :func:`softds.sds.fit`).
     """
 
     alpha_schedule: list = field(default_factory=lambda: [(0, 1e-3)])
@@ -357,9 +350,6 @@ class SdsConfig:
     inner_steps: int = 5
     learning_rate: float = 1e-4
     weight_decay: float = 1e-4
-    pi_floor: float = 1e-6
-    ds_init_concentration: float = 10.0
-    ds_init_smoothing: float = 0.01
     q_rel_tolerance: float = 0.0
 
     def validate(self):
@@ -393,12 +383,6 @@ class SdsConfig:
             raise FormatError("em_iterations and inner_steps must be >= 1")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise FormatError("need learning_rate > 0 and weight_decay >= 0")
-        if self.pi_floor <= 0:
-            raise FormatError("pi_floor must be > 0")
-        if self.ds_init_concentration <= 0 or self.ds_init_smoothing < 0:
-            raise FormatError(
-                "need ds_init_concentration > 0 and ds_init_smoothing >= 0"
-            )
         if self.q_rel_tolerance < 0:
             raise FormatError("q_rel_tolerance must be >= 0")
         self.alpha_schedule = sched
@@ -541,18 +525,22 @@ def _records(fh):
         yield line, record
 
 
-def _parse_record(record, n_fields, dtype):
+def _parse_record(record, n_fields, dtype, what):
     """One record of :func:`_records` parsed under ``dtype`` as
     :func:`_read_table` parses a line of a table: written back as one CSV
     line and read by ``np.loadtxt``.  Returns a one-element array.  A
     rejected record or one without ``n_fields`` fields raises
-    :class:`FormatError`; a field that does not convert, ``ValueError``."""
+    :class:`FormatError`, and so does a field that does not convert, with
+    the message ``what``."""
     if isinstance(record, csv.Error):
         raise FormatError(str(record))
     if len(record) != n_fields:
         raise FormatError(
             f"expected {n_fields} columns, found {len(record)} (missing column?)")
-    return np.loadtxt([",".join(map(_csv_field, record))], dtype=dtype, **_LOADTXT)
+    try:
+        return np.loadtxt([",".join(map(_csv_field, record))], dtype=dtype, **_LOADTXT)
+    except ValueError:
+        raise FormatError(what) from None
 
 
 def _read_table(path, row_dtype, what):
@@ -598,11 +586,9 @@ def _read_table(path, row_dtype, what):
             try:
                 # a record of a table np.loadtxt read can fail only in csv
                 if table is None or isinstance(record, csv.Error):
-                    _parse_record(record, len(header), dtype)
+                    _parse_record(record, len(header), dtype, what)
             except FormatError as exc:
                 raise FormatError(f"{path}, line {line}: {exc}") from None
-            except ValueError:
-                raise FormatError(f"{path}, line {line}: {what}") from None
     if table is not None:
         # long lines, each of short fields
         return table

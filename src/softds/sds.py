@@ -34,7 +34,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .baselines import _average_rows, _ds_m_step, _label_frequencies
+from .baselines import _DS_SMOOTHING, _average_rows, _ds_m_step, _label_frequencies
 from .data import (
     NU_LOG_FLOOR,
     ClassPrior,
@@ -87,6 +87,11 @@ _CHUNK_TARGET = 1 << 16
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+
+# The confusion tensor starts at this multiple of the smoothed
+# Dawid-Skene confusion rows, and AdamW clamps its entries to the floor.
+_INIT_SCALE = 10.0
+_PI_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -289,7 +294,7 @@ def _grad_from_stats(s, mass, pi):
 def _adamw_pi(s, mass, pi, config, m, v, step):
     """``config.inner_steps`` AdamW steps (Loshchilov & Hutter 2019) on pi
     minimizing -Q with the analytic gradient, clamping entries to
-    ``config.pi_floor`` after every step.  ``step`` is the number of
+    ``_PI_FLOOR`` (1e-6) after every step.  ``step`` is the number of
     steps the moments ``m`` and ``v``, shaped like pi, have taken; they
     are updated in place.  Returns the new pi:
 
@@ -313,7 +318,7 @@ def _adamw_pi(s, mass, pi, config, m, v, step):
             m_hat = m / (1.0 - _ADAM_BETA1 ** t)
             v_hat = v / (1.0 - _ADAM_BETA2 ** t)
             pi = np.maximum(pi - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS) - decay * pi,
-                            config.pi_floor)
+                            _PI_FLOOR)
             # One sum catches a non-finite entry and any row sum that
             # would overflow in the next gradient's digamma.
             if not np.isfinite(pi.sum()):
@@ -365,12 +370,11 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
 
     Initialization: the Dawid-Skene M-step on the label frequencies of
     the hardened predictions (the first M-step of ``ds_em``) provides
-    the class prior and a row-stochastic confusion estimate D; the
-    confusion tensor starts at
-    ``ds_init_concentration * (D + ds_init_smoothing)`` (clamped to
-    ``pi_floor``), and the posterior starts from the ensemble average.
-    A start whose Dawid-Skene counts, confusion sums or log-Gamma
-    normalizer overflow raises :class:`NumericError`.
+    the class prior and a row-stochastic confusion estimate D, with the
+    smoothing 0.01 of ``ds_em``'s default; the confusion tensor starts
+    at ``10 * (D + 0.01)``, and the posterior starts from the ensemble
+    average.  After every AdamW step the confusion entries are clamped
+    to 1e-6.
 
     Memory: the fit works on a copy of ``preds.probs``, which it leaves
     untouched.  That one (N, K, J) buffer holds the probabilities until
@@ -421,14 +425,10 @@ def _fit(buf, item_ids, cfg, threads):
     n_items, _, n_classes = buf.shape
 
     hard = _hard_labels(buf)
-    # a start that overflows is reported by _ds_m_step and
-    # _log_weight_terms, not by numpy
-    with np.errstate(over="ignore"):
-        conf, nu = _ds_m_step(hard, _label_frequencies(hard, n_classes),
-                              cfg.ds_init_smoothing)
-        pi = np.maximum(cfg.ds_init_concentration * (conf + cfg.ds_init_smoothing),
-                        cfg.pi_floor)
+    conf, nu = _ds_m_step(hard, _label_frequencies(hard, n_classes), _DS_SMOOTHING)
     del hard
+    # conf lies in [0, 1], so every entry starts at or above 0.1
+    pi = _INIT_SCALE * (conf + _DS_SMOOTHING)
     # AdamW's moments, carried across iterations
     m, v = np.zeros_like(pi), np.zeros_like(pi)
     terms = _log_weight_terms(pi, nu)

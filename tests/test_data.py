@@ -18,11 +18,18 @@ from hypothesis import strategies as st
 
 import softds as s
 from softds import synth
-from softds.data import (FormatError, _fork_map, _parse_prob_file, _write_prob_file,
-                         floor_and_renormalize)
+from softds.data import (FormatError, _floor_and_renormalize_in_place, _fork_map,
+                         _parse_prob_file, _write_prob_file)
 from util import diagonal_spec, reference_parse_prob_file, reference_write_prob_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def floored(probs):
+    """A floored, renormalized copy of ``probs``."""
+    p = np.array(probs, dtype=np.float64)
+    _floor_and_renormalize_in_place(p)
+    return p
 
 
 def write_member_csv(path, ids, rows):
@@ -134,7 +141,7 @@ class TestPredictionSet:
         # is a bitwise fixed point, so a floored array passes unchanged
         preds = s.PredictionSet(np.array([[[0.0, 0.6, 0.4]], [[0.2, 0.3, 0.5]]]))
         assert preds.probs[0, 0, 0] == pytest.approx(1e-12, rel=1e-6)
-        assert preds.probs.tobytes() == floor_and_renormalize(preds.probs).tobytes()
+        assert preds.probs.tobytes() == floored(preds.probs).tobytes()
         assert s.PredictionSet(preds.probs).probs.tobytes() == preds.probs.tobytes()
 
     def test_item_id_count_checked(self):
@@ -156,13 +163,13 @@ class TestFloorAndRenormalize:
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         raw = rng.dirichlet(np.ones(5), size=(20, 3))
-        once = floor_and_renormalize(raw)
-        twice = floor_and_renormalize(once)
+        once = floored(raw)
+        twice = floored(once)
         assert np.array_equal(once, twice)
 
     def test_clean_rows_untouched(self):
         row = np.array([[0.25, 0.25, 0.5]])
-        assert np.array_equal(floor_and_renormalize(row), row)
+        assert np.array_equal(floored(row), row)
 
 
 class TestHarden:
@@ -722,7 +729,7 @@ class TestContainers:
 
     def test_confusion_entries_need_only_be_positive(self):
         # any finite entry > 0 is a Dirichlet parameter; the fit's clamp
-        # (SdsConfig.pi_floor) is not a property of the model
+        # (1e-6) is not a property of the model
         pi = np.ones((1, 2, 2))
         pi[0, 0, 1] = 1e-9
         assert s.ConfusionTensor(pi).pi[0, 0, 1] == 1e-9
@@ -740,7 +747,7 @@ class TestSdsConfig:
         assert cfg.inner_steps == 5
         assert cfg.learning_rate == 1e-4
         assert cfg.weight_decay == 1e-4
-        assert cfg.pi_floor == 1e-6
+        assert cfg.q_rel_tolerance == 0.0
         # README's Configuration table: one row per field, in field order,
         # each default written as the JSON a config file would hold
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

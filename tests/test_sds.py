@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import softds as s
 from softds.mathutils import dirichlet_log_density
-from util import (REFERENCE_SHAPES, diagonal_spec, evidence_stats, m_step_pi, model,
-                  q_function, q_grad_pi, random_instance, reference_evidence_stats,
+from util import (PI_FLOOR, REFERENCE_SHAPES, diagonal_spec, evidence_stats, m_step_pi,
+                  model, q_function, q_grad_pi, random_instance, reference_evidence_stats,
                   reference_fit, reference_log_weights)
 
 LN_HALF = -0.6931471805599453
@@ -199,7 +199,7 @@ class TestMStepPi:
         pi = np.full((1, 2, 2), 2e-6)
         cfg = s.SdsConfig(inner_steps=3, learning_rate=0.1).validate()
         new_pi, _, _ = m_step_pi(preds, post, model(pi, nu), cfg)
-        assert np.all(new_pi >= cfg.pi_floor)
+        assert np.all(new_pi >= PI_FLOOR)
 
     def test_inner_steps_do_not_reduce_q(self):
         # monitored along a seeded fit trajectory

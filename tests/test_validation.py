@@ -81,7 +81,6 @@ class TestConfig:
     SCHEDULE = ("alpha_schedule must be a list of [start_iteration, alpha] pairs of an "
                 "integer and a finite number")
     RATES = "need learning_rate > 0 and weight_decay >= 0"
-    INIT = "need ds_init_concentration > 0 and ds_init_smoothing >= 0"
 
     @pytest.mark.parametrize("config, message", [
         ({"em_iterations": "3"}, "config field em_iterations must be an integer, got '3'"),
@@ -93,9 +92,10 @@ class TestConfig:
         ({"alpha_schedule": []}, "alpha_schedule must be non-empty"),
         ({"learning_rate": 0}, RATES),
         ({"weight_decay": -1e-4}, RATES),
-        ({"pi_floor": 0.0}, "pi_floor must be > 0"),
-        ({"ds_init_concentration": 0}, INIT),
-        ({"ds_init_smoothing": -0.5}, INIT),
+        # the fit's start and confusion floor are constants, not fields
+        ({"pi_floor": 0.0}, "unknown config fields: ['pi_floor']"),
+        ({"ds_init_concentration": 0}, "unknown config fields: ['ds_init_concentration']"),
+        ({"ds_init_smoothing": -0.5}, "unknown config fields: ['ds_init_smoothing']"),
         ({"q_rel_tolerance": -1e-3}, "q_rel_tolerance must be >= 0"),
         ("{", None),
         ([1], "config must be a JSON object"),

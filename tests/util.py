@@ -10,6 +10,9 @@ from softds.data import FormatError, _check_prob_header
 from softds.mathutils import sorted_sum
 
 
+# The fit's start scale and smoothing and its confusion floor
+INIT_SCALE, INIT_SMOOTHING, PI_FLOOR = 10.0, 0.01, 1e-6
+
 # (N, K, J): each spans two item chunks of the fit's kernels
 REFERENCE_SHAPES = [(12000, 3, 2), (2500, 3, 10), (600, 4, 33), (150, 5, 100),
                     (40, 2, 1000)]
@@ -181,7 +184,7 @@ def reference_adamw_step(params, grad, m, v, step, lr, weight_decay,
 
 def reference_m_step_pi(preds, post, m, cfg, state):
     """``cfg.inner_steps`` steps of :func:`reference_adamw_step` on
-    ``m``'s confusion tensor against -Q, each clamped to ``cfg.pi_floor``.
+    ``m``'s confusion tensor against -Q, each clamped to ``PI_FLOOR``.
     ``state`` is ``[step count, first moment, second moment]`` and is
     advanced in place.  Returns the new confusion tensor."""
     stats = evidence_stats(preds, post)
@@ -191,7 +194,7 @@ def reference_m_step_pi(preds, post, m, cfg, state):
         state[0] += 1
         pi, state[1], state[2] = reference_adamw_step(
             pi, grad, state[1], state[2], state[0], cfg.learning_rate, cfg.weight_decay)
-        pi = np.maximum(pi, cfg.pi_floor)
+        pi = np.maximum(pi, PI_FLOOR)
     return pi
 
 
@@ -206,9 +209,8 @@ def reference_fit(preds, cfg, on_m_step=None):
 
     Returns ``(SdsModel, posterior rows, q values)``."""
     cfg = cfg.validate()
-    confusion, prior, _ = s.ds_em(preds, 1, cfg.ds_init_smoothing)
-    pi = np.maximum(cfg.ds_init_concentration * (confusion + cfg.ds_init_smoothing),
-                    cfg.pi_floor)
+    confusion, prior, _ = s.ds_em(preds, 1, INIT_SMOOTHING)
+    pi = np.maximum(INIT_SCALE * (confusion + INIT_SMOOTHING), PI_FLOOR)
     model = s.SdsModel(s.ConfusionTensor(pi), prior)
     post = s.ensemble_average(preds).rows
     state = [0, np.zeros_like(pi), np.zeros_like(pi)]
