@@ -6,9 +6,9 @@ OOD AUROC), ``simulate`` (write a synthetic dataset), ``online`` (stream
 per-item posteriors under a frozen model), ``explain`` (decompose one
 item's posterior).
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric
-failure.  Diagnostics go to stderr; stdout and output files carry payload
-only.
+Exit codes: 0 success, 1 validation error, 2 I/O error or a worker
+process that died, 3 numeric failure.  Diagnostics go to stderr; stdout
+and output files carry payload only.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import contextlib
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -33,12 +34,12 @@ from .data import (
     _prob_header,
     _records,
     _save_json,
+    _write_prob_file,
     _write_table,
     load_ground_truth,
     load_posterior,
     load_predictions,
     save_confusion_tensor,
-    save_posterior,
 )
 from .metrics import (ECE_BINS, auroc, evaluate_posterior, ood_score, reliability_bins,
                       true_confusion)
@@ -93,7 +94,7 @@ def _cmd_aggregate(args):
     threads = _resolve_threads(args.threads)
     config = SdsConfig.from_json(args.config) if args.config else SdsConfig()
     start = time.perf_counter()
-    probs, item_ids = _load_probs(args.manifest)
+    probs, item_ids = _load_probs(args.manifest, threads)
     loaded = time.perf_counter()
     _log(f"loaded {probs.shape[0]} items x {probs.shape[1]} members x "
          f"{probs.shape[2]} classes in {loaded - start:.3f} s")
@@ -119,7 +120,7 @@ def _cmd_aggregate(args):
         trace.save_csv(trace_path)
         _log(f"model -> {model_path}; trace -> {trace_path} "
              f"({len(trace)} iterations, final q={trace.q[-1]:.6g})")
-    save_posterior(post, args.out)
+    _write_prob_file(args.out, post.item_ids, post.rows, threads)
     _log(f"posterior -> {args.out} (fit {fitted - loaded:.3f} s, "
          f"write {time.perf_counter() - fitted:.3f} s)")
     return 0
@@ -310,6 +311,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         _log(f"i/o error: {exc}")
+        return 2
+    except BrokenExecutor as exc:
+        _log(f"worker error: {exc}")
         return 2
 
 

@@ -39,9 +39,11 @@ and ``ClassPrior`` are frozen as well.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
+import mmap
 import numbers
 import os
 import sys
@@ -474,7 +476,7 @@ def _fork_map(func, items, workers):
     workers = min(workers, len(items))
     if workers > 1 and threading.active_count() == 1:
         # imported here, so that a process that never forks, such as
-        # aggregate, does not load multiprocessing
+        # online, does not load multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -612,17 +614,21 @@ def _csv_line(first, cells):
     return f"{_csv_field(first)},{','.join(cells)}\r\n"
 
 
-def _csv_rows(ids, values):
+def _csv_rows(ids, values, workers=1):
     """The body of a table, one :func:`_csv_line` per row: ``ids[i]``, then
     the entries of row ``i`` of the 2-D array ``values`` written with
     ``repr``, as the ``csv`` module writes them.  Yields the text a block
-    of rows at a time."""
+    of rows at a time, each block formatted by :func:`_fork_map` on up to
+    ``workers`` forked worker processes: a generator to close."""
     width = values.shape[1]
     step = max(1, _BLOCK_CELLS // width)
-    for lo in range(0, len(ids), step):
+
+    def block(lo):
         cells = list(map(repr, values[lo:lo + step].ravel().tolist()))
-        yield "".join([_csv_line(item, cells[r * width:(r + 1) * width])
-                       for r, item in enumerate(ids[lo:lo + step])])
+        return "".join([_csv_line(item, cells[r * width:(r + 1) * width])
+                        for r, item in enumerate(ids[lo:lo + step])])
+
+    return _fork_map(block, range(0, len(ids), step), workers)
 
 
 def _open_table(path, header):
@@ -638,10 +644,13 @@ def _open_table(path, header):
     return fh
 
 
-def _write_table(path, header, ids, values):
-    """A header line, then the :func:`_csv_rows` of ``ids`` and ``values``."""
-    with _open_table(path, header) as fh:
-        fh.writelines(_csv_rows(list(ids), values))
+def _write_table(path, header, ids, values, workers=1):
+    """A header line, then the :func:`_csv_rows` of ``ids`` and ``values``,
+    formatted on up to ``workers`` forked worker processes and written
+    here in block order, so the bytes do not depend on ``workers``."""
+    with _open_table(path, header) as fh, \
+            contextlib.closing(_csv_rows(list(ids), values, workers)) as blocks:
+        fh.writelines(blocks)
 
 
 def _load_json(path, what):
@@ -742,8 +751,8 @@ def _parse_prob_file(path, expect_classes=None):
     return table["id"].tolist(), table["p"]
 
 
-def _write_prob_file(path, ids, rows):
-    _write_table(path, _prob_header(rows.shape[1]), ids, rows)
+def _write_prob_file(path, ids, rows, workers=1):
+    _write_table(path, _prob_header(rows.shape[1]), ids, rows, workers)
 
 
 def load_predictions(manifest_path):
@@ -761,10 +770,21 @@ def load_predictions(manifest_path):
     return PredictionSet._take(*_load_probs(manifest_path))
 
 
-def _load_probs(manifest_path):
+def _load_probs(manifest_path, workers=1):
     """``(probs, item_ids)`` of :func:`load_predictions`: the floored,
     renormalized and checked (N, K, J) array, writable and owned by the
-    caller, which :class:`PredictionSet` would freeze."""
+    caller, which :class:`PredictionSet` would freeze.
+
+    The array is the first N rows of one (cap, K, J) buffer, an anonymous
+    shared mapping made before the member files are read; ``cap`` is
+    :func:`_line_bound` of file 0, and pages never written cost no
+    memory.  One :func:`_fork_map` task per member file, on up to
+    ``workers`` forked worker processes, parses and checks the file and
+    writes its N x J block into that member's slice of the buffer; only
+    its item ids return.  They are compared with file 0's in manifest
+    order, so the first failure is the one a serial load meets, and a
+    file that lists the same ids in another order is re-aligned in place.
+    """
     manifest = _load_json(manifest_path, "manifest")
     n_classes = manifest.get("n_classes")
     members = manifest.get("members")
@@ -775,35 +795,58 @@ def _load_probs(manifest_path):
     if not all(isinstance(member_path, str) for member_path in members):
         raise FormatError(f"{manifest_path}: members must be file paths (strings)")
     base = os.path.dirname(os.path.abspath(manifest_path))
+    paths = [member_path if os.path.isabs(member_path) else os.path.join(base, member_path)
+             for member_path in members]
 
-    ids0 = probs = None
-    for k, member_path in enumerate(members):
-        full = member_path if os.path.isabs(member_path) else os.path.join(base, member_path)
-        ids, mat = _parse_prob_file(full, expect_classes=n_classes)
-        _check_raw_rows(mat, lambda i: f"{full}, line {i + 2}")
-        order = slice(None)
-        if ids0 is None:
-            ids0 = ids
-            probs = np.empty((len(ids0), len(members), n_classes))
-        elif ids != ids0:
-            # same items in a different order are re-aligned to member
-            # file 0; a genuinely different item set is an error
-            if sorted(ids) != sorted(ids0):
-                raise FormatError(
-                    f"{full}: item ids disagree with {members[0]}"
-                )
-            if len(set(ids)) != len(ids):
-                raise FormatError(
-                    f"{full}: duplicate item ids cannot be re-aligned"
-                )
-            row_of = {item_id: i for i, item_id in enumerate(ids)}
-            order = [row_of[item_id] for item_id in ids0]
-        probs[:, k] = mat[order]
-        # the table is freed before the next one is read
-        del ids, mat
+    cap = _line_bound(paths[0])
+    # mmap.mmap(-1, n) is anonymous and shared, so workers' writes land here
+    buf = np.frombuffer(mmap.mmap(-1, cap * len(paths) * n_classes * 8),
+                        dtype=np.float64).reshape(cap, len(paths), n_classes)
+
+    def parse(k):
+        ids, mat = _parse_prob_file(paths[k], expect_classes=n_classes)
+        _check_raw_rows(mat, lambda i: f"{paths[k]}, line {i + 2}")
+        # a longer file cannot list file 0's ids, which is reported below
+        if len(ids) <= cap:
+            buf[:len(ids), k] = mat
+        return ids
+
+    with contextlib.closing(_fork_map(parse, range(len(paths)), workers)) as results:
+        ids0 = next(results)
+        n_items = len(ids0)
+        for k in range(1, len(paths)):
+            # not enumerate(results), whose last tuple would keep these
+            # ids while the next file is read
+            ids = next(results)
+            if ids != ids0:
+                # same items in a different order are re-aligned to member
+                # file 0; a genuinely different item set is an error
+                if sorted(ids) != sorted(ids0):
+                    raise FormatError(f"{paths[k]}: item ids disagree with {members[0]}")
+                if len(set(ids)) != len(ids):
+                    raise FormatError(f"{paths[k]}: duplicate item ids cannot be re-aligned")
+                row_of = {item_id: i for i, item_id in enumerate(ids)}
+                buf[:n_items, k] = buf[[row_of[item_id] for item_id in ids0], k]
+                del row_of
+            del ids
+    probs = buf[:n_items]
     # every row is checked above, with its file and line
     _floor_and_renormalize_in_place(probs)
     return probs, ids0
+
+
+def _line_bound(path):
+    """One more than the line breaks (``\\n``, ``\\r\\n`` or a lone
+    ``\\r``) of the file at ``path``, read a chunk at a time: a bound on
+    its CSV records, and so on a table's data rows."""
+    count, after_cr = 1, False
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            # a \r\n split between two chunks
+            count -= after_cr and chunk.startswith(b"\n")
+            after_cr = chunk.endswith(b"\r")
+    return count
 
 
 def _member_files(n_members):

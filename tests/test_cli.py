@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import softds as s
-from softds import synth
+from softds import data, synth
 from softds.cli import main
-from util import diagonal_spec
+from util import diagonal_spec, run_python
 
 
 @pytest.fixture
@@ -198,6 +198,103 @@ class TestSimulate:
 
 LONG_FIELD = "x" * 200_000
 FIELD_LIMIT = "field larger than field limit (131072)"
+
+
+def write_members(out_dir, ids_of, rows_of):
+    """Member files ``member_<k>.csv`` of ``ids_of[k]`` and ``rows_of[k]``
+    and a manifest listing them; returns the manifest path."""
+    out_dir.mkdir()
+    for k, (ids, rows) in enumerate(zip(ids_of, rows_of)):
+        data._write_prob_file(out_dir / f"member_{k}.csv", ids, np.asarray(rows, dtype=float))
+    return data._save_manifest(str(out_dir), 2, len(ids_of), None)
+
+
+class TestAggregateWorkers:
+    """``aggregate`` parses the member files and formats the posterior on
+    forked workers: the same bytes and the same failures for any count,
+    and no worker left behind."""
+
+    @pytest.mark.parametrize("method", ["sds", "ea", "mv", "ds"])
+    def test_same_files_at_one_and_two_workers(self, sim_dir, tmp_path, monkeypatch, method):
+        # ten rows a block, so that the posterior spans six blocks
+        monkeypatch.setattr(data, "_BLOCK_CELLS", 30)
+        _, out_dir = sim_dir
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            assert main(["aggregate", "--method", method, "--threads", threads,
+                         "--manifest", str(out_dir / "manifest.json"),
+                         "--out", str(out / "post.csv")]) == 0
+            assert multiprocessing.active_children() == []
+            tree = {p.name: p.read_bytes() for p in out.iterdir()}
+            if method == "sds":
+                # every column of the trace but its timings
+                tree["post.trace.csv"] = [line.rsplit(b",", 1)[0] for line in
+                                          tree["post.trace.csv"].splitlines()]
+            trees.append(tree)
+        assert len(trees[0]) == (3 if method == "sds" else 1)
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("case", ["missing", "bad_row", "disagree", "duplicates",
+                                      "first_in_manifest_order"])
+    def test_same_failure_at_one_and_two_workers(self, tmp_path, capsys, case):
+        rows = [[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]
+        ids_of = [["a", "b", "c"]] * 3
+        if case in ("bad_row", "first_in_manifest_order"):
+            rows_of = [rows, rows, [rows[0], [0.5, 0.2], rows[2]]]
+        else:
+            rows_of = [rows] * 3
+        if case in ("disagree", "first_in_manifest_order"):
+            ids_of = [ids_of[0], ["a", "b", "d"], ids_of[2]]
+        elif case == "duplicates":
+            ids_of = [["a", "a", "b"], ["b", "a", "a"], ["a", "a", "b"]]
+        manifest = write_members(tmp_path / "in", ids_of, rows_of)
+        member = [tmp_path / "in" / f"member_{k}.csv" for k in range(3)]
+        if case == "missing":
+            member[2].unlink()
+        want = {
+            "missing": (2, f"i/o error: [Errno 2] No such file or directory: '{member[2]}'"),
+            "bad_row": (1, f"error: {member[2]}, line 3: probabilities sum to 0.700000 "
+                           f"(tolerance 0.001)"),
+            "disagree": (1, f"error: {member[1]}: item ids disagree with member_0.csv"),
+            "duplicates": (1, f"error: {member[1]}: duplicate item ids cannot be re-aligned"),
+            # member 2's bad row may be parsed first, but member 1 is
+            # reported, as a serial load reports it
+            "first_in_manifest_order": (
+                1, f"error: {member[1]}: item ids disagree with member_0.csv"),
+        }[case]
+        for threads in ("1", "2"):
+            code = main(["aggregate", "--method", "ea", "--threads", threads,
+                         "--manifest", str(manifest), "--out", str(tmp_path / "post.csv")])
+            assert multiprocessing.active_children() == []
+            assert (code, capsys.readouterr().err) == (want[0], want[1] + "\n")
+            assert not (tmp_path / "post.csv").exists()
+
+    @pytest.mark.parametrize("stage, function", [("load", "_parse_prob_file"),
+                                                 ("write", "_csv_line")])
+    def test_dead_worker_exits_2(self, sim_dir, tmp_path, stage, function):
+        # in a child interpreter (see run_python); the function dies in a
+        # worker process only
+        _, out_dir = sim_dir
+        code = (
+            "import multiprocessing, os, sys\n"
+            "from softds import cli, data\n"
+            "parent, real = os.getpid(), data.FUNCTION\n"
+            "def dying(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(1)\n"
+            "    return real(*args, **kwargs)\n"
+            "data.FUNCTION, data._BLOCK_CELLS = dying, 30\n"
+            "code = cli.main(['aggregate', '--method', 'ea', '--threads', '2',\n"
+            "                 '--manifest', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, multiprocessing.active_children())\n").replace("FUNCTION", function)
+        done = run_python(code, out_dir / "manifest.json", tmp_path / "post.csv")
+        assert (done.returncode, done.stdout) == (0, "2 []\n"), done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == (1 if stage == "load" else 2)
+        assert lines[-1] == ("worker error: A process in the process pool was terminated "
+                             "abruptly while the future was running or pending.")
 
 
 class TestOverlongFieldExits1:

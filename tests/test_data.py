@@ -6,8 +6,6 @@ import errno
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 import threading
 from pathlib import Path
 
@@ -19,10 +17,8 @@ from hypothesis import strategies as st
 import softds as s
 from softds import synth
 from softds.data import (FormatError, _floor_and_renormalize_in_place, _fork_map,
-                         _parse_prob_file, _write_prob_file)
-from util import diagonal_spec, reference_parse_prob_file, reference_write_prob_file
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+                         _line_bound, _load_probs, _parse_prob_file, _write_prob_file)
+from util import diagonal_spec, reference_parse_prob_file, reference_write_prob_file, run_python
 
 
 def floored(probs):
@@ -667,8 +663,7 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_fails_promptly(self):
-        # in a child interpreter with a timeout, so that a hang fails the
-        # test instead of stalling the suite
+        # in a child interpreter (see run_python)
         code = (
             "import multiprocessing, os\n"
             "from concurrent.futures.process import BrokenProcessPool\n"
@@ -677,11 +672,7 @@ class TestWorkers:
             "    list(_fork_map(lambda i: os._exit(1) if i == 1 else i, range(4), 2))\n"
             "except BrokenProcessPool:\n"
             "    print('broken', multiprocessing.active_children())\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=60)
+        done = run_python(code)
         assert (done.returncode, done.stdout) == (0, "broken []\n"), done.stderr
 
     def test_save_predictions_same_bytes(self, tmp_path, monkeypatch):
@@ -706,6 +697,49 @@ class TestWorkers:
                 assert {p.name: p.read_bytes() for p in out.iterdir()} == {
                     name: text for name, text in want.items()
                     if bayes or name != "bayes_posterior.csv"}
+
+    @pytest.mark.parametrize("case", ["realigned", "one_member", "quoted_line_break",
+                                      "blank_lines", "no_trailing_newline"])
+    def test_load_same_bits_at_any_worker_count(self, tmp_path, case):
+        # each member file is parsed in its own task, into its slice of a
+        # buffer sized by file 0's line breaks
+        rng = np.random.default_rng(77)
+        n_items, n_members = 9, 1 if case == "one_member" else 3
+        probs = rng.dirichlet(np.ones(4), size=(n_items, n_members))
+        ids = [f"item-{i}" for i in range(n_items)]
+        if case == "quoted_line_break":
+            ids[4] = 'two\r\nlines, "quoted"'
+        names = []
+        for k in range(n_members):
+            order = rng.permutation(n_items) if case == "realigned" and k else range(n_items)
+            order = list(order)
+            path = tmp_path / f"m{k}.csv"
+            _write_prob_file(path, [ids[i] for i in order], probs[order, k])
+            text = path.read_bytes()
+            if case == "blank_lines":
+                text = text.replace(b"\r\n", b"\r\n\r\n")
+            elif case == "no_trailing_newline" and k == 0:
+                text = text[:-2]
+            path.write_bytes(text)
+            names.append(path.name)
+        write_manifest(tmp_path / "m.json", 4, names)
+        want = floored(probs)
+        for workers in (1, 2, 3):
+            got, got_ids = _load_probs(tmp_path / "m.json", workers)
+            assert multiprocessing.active_children() == []
+            assert got_ids == ids
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, lines", [
+        (b"", 0), (b"a", 0), (b"a\n", 1), (b"a\r\nb\r\n", 2), (b"a\rb\rc", 2),
+        (b"a\r\n\r\rb\n\n", 5)])
+    def test_line_bound_counts_every_line_break_once(self, tmp_path, text, lines):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text)
+        assert _line_bound(path) == lines + 1
+        # a \r\n split between the first two chunks read
+        path.write_bytes(b"x" * ((1 << 20) - 1) + b"\r\n" + text)
+        assert _line_bound(path) == lines + 2
 
     def test_closed_generator_leaves_no_worker(self):
         results = _fork_map(lambda i: i * i, range(20), 2)

@@ -1,13 +1,31 @@
 """Shared builders for the test suite."""
 
 import csv
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 import softds as s
 from softds.data import FormatError, _check_prob_header
 from softds.mathutils import sorted_sum
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code, *args):
+    """``python -c code *args`` in a child interpreter that imports
+    softds from this checkout, with a 60 s timeout, so that a hang fails
+    the test instead of stalling the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 # The fit's start scale and smoothing and its confusion floor
