@@ -94,7 +94,8 @@ def print_table(posteriors, labels, n_bins, seconds=None):
 def main():
     args, n_learn = parse_args()
     spec = build_spec(args)
-    # SOFTDS_THREADS, else every core, as the command line resolves it
+    # SOFTDS_THREADS, else every CPU this process may run on, as the command
+    # line resolves it
     workers = _resolve_threads(None)
     preds, truth = s.sample(spec, workers)
     print(f"sampled N={preds.n_items} K={preds.n_members} J={preds.n_classes} "

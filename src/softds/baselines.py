@@ -89,18 +89,13 @@ def _average_rows(probs):
 
 
 def _rows_from_log(w):
-    """Normalize log scores row-wise; -inf entries are allowed, and rows
-    that are -inf everywhere fall back to uniform."""
-    n, j = w.shape
-    out = np.empty((n, j))
-    m = w.max(axis=1, keepdims=True)
-    ok = np.isfinite(m[:, 0])
-    if np.any(ok):
-        e = np.exp(w[ok] - m[ok])
-        out[ok] = e / e.sum(axis=1, keepdims=True)
-    if np.any(~ok):
-        out[~ok] = 1.0 / j
-    return out
+    """Normalize log scores row-wise.  -inf entries are allowed, but each
+    row must hold a finite entry; every row of ds_em's E-step does: the
+    class of an item's largest previous posterior p >= 1/J has prior at
+    least p/N > 0, and every member's count at that class and the item's
+    label is at least p, so its log weight is finite for any smoothing."""
+    e = np.exp(w - w.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def ds_em(preds: PredictionSet, n_iterations: int, smoothing: float = _DS_SMOOTHING):

@@ -68,6 +68,9 @@ def _resolve_threads(value):
             threads = int(os.environ["SOFTDS_THREADS"])
         except ValueError:
             raise FormatError("SOFTDS_THREADS must be an integer") from None
+    elif hasattr(os, "sched_getaffinity"):
+        # every CPU this process may run on
+        threads = len(os.sched_getaffinity(0))
     else:
         threads = os.cpu_count() or 1
     if threads < 1:
@@ -190,7 +193,6 @@ def _cmd_online(args):
     row_dtype = np.dtype([("id", object), ("p", np.float64, (k, j))])
     bad_header = False
     written = skipped = 0
-    wrote_header = False
     start = time.perf_counter()
     # closes the input also when the output cannot be opened
     with contextlib.ExitStack() as files:
@@ -204,12 +206,9 @@ def _cmd_online(args):
                     _log(f"line 1: bad header, expected "
                          f"item_id,m0_p0,...,m{k - 1}_p{j - 1}")
                     bad_header = True
-                continue
-            if not wrote_header:
-                header = _prob_header(j)
-                fout.write(_csv_line(header[0], header[1:]))
+                fout.write(_csv_line("item_id", _prob_header(j)[1:]))
                 fout.flush()
-                wrote_header = True
+                continue
             try:
                 posterior = online_infer(
                     _parse_record(row, 1 + k * j, row_dtype,
@@ -256,7 +255,8 @@ def build_parser():
     agg.add_argument("--trace-out", help="fit trace CSV (sds; default derives "
                                          "from --out)")
     agg.add_argument("--threads", type=int, default=None,
-                     help="worker cap (default: SOFTDS_THREADS or all cores)")
+                     help="worker cap (default: SOFTDS_THREADS, else every CPU "
+                          "this process may run on)")
     agg.set_defaults(func=_cmd_aggregate)
 
     ev = sub.add_parser("evaluate", help="score a posterior against ground truth")

@@ -32,6 +32,12 @@ body of every CSV file in the bytes of ``csv.writer``, for
 reads and writes each row with the same ``_records``, ``_parse_record``
 and ``_csv_line``.
 
+Every file written here, CSV tables through ``_write_tables`` and JSON
+through ``_save_json``, is created by ``_created``, which removes it if
+its writing raises: after a failure Python sees (an I/O error, a worker
+process that died, an interrupt) each file is complete or absent.  The
+``online`` output is a stream and is opened by the command itself.
+
 Containers validate on construction and mark their arrays read-only,
 which makes instances safe to share across threads; ``ConfusionTensor``
 and ``ClassPrior`` are frozen as well.
@@ -614,43 +620,67 @@ def _csv_line(first, cells):
     return f"{_csv_field(first)},{','.join(cells)}\r\n"
 
 
-def _csv_rows(ids, values, workers=1):
-    """The body of a table, one :func:`_csv_line` per row: ``ids[i]``, then
-    the entries of row ``i`` of the 2-D array ``values`` written with
-    ``repr``, as the ``csv`` module writes them.  Yields the text a block
-    of rows at a time, each block formatted by :func:`_fork_map` on up to
-    ``workers`` forked worker processes: a generator to close."""
-    width = values.shape[1]
-    step = max(1, _BLOCK_CELLS // width)
+def _csv_rows(ids, tables, workers=1):
+    """The bodies of tables that share their item ids, one
+    :func:`_csv_line` per row: ``ids[i]``, then the entries of row ``i``
+    of the table's 2-D array in ``tables`` written with ``repr``, as the
+    ``csv`` module writes them.  Yields, a block of rows at a time, the
+    list of every table's text of the block, each block formatted by
+    :func:`_fork_map` on up to ``workers`` forked worker processes: a
+    generator to close."""
+    step = max(1, _BLOCK_CELLS // max(values.shape[1] for values in tables))
 
-    def block(lo):
+    def text(values, lo):
+        width = values.shape[1]
         cells = list(map(repr, values[lo:lo + step].ravel().tolist()))
         return "".join([_csv_line(item, cells[r * width:(r + 1) * width])
                         for r, item in enumerate(ids[lo:lo + step])])
 
-    return _fork_map(block, range(0, len(ids), step), workers)
+    return _fork_map(lambda lo: [text(values, lo) for values in tables],
+                     range(0, len(ids), step), workers)
 
 
-def _open_table(path, header):
-    """``path`` opened for a CSV table, its header line written and
-    flushed, so that a process forked after it holds no buffered text."""
+@contextlib.contextmanager
+def _created(path):
+    """``path`` opened for writing UTF-8 text with no newline
+    translation, and removed if the block raises, so that no partial
+    file is left.  A path whose ``open`` fails is not removed: no file
+    was created there."""
     fh = open(path, "w", newline="", encoding="utf-8")
     try:
-        fh.write(_csv_line(header[0], header[1:]))
-        fh.flush()
+        with fh:
+            yield fh
     except BaseException:
-        fh.close()
+        with contextlib.suppress(OSError):
+            os.remove(path)
         raise
-    return fh
+
+
+def _write_tables(tables, blocks):
+    """Create the CSV table of each ``(path, header)`` of ``tables``, then
+    write the i-th text of each block of ``blocks`` to the i-th table, in
+    block order, so the bytes do not depend on the process a block was
+    formatted in.  Every header line is written and flushed before the
+    first block is pulled, so that a worker forked for ``blocks`` holds
+    no buffered text.  ``blocks`` is a generator, closed here before any
+    file is removed, so that no worker outlives a failure; a failure
+    removes every table created (see :func:`_created`)."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_created(path)) for path, _ in tables]
+        stack.enter_context(contextlib.closing(blocks))
+        for fh, (_, header) in zip(files, tables):
+            fh.write(_csv_line(header[0], header[1:]))
+            fh.flush()
+        for block in blocks:
+            for fh, text in zip(files, block):
+                fh.write(text)
 
 
 def _write_table(path, header, ids, values, workers=1):
-    """A header line, then the :func:`_csv_rows` of ``ids`` and ``values``,
-    formatted on up to ``workers`` forked worker processes and written
-    here in block order, so the bytes do not depend on ``workers``."""
-    with _open_table(path, header) as fh, \
-            contextlib.closing(_csv_rows(list(ids), values, workers)) as blocks:
-        fh.writelines(blocks)
+    """The one-table case of :func:`_write_tables`: a header line, then
+    the :func:`_csv_rows` of ``ids`` and ``values``, formatted on up to
+    ``workers`` forked worker processes."""
+    _write_tables([(path, header)], _csv_rows(list(ids), [values], workers))
 
 
 def _load_json(path, what):
@@ -718,7 +748,7 @@ def _json_chunks(obj, newline):
 
 
 def _save_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _created(path) as fh:
         fh.write(_json_text(obj))
 
 

@@ -28,10 +28,10 @@ from .data import (
     _json_numbers,
     _load_json,
     _member_files,
-    _open_table,
     _prob_header,
     _save_json,
     _save_manifest,
+    _write_tables,
 )
 from .mathutils import dirichlet_log_density
 
@@ -315,12 +315,13 @@ def _save_sample(spec: GenerativeSpec, out_dir, workers=1, bayes=False):
     ``bayes_posterior.csv``, as :func:`softds.data.save_posterior` writes
     it.  Returns the manifest path.
 
-    Every file is created before the first draw.  Each block's task
-    formats its rows of every file, the oracle's rows included, on a
-    worker with ``workers > 1``, and returns the texts alone; they are
-    written in block order, so every file holds the same bytes for any
-    ``workers``.  An error before the manifest is written removes the
-    files created so far.
+    The tables are written by :func:`softds.data._write_tables`, which
+    creates every one before the first draw and removes them all if a
+    draw, the oracle or a write fails; the manifest is written last.
+    Each block's task formats its rows of every table, the oracle's
+    included, on a worker with ``workers > 1``, and returns the texts
+    alone; they are written in block order, so every file holds the same
+    bytes for any ``workers``.
     """
     k, j = spec.n_members, spec.n_classes
     truth_name = "truth.csv"
@@ -334,27 +335,11 @@ def _save_sample(spec: GenerativeSpec, out_dir, workers=1, bayes=False):
         if bayes:
             # each oracle row depends on its item alone
             values.append(bayes_posterior(spec, PredictionSet._take(probs, ids)).rows)
-        return ["".join(_csv_rows(ids, rows)) for rows in values]
+        return list(map("".join, zip(*_csv_rows(ids, values))))
 
     os.makedirs(out_dir, exist_ok=True)
-    created = []
-    try:
-        with contextlib.ExitStack() as stack:
-            files = []
-            for name, header in tables:
-                files.append(stack.enter_context(_open_table(os.path.join(out_dir, name),
-                                                             header)))
-                created.append(files[-1].name)
-            blocks = stack.enter_context(contextlib.closing(_blocks(spec, workers, texts)))
-            for block in blocks:
-                for fh, text in zip(files, block):
-                    fh.write(text)
-    except BaseException:
-        # no partial dataset is left behind
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
+    _write_tables([(os.path.join(out_dir, name), header) for name, header in tables],
+                  _blocks(spec, workers, texts))
     return _save_manifest(out_dir, j, k, truth_name)
 
 

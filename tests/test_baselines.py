@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softds as s
 from softds.baselines import _ds_m_step, _label_frequencies
@@ -152,6 +154,18 @@ class TestDsEm:
         assert np.array_equal(post.rows, post_p.rows)
         assert np.array_equal(prior.nu, prior_p.nu)
         assert np.array_equal(conf[perm], conf_p)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(1, 7),
+           n_members=st.integers(1, 4), n_classes=st.integers(2, 5),
+           iterations=st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_unsmoothed_rows_finite(self, seed, n_items, n_members, n_classes, iterations):
+        # without smoothing, counts and prior entries can be 0, but every
+        # E-step row keeps a finite log weight (see _rows_from_log)
+        labels = np.random.default_rng(seed).integers(0, n_classes, (n_items, n_members))
+        rows = s.ds_em(label_preds(labels, n_classes), iterations, smoothing=0.0)[2].rows
+        assert np.all(np.isfinite(rows))
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_overflowing_counts_raise_numeric_error(self):
         # the smoothed counts of a row sum past the float range

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import re
 import warnings
 
@@ -295,6 +296,8 @@ class TestAggregateWorkers:
         assert len(lines) == (1 if stage == "load" else 2)
         assert lines[-1] == ("worker error: A process in the process pool was terminated "
                              "abruptly while the future was running or pending.")
+        # the posterior's header was written before its worker died
+        assert not (tmp_path / "post.csv").exists()
 
 
 class TestOverlongFieldExits1:
@@ -519,6 +522,30 @@ class TestAggregate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_default_threads_are_the_cpus_this_process_may_run_on(self):
+        if len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+            pytest.skip("needs a process that may run on two CPUs")
+        # in a child interpreter (see run_python), which limits itself to
+        # one CPU
+        done = run_python(
+            "import os\n"
+            "from softds.cli import _resolve_threads\n"
+            "os.environ.pop('SOFTDS_THREADS', None)\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "print(_resolve_threads(None), os.cpu_count() > 1)\n")
+        assert (done.returncode, done.stdout) == (0, "1 True\n"), done.stderr
+
+    def test_out_naming_a_directory_exits_2_and_keeps_it(self, sim_dir, tmp_path, capsys):
+        _, out_dir = sim_dir
+        out = tmp_path / "post.csv"
+        out.mkdir()
+        (out / "kept").write_text("x")
+        assert main(["aggregate", "--method", "ea", "--manifest",
+                     str(out_dir / "manifest.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"i/o error: [Errno 21] Is a directory: '{out}'")
+        assert (out / "kept").read_text() == "x"
+
     def test_env_var_thread_fallback(self, sim_dir, tmp_path, monkeypatch):
         _, out_dir = sim_dir
         monkeypatch.setenv("SOFTDS_THREADS", "2")
@@ -648,6 +675,20 @@ class TestOnline:
                      "--input", str(empty),
                      "--out", str(tmp_path / "o.csv")]) == 0
         assert (tmp_path / "o.csv").read_text() == ""
+        assert "online: 0 rows written, 0 skipped" in capsys.readouterr().err
+
+    def test_header_only_stream_writes_the_header(self, fitted, tmp_path, capsys):
+        # the output header is written as soon as line 1 is read
+        out_dir, model_path = fitted
+        preds = s.load_predictions(out_dir / "manifest.json")
+        stream_in = tmp_path / "stream.csv"
+        self.make_stream(preds, stream_in, range(0))
+        out = tmp_path / "o.csv"
+        assert main(["online", "--model", str(model_path),
+                     "--input", str(stream_in), "--out", str(out)]) == 0
+        j = preds.n_classes
+        assert out.read_bytes() == (",".join(["item_id"] + [f"p_{c}" for c in range(j)])
+                                    + "\r\n").encode()
         assert "online: 0 rows written, 0 skipped" in capsys.readouterr().err
 
     def test_malformed_row_skipped(self, fitted, tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softds as s
-from softds import synth
+from softds import data, synth
 from softds.data import (FormatError, _floor_and_renormalize_in_place, _fork_map,
                          _line_bound, _load_probs, _parse_prob_file, _write_prob_file)
 from util import diagonal_spec, reference_parse_prob_file, reference_write_prob_file, run_python
@@ -746,6 +746,46 @@ class TestWorkers:
         assert next(results) == 0
         results.close()
         assert multiprocessing.active_children() == []
+
+
+class BadRepr:
+    """A cell that cannot be formatted."""
+
+    def __repr__(self):
+        raise ValueError("unformattable cell")
+
+
+class TestOneWriter:
+    """Every file is created by ``_created``: a failure while it is
+    written removes it."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_later_block_leaves_no_file(self, tmp_path, monkeypatch, workers):
+        # three rows a block; the bad cell is in the third block, after
+        # two blocks are written
+        monkeypatch.setattr(data, "_BLOCK_CELLS", 6)
+        values = np.array([[0.5, 0.5]] * 8 + [[0.5, BadRepr()]], dtype=object)
+        with pytest.raises(ValueError, match="unformattable cell"):
+            data._write_table(tmp_path / "t.csv", ["item_id", "p_0", "p_1"], range(9),
+                              values, workers)
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_unserialisable_json_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            data._save_json({"members": [1, object()]}, tmp_path / "x.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_path_that_cannot_be_opened_is_left_alone(self, tmp_path):
+        # a symbolic link to itself cannot be opened, but would be removed
+        # by os.remove; a file whose open is denied cannot be made for a
+        # process that may run as root
+        path = tmp_path / "t.csv"
+        path.symlink_to(path.name)
+        with pytest.raises(OSError) as got:
+            data._write_table(path, ["item_id", "label"], ["a"], np.array([[1]]))
+        assert got.value.errno == errno.ELOOP
+        assert path.is_symlink()
 
 
 class TestContainers:
