@@ -78,11 +78,6 @@ def _resolve_threads(value):
     return threads
 
 
-def _derived_path(out_path, suffix):
-    base, _ = os.path.splitext(out_path)
-    return base + suffix
-
-
 def _write_report(report, out):
     """A JSON report to the file ``out``, or to stdout without one."""
     if out:
@@ -92,8 +87,6 @@ def _write_report(report, out):
 
 
 def _cmd_aggregate(args):
-    if args.method != "sds" and (args.model_out or args.trace_out):
-        raise FormatError("--model-out and --trace-out apply to --method sds only")
     threads = _resolve_threads(args.threads)
     config = SdsConfig.from_json(args.config) if args.config else SdsConfig()
     start = time.perf_counter()
@@ -117,8 +110,8 @@ def _cmd_aggregate(args):
     fitted = time.perf_counter()
 
     if args.method == "sds":
-        model_path = args.model_out or _derived_path(args.out, ".model.json")
-        trace_path = args.trace_out or _derived_path(args.out, ".trace.csv")
+        stem = os.path.splitext(args.out)[0]
+        model_path, trace_path = stem + ".model.json", stem + ".trace.csv"
         save_model(model, model_path)
         trace.save_csv(trace_path)
         _log(f"model -> {model_path}; trace -> {trace_path} "
@@ -185,6 +178,15 @@ def _cmd_simulate(args):
     return 0
 
 
+def _is_open_as(path, stream):
+    """Whether ``path`` names an existing file that ``stream`` has open;
+    False for a stream without a file descriptor."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(stream.fileno()))
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return False
+
+
 def _cmd_online(args):
     model = load_model(args.model)
     k, j = model.n_members, model.n_classes
@@ -198,6 +200,9 @@ def _cmd_online(args):
     with contextlib.ExitStack() as files:
         fin = sys.stdin if args.input in (None, "-") else files.enter_context(
             open(args.input, newline="", encoding="utf-8"))
+        # opening the output would truncate the input before it is read
+        if args.out not in (None, "-") and _is_open_as(args.out, fin):
+            raise FormatError(f"--out {args.out} is the input file")
         fout = sys.stdout if args.out in (None, "-") else files.enter_context(
             open(args.out, "w", newline="", encoding="utf-8"))
         for line_no, row in _records(fin):
@@ -249,11 +254,10 @@ def build_parser():
     agg.add_argument("--manifest", required=True, help="prediction manifest JSON")
     agg.add_argument("--method", choices=["sds", "ea", "mv", "ds"], default="sds")
     agg.add_argument("--config", help="SdsConfig JSON (defaults apply otherwise)")
-    agg.add_argument("--out", required=True, help="posterior CSV to write")
-    agg.add_argument("--model-out", help="model JSON (sds; default derives "
-                                         "from --out)")
-    agg.add_argument("--trace-out", help="fit trace CSV (sds; default derives "
-                                         "from --out)")
+    agg.add_argument("--out", required=True,
+                     help="posterior CSV to write; sds also writes the model "
+                          "and the fit trace beside it, as <stem>.model.json "
+                          "and <stem>.trace.csv")
     agg.add_argument("--threads", type=int, default=None,
                      help="worker cap (default: SOFTDS_THREADS, else every CPU "
                           "this process may run on)")

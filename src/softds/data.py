@@ -349,15 +349,14 @@ class SdsConfig:
     the alpha of the last pair whose start is <= the current iteration is
     in effect.  A constant damping factor is a one-entry schedule.
     ``q_rel_tolerance = 0`` disables early stopping (fixed iteration
-    count).  The fit's start scale and smoothing and its confusion floor
-    are constants, not fields (see :func:`softds.sds.fit`).
+    count).  The fit's start scale and smoothing, its confusion floor and
+    AdamW's steps per M-step and weight decay are constants, not fields
+    (see :func:`softds.sds.fit`).
     """
 
     alpha_schedule: list = field(default_factory=lambda: [(0, 1e-3)])
     em_iterations: int = 100
-    inner_steps: int = 5
     learning_rate: float = 1e-4
-    weight_decay: float = 1e-4
     q_rel_tolerance: float = 0.0
 
     def validate(self):
@@ -387,10 +386,10 @@ class SdsConfig:
             raise FormatError("alpha_schedule starts must be strictly increasing")
         if any(not (0.0 < a <= 1.0) for _, a in sched):
             raise FormatError("alpha values must lie in (0, 1]")
-        if self.em_iterations < 1 or self.inner_steps < 1:
-            raise FormatError("em_iterations and inner_steps must be >= 1")
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise FormatError("need learning_rate > 0 and weight_decay >= 0")
+        if self.em_iterations < 1:
+            raise FormatError("em_iterations must be >= 1")
+        if self.learning_rate <= 0:
+            raise FormatError("learning_rate must be > 0")
         if self.q_rel_tolerance < 0:
             raise FormatError("q_rel_tolerance must be >= 0")
         self.alpha_schedule = sched

@@ -100,8 +100,9 @@ def digamma(x):
         mask = z < 8.0
         if not mask.any():
             break
-        # adding or subtracting 0.0 leaves an entry's bits unchanged
-        shift -= np.where(mask, 1.0 / z, 0.0)
+        # 0 / z is +0.0 for z > 0, and subtracting it leaves an entry's
+        # bits unchanged
+        shift -= mask / z
         z += mask
     # z * z overflows to inf above ~1.3e154, where u = 0 is the right value
     with np.errstate(over="ignore"):

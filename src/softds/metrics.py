@@ -36,24 +36,25 @@ __all__ = [
 ECE_BINS = 300
 
 
-def _labels(truth):
+def _labels(truth, n_items, n_classes):
+    """The truth's labels, once there are ``n_items`` of them, at least
+    one, each in [0, ``n_classes``)."""
     labels = truth.labels if isinstance(truth, GroundTruth) else \
         np.asarray(truth, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("truth must be a 1-D label vector")
+    if labels.size != n_items:
+        raise ValueError(f"{n_items} items vs {labels.size} truth labels")
+    if not labels.size:
+        raise ValueError("metrics need at least one item")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError("truth label outside [0, J)")
     return labels
 
 
 def _aligned(post, truth):
     rows = _posterior_rows(post)
-    labels = _labels(truth)
-    if rows.shape[0] != labels.size:
-        raise ValueError(
-            f"{rows.shape[0]} posterior rows vs {labels.size} truth labels"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= rows.shape[1]):
-        raise ValueError("truth label outside [0, J)")
-    return rows, labels
+    return rows, _labels(truth, *rows.shape)
 
 
 @dataclass
@@ -182,16 +183,12 @@ def true_confusion(preds_or_post, truth) -> np.ndarray:
     raw N x J array (a single matrix); returns a (K, J, J) or (1, J, J)
     array.  True classes that never occur get a uniform row and a warning.
     """
-    labels = _labels(truth)
     if isinstance(preds_or_post, PredictionSet):
         votes, j = harden(preds_or_post), preds_or_post.n_classes
     else:
         rows = _posterior_rows(preds_or_post)
         votes, j = np.argmax(rows, axis=1)[:, None], rows.shape[1]
-    if votes.shape[0] != labels.size:
-        raise ValueError("prediction and truth lengths differ")
-    if labels.min() < 0 or labels.max() >= j:
-        raise ValueError("truth label outside [0, J)")
+    labels = _labels(truth, votes.shape[0], j)
 
     # exact integer counts, so the DS M-step's normalization is the
     # plain ratio

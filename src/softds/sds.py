@@ -83,10 +83,13 @@ _TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 # threaded runs byte-identical.
 _CHUNK_TARGET = 1 << 16
 
-# AdamW's moment decay rates and the guard added to sqrt(v_hat).
+# AdamW's moment decay rates, the guard added to sqrt(v_hat), its steps
+# per M-step and its decoupled weight decay.
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_INNER_STEPS = 5
+_WEIGHT_DECAY = 1e-4
 
 # The confusion tensor starts at this multiple of the smoothed
 # Dawid-Skene confusion rows, and AdamW clamps its entries to the floor.
@@ -291,20 +294,20 @@ def _grad_from_stats(s, mass, pi):
     return s + mass[None, :, None] * correction
 
 
-def _adamw_pi(s, mass, pi, config, m, v, step):
-    """``config.inner_steps`` AdamW steps (Loshchilov & Hutter 2019) on pi
-    minimizing -Q with the analytic gradient, clamping entries to
-    ``_PI_FLOOR`` (1e-6) after every step.  ``step`` is the number of
-    steps the moments ``m`` and ``v``, shaped like pi, have taken; they
-    are updated in place.  Returns the new pi:
+def _adamw_pi(s, mass, pi, lr, m, v, step):
+    """``_INNER_STEPS`` (5) AdamW steps (Loshchilov & Hutter 2019) at
+    learning rate ``lr`` on pi minimizing -Q with the analytic gradient,
+    clamping entries to ``_PI_FLOOR`` (1e-6) after every step.  ``step``
+    is the number of steps the moments ``m`` and ``v``, shaped like pi,
+    have taken; they are updated in place.  Returns the new pi:
 
         m <- b1*m + (1-b1)*g          v <- b2*v + (1-b2)*g^2
         pi <- pi - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * pi
 
-    with g = -dQ/dpi and the bias-corrected moments m_hat and v_hat."""
-    lr = config.learning_rate
-    decay = lr * config.weight_decay
-    for t in range(step + 1, step + config.inner_steps + 1):
+    with g = -dQ/dpi, the bias-corrected moments m_hat and v_hat, and
+    weight_decay ``_WEIGHT_DECAY`` (1e-4)."""
+    decay = lr * _WEIGHT_DECAY
+    for t in range(step + 1, step + _INNER_STEPS + 1):
         # a gradient or step that overflows is reported by the checks
         # below, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
@@ -396,9 +399,9 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     2. S, the parts summed in chunk order, and the per-class mass of the
        posterior;
     3. the prior ``nu = mass / sum(mass)``;
-    4. ``inner_steps`` AdamW steps on pi against -Q (:func:`_adamw_pi`,
-       betas 0.9 and 0.999, eps 1e-8), with the moments and the step
-       count carried across iterations;
+    4. five AdamW steps on pi against -Q (:func:`_adamw_pi`, betas 0.9
+       and 0.999, eps 1e-8, decoupled weight decay 1e-4), with the
+       moments and the step count carried across iterations;
     5. Q of the updated model on the same statistics.
 
     Q is recorded after every iteration; when ``q_rel_tolerance > 0`` the
@@ -450,7 +453,7 @@ def _fit(buf, item_ids, cfg, threads):
                                       chunks))
             mass = post.sum(axis=0)
             nu = mass / mass.sum()
-            pi = _adamw_pi(s, mass, pi, cfg, m, v, it * cfg.inner_steps)
+            pi = _adamw_pi(s, mass, pi, cfg.learning_rate, m, v, it * _INNER_STEPS)
             # shared by this iteration's Q and the next iteration's E-step
             terms = _log_weight_terms(pi, nu)
             q = _q_from_stats(s, mass, terms)

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -380,21 +381,33 @@ class TestAggregate:
         # the baselines write the posterior alone
         assert sorted(p.name for p in outs.iterdir()) == ["post_ds.csv", "post_mv.csv"]
 
-    @pytest.mark.parametrize("option", ["--model-out", "--trace-out"])
-    @pytest.mark.parametrize("method", ["ea", "mv", "ds"])
-    def test_sds_outputs_rejected_for_baselines(self, sim_dir, tmp_path, capsys,
-                                                method, option):
-        # rejected before the manifest is loaded, so no stage line is logged
+    @staticmethod
+    def assert_usage_error(sim_dir, tmp_path, capsys, method, option):
+        """``aggregate --method method option PATH`` is an argparse usage
+        error (exit 2) that writes nothing."""
         _, out_dir = sim_dir
         outs = tmp_path / "outs"
         outs.mkdir()
         capsys.readouterr()
-        assert main(["aggregate", "--method", method,
-                     "--manifest", str(out_dir / "manifest.json"),
-                     option, str(outs / "extra"), "--out", str(outs / "post.csv")]) == 1
-        assert capsys.readouterr().err == \
-            "error: --model-out and --trace-out apply to --method sds only\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["aggregate", "--method", method,
+                  "--manifest", str(out_dir / "manifest.json"),
+                  option, str(outs / "extra"), "--out", str(outs / "post.csv")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} " in capsys.readouterr().err
         assert list(outs.iterdir()) == []
+
+    @pytest.mark.parametrize("option", ["--model-out", "--trace-out"])
+    @pytest.mark.parametrize("method", ["ea", "mv", "ds"])
+    def test_sds_outputs_rejected_for_baselines(self, sim_dir, tmp_path, capsys,
+                                                method, option):
+        self.assert_usage_error(sim_dir, tmp_path, capsys, method, option)
+
+    @pytest.mark.parametrize("option", ["--model-out", "--trace-out"])
+    def test_output_path_options_are_usage_errors(self, sim_dir, tmp_path, capsys,
+                                                  option):
+        # sds writes its model and trace beside --out, with no override
+        self.assert_usage_error(sim_dir, tmp_path, capsys, "sds", option)
 
     def test_sds_emits_model_and_trace(self, sim_dir, tmp_path):
         _, out_dir = sim_dir
@@ -439,7 +452,6 @@ class TestAggregate:
 
     @pytest.mark.parametrize("method,config,code", [
         ("sds", {"em_iterations": 0}, 1),
-        ("sds", {"weight_decay": float("inf"), "em_iterations": 3}, 1),
         ("sds", {"learning_rate": float("nan")}, 1),
         # pi overflows in the first AdamW step: a numeric failure
         ("sds", {"learning_rate": 1e308, "em_iterations": 3}, 3),
@@ -459,17 +471,20 @@ class TestAggregate:
         ("sds", {"ds_init_smoothing": 1e308}, 1),
         ("sds", {"ds_init_concentration": 1e308}, 1),
         # the AdamW constants are not config fields
+        ("sds", {"inner_steps": 1}, 1),
+        ("sds", {"weight_decay": float("inf"), "em_iterations": 3}, 1),
         ("sds", {"adam_beta1": 1.0}, 1),
         ("sds", {"adam_beta2": -5.0}, 1),
         ("sds", {"adam_epsilon": -1.0}, 1),
         # ds takes ds_em's default smoothing, not one from the config
         ("ds", {"ds_init_smoothing": 1e308}, 1),
-    ], ids=["em_iterations_zero", "weight_decay_inf", "learning_rate_nan",
+    ], ids=["em_iterations_zero", "learning_rate_nan",
             "learning_rate_overflow", "seed_unknown", "prob_floor_unknown",
             "em_iterations_float", "learning_rate_string", "em_iterations_bool",
             "schedule_start_float", "schedule_alpha_string", "schedule_alpha_bool",
             "pi_floor_overflow", "ds_init_smoothing_overflow",
-            "ds_init_concentration_overflow", "adam_beta1_unknown",
+            "ds_init_concentration_overflow", "inner_steps_unknown",
+            "weight_decay_inf", "adam_beta1_unknown",
             "adam_beta2_unknown", "adam_epsilon_unknown",
             "ds_method_smoothing_overflow"])
     def test_bad_config_exit_code(self, sim_dir, tmp_path, method, config, code):
@@ -768,6 +783,29 @@ class TestOnline:
                      "--out", str(tmp_path / "absent" / "o.csv")]) == 2
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("same", ["path", "link", "stdin"])
+    def test_output_naming_the_input_exits_1(self, fitted, tmp_path, capsys, monkeypatch,
+                                             same):
+        # checked before the output is opened, which would truncate the input
+        out_dir, model_path = fitted
+        preds = s.load_predictions(out_dir / "manifest.json")
+        stream_in = tmp_path / "stream.csv"
+        self.make_stream(preds, stream_in, range(3))
+        before = stream_in.read_bytes()
+        out, source = stream_in, ["--input", str(stream_in)]
+        if same == "link":
+            out = tmp_path / "link.csv"
+            out.symlink_to(stream_in)
+        with open(stream_in, newline="", encoding="utf-8") as stdin:
+            if same == "stdin":
+                # as in softds online --out stream.csv < stream.csv
+                monkeypatch.setattr(sys, "stdin", stdin)
+                source = []
+            assert main(["online", "--model", str(model_path), *source,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is the input file\n"
+        assert stream_in.read_bytes() == before
+
     def test_overlong_field_row_skipped(self, fitted, tmp_path, capsys):
         # past csv's 131072-character field limit, then a valid row
         out_dir, model_path = fitted
@@ -960,7 +998,7 @@ class TestEdges:
         manifest = s.save_predictions(s.PredictionSet.from_probs(probs),
                                       tmp_path / "data")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"em_iterations": 1, "inner_steps": 1}))
+        cfg.write_text(json.dumps({"em_iterations": 1}))
         out = tmp_path / "post.csv"
         assert main(["aggregate", "--manifest", str(manifest), "--config", str(cfg),
                      "--out", str(out)]) == 0

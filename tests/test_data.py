@@ -818,12 +818,15 @@ class TestSdsConfig:
         cfg = s.SdsConfig()
         assert cfg.alpha_schedule == [(0, 1e-3)]
         assert cfg.em_iterations == 100
-        assert cfg.inner_steps == 5
         assert cfg.learning_rate == 1e-4
-        assert cfg.weight_decay == 1e-4
         assert cfg.q_rel_tolerance == 0.0
-        # README's Configuration table: one row per field, in field order,
-        # each default written as the JSON a config file would hold
+        # the AdamW recipe README's "Initialization" gives, as constants
+        assert (s.sds._INNER_STEPS, s.sds._WEIGHT_DECAY) == (5, 1e-4)
+
+    def test_readme_configuration_table_lists_every_field(self):
+        # one row per field, in field order, each default written as the
+        # JSON a config file would hold
+        cfg = s.SdsConfig()
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = text.split("\n## Configuration\n", 1)[1].split("\n#", 1)[0]
         rows = [line.split("|")[1:3] for line in section.splitlines()

@@ -81,7 +81,36 @@ def masked_digamma(x):
     return shift + np.log(z) - 0.5 / z - tail
 
 
+def where_digamma(x):
+    """``digamma`` with each shift selected by ``np.where(mask, 1 / z, 0)``,
+    the form its ``mask / z`` shifts must equal bit for bit."""
+    z = np.array(x, dtype=np.float64)
+    shift = np.zeros_like(z)
+    for _ in range(8):
+        mask = z < 8.0
+        shift -= np.where(mask, 1.0 / z, 0.0)
+        z += mask
+    with np.errstate(over="ignore"):
+        u = 1.0 / (z * z)
+    tail = u * (1.0 / 12.0 - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (
+        1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0 - u / 12.0))))))
+    return shift + np.log(z) - 0.5 / z - tail
+
+
 class TestDigamma:
+    def test_equals_where_shifts_bitwise(self):
+        # log-uniform over 1e-300..1e300, the integers 1..9 and their
+        # neighbours one ulp away, the smallest subnormal (1 / z overflows
+        # to inf there), the series threshold 8 and the largest float
+        rng = np.random.default_rng(26)
+        ints = np.arange(1.0, 10.0)
+        x = np.concatenate([np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 400_000)),
+                            ints, np.nextafter(ints, 0.0), np.nextafter(ints, np.inf),
+                            [5e-324, 8.0, np.finfo(float).max]])
+        with np.errstate(over="ignore"):
+            got, want = digamma(x), where_digamma(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_equals_masked_shifts_bitwise(self):
         rng = np.random.default_rng(12)
         x = np.concatenate([rng.uniform(1e-3, 20.0, 20_000),

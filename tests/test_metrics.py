@@ -154,6 +154,16 @@ class TestAuroc:
             s.auroc([], [0.5])
 
 
+@pytest.mark.parametrize("metric", [
+    s.accuracy, s.ece, s.brier, s.nll, s.metrics.reliability_bins, s.evaluate_posterior,
+    s.true_confusion,
+], ids=lambda f: f.__name__)
+def test_zero_items_rejected(metric):
+    # no mean over no items, and no NaN or numpy reduction error either
+    with pytest.raises(ValueError, match="^metrics need at least one item$"):
+        metric(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
 class TestOodScore:
     def test_one_hot_is_certain(self):
         row = np.array([0.0, 1.0, 0.0])

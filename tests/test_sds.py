@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import softds as s
 from softds.mathutils import dirichlet_log_density
-from util import (PI_FLOOR, REFERENCE_SHAPES, diagonal_spec, evidence_stats, m_step_pi,
-                  model, q_function, q_grad_pi, random_instance, reference_evidence_stats,
-                  reference_fit, reference_log_weights)
+from util import (INNER_STEPS, PI_FLOOR, REFERENCE_SHAPES, WEIGHT_DECAY, diagonal_spec,
+                  evidence_stats, m_step_pi, model, q_function, q_grad_pi, random_instance,
+                  reference_adamw_pi, reference_evidence_stats, reference_fit,
+                  reference_log_weights)
 
 LN_HALF = -0.6931471805599453
 LN_THREE_QUARTERS = -0.2876820724517809  # ln 0.5 + 2 ln 0.5 + ln 6
@@ -160,46 +161,68 @@ class TestMStepNu:
                 assert q_function(preds, post, model(pi, other)) <= q_star + 1e-12
 
 
-def adamw(pi, grad, cfg, moments=None, step=0):
-    """``fit``'s AdamW M-step on a loss whose gradient in pi is ``grad``:
-    with zero class mass dQ/dpi is exactly S, so S is ``-grad``.  Returns
-    ``(pi, m, v)``; ``moments``, if given, are updated in place."""
+def adamw(pi, grad, lr, moments=None, step=0):
+    """``fit``'s AdamW M-step at learning rate ``lr`` on a loss whose
+    gradient in pi is ``grad``: with zero class mass dQ/dpi is exactly S,
+    so S is ``-grad``.  Returns ``(pi, m, v)``; ``moments``, if given, are
+    updated in place."""
     m, v = moments if moments is not None else (np.zeros_like(pi), np.zeros_like(pi))
-    new_pi = s.sds._adamw_pi(-grad, np.zeros(pi.shape[1]), pi, cfg.validate(), m, v, step)
+    new_pi = s.sds._adamw_pi(-grad, np.zeros(pi.shape[1]), pi, lr, m, v, step)
     return new_pi, m, v
 
 
-def one_step(lr, weight_decay=0.0):
-    return s.SdsConfig(inner_steps=1, learning_rate=lr, weight_decay=weight_decay)
+def reference_adamw(pi, grad, lr, n_steps=INNER_STEPS):
+    """:func:`reference_adamw_pi` from zero moments on the constant
+    gradient ``grad``.  Returns ``(pi, m, v)``, as :func:`adamw` does."""
+    state = [0, np.zeros_like(pi), np.zeros_like(pi)]
+    return reference_adamw_pi(pi, lambda _: grad, lr, state, n_steps), state[1], state[2]
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
 
 
 class TestMStepPi:
     def test_zero_posterior_mass_leaves_pi(self):
+        # with no mass the gradient is zero, so only the decoupled decay
+        # moves pi, by lr * WEIGHT_DECAY of itself per step
         preds, _, nu = single_item_instance()
         pi = np.array([[[1.2, 0.8], [0.5, 1.5]]])
-        cfg = s.SdsConfig(weight_decay=0.0).validate()
-        post = np.zeros((1, 2))
-        new_pi, m, v = m_step_pi(preds, post, model(pi, nu), cfg)
-        np.testing.assert_array_equal(new_pi, pi)
+        lr = s.SdsConfig().learning_rate
+        new_pi, m, v = m_step_pi(preds, np.zeros((1, 2)), model(pi, nu), lr)
+        assert_same_bits((new_pi, m, v), reference_adamw(pi, np.zeros_like(pi), lr))
+        np.testing.assert_allclose(new_pi, pi, rtol=INNER_STEPS * lr * WEIGHT_DECAY)
         # a zero gradient leaves both moments at zero over all inner steps
         assert not np.any(m) and not np.any(v)
 
     def test_single_step_moves_by_learning_rate(self):
         preds, post, nu = single_item_instance()
         pi = np.array([[[1.0, 1.0], [1.0, 1.0]]])
-        cfg = s.SdsConfig(inner_steps=1, learning_rate=0.1,
-                          weight_decay=0.0).validate()
-        new_pi, _, _ = m_step_pi(preds, post, model(pi, nu), cfg)
-        # gradient is positive on row 0, so entries rise by ~lr
-        np.testing.assert_allclose(new_pi[0, 0], 1.1, rtol=1e-5)
-        np.testing.assert_array_equal(new_pi[0, 1], pi[0, 1])
+        new_pi, _, _ = m_step_pi(preds, post, model(pi, nu), 0.1)
+        stats = evidence_stats(preds, post)
+        state = [0, np.zeros_like(pi), np.zeros_like(pi)]
+        steps = [pi]
+        for _ in range(INNER_STEPS):
+            steps.append(reference_adamw_pi(
+                steps[-1], lambda p: -s.sds._grad_from_stats(*stats, p), 0.1, state, 1))
+        assert np.array_equal(new_pi, steps[-1])
+        # the gradient is positive on row 0, so the first step raises its
+        # entries by lr less the decay lr * WEIGHT_DECAY * 1.0, and each
+        # later one by a little less, as the gradient shrinks; row 1 has
+        # no mass and only decays
+        rises = [after[0, 0] - before[0, 0] for before, after in zip(steps, steps[1:])]
+        np.testing.assert_allclose(rises[0], 0.1 - 0.1 * WEIGHT_DECAY, rtol=1e-6)
+        assert all(np.all((0.9 * 0.1 < r) & (r < 0.1)) for r in rises)
+        np.testing.assert_allclose(new_pi[0, 1], (1.0 - 0.1 * WEIGHT_DECAY) ** INNER_STEPS,
+                                   rtol=1e-14)
 
     def test_entries_clamped_to_floor(self):
-        preds, post, nu = single_item_instance()
-        pi = np.full((1, 2, 2), 2e-6)
-        cfg = s.SdsConfig(inner_steps=3, learning_rate=0.1).validate()
-        new_pi, _, _ = m_step_pi(preds, post, model(pi, nu), cfg)
-        assert np.all(new_pi >= PI_FLOOR)
+        # a positive gradient pushes entries at 2e-6 down by lr = 0.1
+        pi, grad = np.full((1, 2, 2), 2e-6), np.ones((1, 2, 2))
+        new_pi, m, v = adamw(pi, grad, 0.1)
+        assert_same_bits((new_pi, m, v), reference_adamw(pi, grad, 0.1))
+        assert np.all(new_pi == PI_FLOOR)
 
     def test_inner_steps_do_not_reduce_q(self):
         # monitored along a seeded fit trajectory
@@ -214,22 +237,29 @@ class TestMStepPi:
         reference_fit(preds, s.SdsConfig(em_iterations=25), on_m_step=check)
 
     def test_first_step_equals_learning_rate(self):
-        new_pi, m, v = adamw(np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 1.0),
-                             one_step(0.1))
-        assert new_pi[0, 0, 0] == pytest.approx(0.9, abs=1e-6)
+        pi, grad = np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 1.0)
+        assert_same_bits(adamw(pi, grad, 0.1), reference_adamw(pi, grad, 0.1))
+        first_pi, m, v = reference_adamw(pi, grad, 0.1, n_steps=1)
+        # lr, plus the decay lr * WEIGHT_DECAY * pi
+        assert first_pi[0, 0, 0] == pytest.approx(0.9 - 0.1 * WEIGHT_DECAY, abs=1e-6)
         assert m[0, 0, 0] == 1.0 - 0.9
         assert v[0, 0, 0] == 1.0 - 0.999
 
     def test_decoupled_weight_decay(self):
-        new_pi, _, _ = adamw(np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 1.0),
-                             one_step(0.1, weight_decay=0.1))
-        # extra -lr * wd * pi = -0.01 on top of the plain step
-        assert new_pi[0, 0, 0] == pytest.approx(0.89, abs=1e-6)
+        pi, grad = np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 1.0)
+        new_pi, _, _ = adamw(pi, grad, 0.1)
+        assert np.array_equal(new_pi, reference_adamw(pi, grad, 0.1)[0])
+        # every plain step is lr, so pi is 1.0, 0.9, ... before the steps,
+        # and each step takes lr * WEIGHT_DECAY of it on top
+        decay = sum(0.1 * WEIGHT_DECAY * (1.0 - 0.1 * t) for t in range(INNER_STEPS))
+        assert new_pi[0, 0, 0] == pytest.approx(1.0 - INNER_STEPS * 0.1 - decay, abs=1e-8)
 
     def test_zero_gradient_leaves_params(self):
+        # only the decay moves them
         pi = np.array([[[2.5, 1.0], [0.5, 3.0]]])
-        new_pi, _, _ = adamw(pi, np.zeros_like(pi), one_step(0.1))
-        np.testing.assert_array_equal(new_pi, pi)
+        new_pi, _, _ = adamw(pi, np.zeros_like(pi), 0.1)
+        np.testing.assert_allclose(new_pi, pi * (1.0 - 0.1 * WEIGHT_DECAY) ** INNER_STEPS,
+                                   rtol=1e-14)
 
     def test_constant_gradient_update_magnitude_converges_to_lr(self):
         # the loss falls as pi grows, so pi rises away from the floor
@@ -237,41 +267,38 @@ class TestMStepPi:
         pi, grad = np.full((1, 1, 1), 1.0), np.full((1, 1, 1), -3.0)
         moments = np.zeros_like(pi), np.zeros_like(pi)
         last = pi
-        for step in range(500):
+        for call in range(100):
             last = pi
-            pi, _, _ = adamw(pi, grad, one_step(lr), moments, step)
-        assert abs(abs(pi[0, 0, 0] - last[0, 0, 0]) - lr) <= 0.01 * lr
+            pi, _, _ = adamw(pi, grad, lr, moments, call * INNER_STEPS)
+        # each of the M-step's steps moves pi by about lr
+        move = INNER_STEPS * lr
+        assert abs(abs(pi[0, 0, 0] - last[0, 0, 0]) - move) <= 0.01 * move
 
     def test_first_step_independent_of_gradient_scale(self):
-        steps = [adamw(np.full((1, 1, 1), 1.0), np.full((1, 1, 1), g),
-                       one_step(0.05))[0][0, 0, 0] for g in (1e-3, 1.0, 1e3)]
+        steps = [adamw(np.full((1, 1, 1), 1.0), np.full((1, 1, 1), g), 0.05)[0][0, 0, 0]
+                 for g in (1e-3, 1.0, 1e3)]
         np.testing.assert_allclose(steps, steps[0], rtol=1e-4)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         pi = rng.uniform(0.5, 2.0, size=(2, 3, 3))
         grad = rng.standard_normal((2, 3, 3))
-        cfg = s.SdsConfig(inner_steps=3, learning_rate=0.01, weight_decay=0.01)
-        first, second = adamw(pi, grad, cfg), adamw(pi, grad, cfg)
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
+        assert_same_bits(adamw(pi, grad, 0.01), adamw(pi, grad, 0.01))
 
     def test_second_moment_nonnegative_and_carried(self):
-        pi = np.full((1, 3, 3), 1.0)
+        start = np.full((1, 3, 3), 1.0)
         grad = np.tile([1.0, -2.0, 0.5], (1, 3, 1))
-        moments = np.zeros_like(pi), np.zeros_like(pi)
-        for step in range(5):
-            pi, _, v = adamw(pi, grad, one_step(0.1), moments, step)
+        moments = np.zeros_like(start), np.zeros_like(start)
+        pi = start
+        for call in range(2):
+            pi, _, v = adamw(pi, grad, 0.1, moments, call * INNER_STEPS)
             assert np.all(v >= 0.0)
-        # five one-step calls carrying the moments are one five-step call
-        once = adamw(np.full((1, 3, 3), 1.0), grad,
-                     s.SdsConfig(inner_steps=5, learning_rate=0.1, weight_decay=0.0))
-        for a, b in zip((pi, *moments), once):
-            assert np.array_equal(a, b)
+        # two M-steps carrying the moments are one run of twice the steps
+        assert_same_bits((pi, *moments), reference_adamw(start, grad, 0.1, 2 * INNER_STEPS))
 
     def test_rejects_non_finite_gradient(self):
         with pytest.raises(s.NumericError, match="non-finite gradient"):
-            adamw(np.full((1, 1, 2), 1.0), np.array([[[1.0, np.nan]]]), one_step(0.1))
+            adamw(np.full((1, 1, 2), 1.0), np.array([[[1.0, np.nan]]]), 0.1)
 
 
 class TestEStepRaw:

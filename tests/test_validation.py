@@ -80,7 +80,6 @@ class TestConfig:
 
     SCHEDULE = ("alpha_schedule must be a list of [start_iteration, alpha] pairs of an "
                 "integer and a finite number")
-    RATES = "need learning_rate > 0 and weight_decay >= 0"
 
     @pytest.mark.parametrize("config, message", [
         ({"em_iterations": "3"}, "config field em_iterations must be an integer, got '3'"),
@@ -90,9 +89,11 @@ class TestConfig:
         ({"alpha_schedule": [[0]]}, SCHEDULE),
         ({"alpha_schedule": [[0, 0.5, 1]]}, SCHEDULE),
         ({"alpha_schedule": []}, "alpha_schedule must be non-empty"),
-        ({"learning_rate": 0}, RATES),
-        ({"weight_decay": -1e-4}, RATES),
-        # the fit's start and confusion floor are constants, not fields
+        ({"learning_rate": 0}, "learning_rate must be > 0"),
+        # the fit's start, its confusion floor and AdamW's steps per
+        # M-step and weight decay are constants, not fields
+        ({"inner_steps": 5}, "unknown config fields: ['inner_steps']"),
+        ({"weight_decay": -1e-4}, "unknown config fields: ['weight_decay']"),
         ({"pi_floor": 0.0}, "unknown config fields: ['pi_floor']"),
         ({"ds_init_concentration": 0}, "unknown config fields: ['ds_init_concentration']"),
         ({"ds_init_smoothing": -0.5}, "unknown config fields: ['ds_init_smoothing']"),
@@ -101,7 +102,8 @@ class TestConfig:
         ([1], "config must be a JSON object"),
     ], ids=["em_iterations_string", "seed_unknown", "reset_flag_unknown",
             "schedule_entry_short", "schedule_entry_long", "schedule_empty",
-            "learning_rate_zero", "weight_decay_negative", "pi_floor_zero",
+            "learning_rate_zero", "inner_steps_unknown", "weight_decay_unknown",
+            "pi_floor_zero",
             "concentration_zero", "smoothing_negative", "tolerance_negative",
             "invalid_json", "not_an_object"])
     def test_exits_1_naming_the_file(self, tmp_path, cli, manifest, config, message):
@@ -220,7 +222,7 @@ class TestMetrics:
          "n_bins must be >= 1"),
         (lambda post: s.accuracy(post, [0, 2]), "truth label outside [0, J)"),
         (lambda post: s.true_confusion(post, [0, 2]), "truth label outside [0, J)"),
-        (lambda post: s.true_confusion(post, [0]), "prediction and truth lengths differ"),
+        (lambda post: s.true_confusion(post, [0]), "2 items vs 1 truth labels"),
     ], ids=["no_bins", "label_outside", "confusion_label_outside", "confusion_length"])
     def test_rejects(self, compute, message):
         with pytest.raises(ValueError) as got:

@@ -30,6 +30,8 @@ def run_python(code, *args):
 
 # The fit's start scale and smoothing and its confusion floor
 INIT_SCALE, INIT_SMOOTHING, PI_FLOOR = 10.0, 0.01, 1e-6
+# AdamW's steps per M-step and its decoupled weight decay
+INNER_STEPS, WEIGHT_DECAY = 5, 1e-4
 
 # (N, K, J): each spans two item chunks of the fit's kernels
 REFERENCE_SHAPES = [(12000, 3, 2), (2500, 3, 10), (600, 4, 33), (150, 5, 100),
@@ -174,12 +176,13 @@ def q_grad_pi(preds, post, m):
     return s.sds._grad_from_stats(*evidence_stats(preds, post), m.pi.pi)
 
 
-def m_step_pi(preds, post, m, cfg):
-    """``fit``'s AdamW M-step on ``m``'s confusion tensor from zero moments.
-    Returns ``(pi, first moment, second moment)``."""
+def m_step_pi(preds, post, m, lr):
+    """``fit``'s AdamW M-step at learning rate ``lr`` on ``m``'s confusion
+    tensor from zero moments.  Returns ``(pi, first moment, second
+    moment)``."""
     pi = m.pi.pi
     moments = np.zeros_like(pi), np.zeros_like(pi)
-    return s.sds._adamw_pi(*evidence_stats(preds, post), pi, cfg, *moments, 0), *moments
+    return s.sds._adamw_pi(*evidence_stats(preds, post), pi, lr, *moments, 0), *moments
 
 
 def reference_adamw_step(params, grad, m, v, step, lr, weight_decay,
@@ -200,20 +203,26 @@ def reference_adamw_step(params, grad, m, v, step, lr, weight_decay,
     return new_params, m, v
 
 
-def reference_m_step_pi(preds, post, m, cfg, state):
-    """``cfg.inner_steps`` steps of :func:`reference_adamw_step` on
-    ``m``'s confusion tensor against -Q, each clamped to ``PI_FLOOR``.
+def reference_adamw_pi(pi, grad_of, lr, state, n_steps=INNER_STEPS):
+    """``n_steps`` steps of :func:`reference_adamw_step` on ``pi`` at
+    learning rate ``lr`` and weight decay ``WEIGHT_DECAY``, with
+    ``grad_of(pi)`` the loss gradient, each clamped to ``PI_FLOOR``.
     ``state`` is ``[step count, first moment, second moment]`` and is
-    advanced in place.  Returns the new confusion tensor."""
-    stats = evidence_stats(preds, post)
-    pi = m.pi.pi
-    for _ in range(cfg.inner_steps):
-        grad = -s.sds._grad_from_stats(*stats, pi)
+    advanced in place.  Returns the new pi."""
+    for _ in range(n_steps):
         state[0] += 1
         pi, state[1], state[2] = reference_adamw_step(
-            pi, grad, state[1], state[2], state[0], cfg.learning_rate, cfg.weight_decay)
+            pi, grad_of(pi), state[1], state[2], state[0], lr, WEIGHT_DECAY)
         pi = np.maximum(pi, PI_FLOOR)
     return pi
+
+
+def reference_m_step_pi(preds, post, m, cfg, state):
+    """:func:`reference_adamw_pi` on ``m``'s confusion tensor against -Q at
+    ``cfg.learning_rate``.  Returns the new confusion tensor."""
+    stats = evidence_stats(preds, post)
+    return reference_adamw_pi(m.pi.pi, lambda pi: -s.sds._grad_from_stats(*stats, pi),
+                              cfg.learning_rate, state)
 
 
 def reference_fit(preds, cfg, on_m_step=None):
