@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 import time
@@ -30,6 +31,7 @@ from .data import (
     _csv_line,
     _json_text,
     _load_probs,
+    _manifest_members,
     _parse_record,
     _prob_header,
     _records,
@@ -78,6 +80,56 @@ def _resolve_threads(value):
     return threads
 
 
+# the options that name a file a command reads, and those that name one
+# it writes; "-" is stdin or stdout
+_INPUTS = ("config", "model", "posterior", "truth", "ood_in", "ood_out", "input")
+_OUTPUTS = ("out", "ece_bins_out", "confusion_out")
+
+
+def _sds_outputs(out):
+    """The model and trace paths that ``aggregate --method sds`` writes
+    beside the posterior ``out``."""
+    stem = os.path.splitext(out)[0]
+    return stem + ".model.json", stem + ".trace.csv"
+
+
+def _stat(source):
+    """``os.stat`` of a path, or ``os.fstat`` of an open stream; None
+    when there is no such file or the stream has no file descriptor."""
+    try:
+        return os.fstat(source.fileno()) if hasattr(source, "fileno") else os.stat(source)
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return None
+
+
+def _check_outputs(args):
+    """Refuse every output file of the command ``args`` before any input
+    is read: one that is an input file, which opening it for writing would
+    truncate (exit 1), and one whose directory does not exist (exit 2).
+    An input that cannot be read is left for its load to report."""
+    outputs = [("--" + name.replace("_", "-"), getattr(args, name, None))
+               for name in _OUTPUTS]
+    if getattr(args, "method", None) == "sds":
+        outputs += zip(("model output", "trace output"), _sds_outputs(args.out))
+    inputs = [getattr(args, name, None) for name in _INPUTS]
+    manifest = getattr(args, "manifest", None)
+    if manifest:
+        inputs.append(manifest)
+        with contextlib.suppress(ValueError, OSError):
+            inputs += _manifest_members(manifest)[2]
+    stats = [st for st in (_stat(sys.stdin if path == "-" else path)
+                           for path in inputs if path) if st is not None]
+    for label, path in outputs:
+        if path in (None, "-"):
+            continue
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), directory)
+        out = _stat(path)
+        if out is not None and any(os.path.samestat(out, st) for st in stats):
+            raise FormatError(f"{label} {path} is the input file")
+
+
 def _write_report(report, out):
     """A JSON report to the file ``out``, or to stdout without one."""
     if out:
@@ -110,8 +162,7 @@ def _cmd_aggregate(args):
     fitted = time.perf_counter()
 
     if args.method == "sds":
-        stem = os.path.splitext(args.out)[0]
-        model_path, trace_path = stem + ".model.json", stem + ".trace.csv"
+        model_path, trace_path = _sds_outputs(args.out)
         save_model(model, model_path)
         trace.save_csv(trace_path)
         _log(f"model -> {model_path}; trace -> {trace_path} "
@@ -178,15 +229,6 @@ def _cmd_simulate(args):
     return 0
 
 
-def _is_open_as(path, stream):
-    """Whether ``path`` names an existing file that ``stream`` has open;
-    False for a stream without a file descriptor."""
-    try:
-        return os.path.samestat(os.stat(path), os.fstat(stream.fileno()))
-    except (OSError, ValueError):  # io.UnsupportedOperation is both
-        return False
-
-
 def _cmd_online(args):
     model = load_model(args.model)
     k, j = model.n_members, model.n_classes
@@ -200,9 +242,6 @@ def _cmd_online(args):
     with contextlib.ExitStack() as files:
         fin = sys.stdin if args.input in (None, "-") else files.enter_context(
             open(args.input, newline="", encoding="utf-8"))
-        # opening the output would truncate the input before it is read
-        if args.out not in (None, "-") and _is_open_as(args.out, fin):
-            raise FormatError(f"--out {args.out} is the input file")
         fout = sys.stdout if args.out in (None, "-") else files.enter_context(
             open(args.out, "w", newline="", encoding="utf-8"))
         for line_no, row in _records(fin):
@@ -306,6 +345,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except NumericError as exc:
         _log(f"numeric error: {exc}")

@@ -799,6 +799,25 @@ def load_predictions(manifest_path):
     return PredictionSet._take(*_load_probs(manifest_path))
 
 
+def _manifest_members(manifest_path):
+    """``(n_classes, members, paths)`` of the manifest at
+    ``manifest_path``: its class count, its member file names as listed,
+    and those names resolved against the manifest's directory."""
+    manifest = _load_json(manifest_path, "manifest")
+    n_classes = manifest.get("n_classes")
+    members = manifest.get("members")
+    if not _is_int(n_classes) or n_classes < 2:
+        raise FormatError(f"{manifest_path}: n_classes must be an integer >= 2")
+    if not isinstance(members, list) or not members:
+        raise FormatError(f"{manifest_path}: members must be a non-empty list")
+    if not all(isinstance(member_path, str) for member_path in members):
+        raise FormatError(f"{manifest_path}: members must be file paths (strings)")
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    paths = [member_path if os.path.isabs(member_path) else os.path.join(base, member_path)
+             for member_path in members]
+    return n_classes, members, paths
+
+
 def _load_probs(manifest_path, workers=1):
     """``(probs, item_ids)`` of :func:`load_predictions`: the floored,
     renormalized and checked (N, K, J) array, writable and owned by the
@@ -814,19 +833,7 @@ def _load_probs(manifest_path, workers=1):
     order, so the first failure is the one a serial load meets, and a
     file that lists the same ids in another order is re-aligned in place.
     """
-    manifest = _load_json(manifest_path, "manifest")
-    n_classes = manifest.get("n_classes")
-    members = manifest.get("members")
-    if not _is_int(n_classes) or n_classes < 2:
-        raise FormatError(f"{manifest_path}: n_classes must be an integer >= 2")
-    if not isinstance(members, list) or not members:
-        raise FormatError(f"{manifest_path}: members must be a non-empty list")
-    if not all(isinstance(member_path, str) for member_path in members):
-        raise FormatError(f"{manifest_path}: members must be file paths (strings)")
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    paths = [member_path if os.path.isabs(member_path) else os.path.join(base, member_path)
-             for member_path in members]
-
+    n_classes, members, paths = _manifest_members(manifest_path)
     cap = _line_bound(paths[0])
     # mmap.mmap(-1, n) is anonymous and shared, so workers' writes land here
     buf = np.frombuffer(mmap.mmap(-1, cap * len(paths) * n_classes * 8),

@@ -561,6 +561,16 @@ class TestAggregate:
             f"i/o error: [Errno 21] Is a directory: '{out}'")
         assert (out / "kept").read_text() == "x"
 
+    def test_out_in_a_missing_directory_exits_2_before_the_load(self, sim_dir, tmp_path,
+                                                                 capsys):
+        _, out_dir = sim_dir
+        missing = tmp_path / "missing"
+        assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
+                     "--out", str(missing / "post.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno 2] No such file or directory: '{missing}'\n")
+        assert not missing.exists()
+
     def test_env_var_thread_fallback(self, sim_dir, tmp_path, monkeypatch):
         _, out_dir = sim_dir
         monkeypatch.setenv("SOFTDS_THREADS", "2")
@@ -932,6 +942,54 @@ class TestExplain:
         assert main(["explain", "--model", str(tmp_path / "post.model.json"),
                      "--manifest", str(out_dir / "manifest.json"),
                      "--item", "no-such-id"]) == 1
+
+
+class TestOutputNamingAnInput:
+    """An output path that names a file the command reads exits 1 before
+    anything is read or written."""
+
+    @pytest.fixture
+    def files(self, sim_dir, tmp_path):
+        _, out_dir = sim_dir
+        # named so that aggregate --out cfg.csv would write its model here
+        cfg = tmp_path / "cfg.model.json"
+        cfg.write_text(json.dumps({"em_iterations": 2}))
+        post = tmp_path / "post.csv"
+        assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
+                     "--config", str(cfg), "--out", str(post)]) == 0
+        (tmp_path / "link.csv").symlink_to(out_dir / "member_1.csv")
+        return tmp_path, out_dir
+
+    @pytest.mark.parametrize("argv, out", [
+        ("aggregate --method ea --manifest {d}/manifest.json --out {d}/member_0.csv",
+         "--out {d}/member_0.csv"),
+        ("aggregate --method ea --manifest {d}/manifest.json --out {d}/manifest.json",
+         "--out {d}/manifest.json"),
+        ("aggregate --manifest {d}/manifest.json --config {t}/cfg.model.json "
+         "--out {t}/cfg.csv", "model output {t}/cfg.model.json"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv --out {t}/post.csv",
+         "--out {t}/post.csv"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv "
+         "--ece-bins-out {d}/truth.csv", "--ece-bins-out {d}/truth.csv"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv "
+         "--manifest {d}/manifest.json --confusion-out {t}/link.csv",
+         "--confusion-out {t}/link.csv"),
+        ("evaluate --ood-in {t}/post.csv --ood-out {d}/truth.csv --out {d}/truth.csv",
+         "--out {d}/truth.csv"),
+        ("explain --model {t}/post.model.json --manifest {d}/manifest.json --item 3 "
+         "--out {t}/post.model.json", "--out {t}/post.model.json"),
+    ], ids=["aggregate_member", "aggregate_manifest", "aggregate_sds_model_config",
+            "evaluate_posterior", "evaluate_ece_bins_truth", "evaluate_confusion_link",
+            "evaluate_ood_out", "explain_model"])
+    def test_exits_1_and_writes_nothing(self, files, capsys, argv, out):
+        tmp_path, out_dir = files
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        fill = {"t": tmp_path, "d": out_dir}
+        assert main(argv.format(**fill).split()) == 1
+        assert capsys.readouterr().err == f"error: {out.format(**fill)} is the input file\n"
+        after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert after == before
 
 
 class TestEdges:

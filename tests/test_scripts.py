@@ -54,3 +54,29 @@ def test_synthetic_experiment_rejects_an_empty_split(fraction):
     assert done.returncode == 2
     assert "error: --learn-fraction" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_count_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "import os  # code with a trailing comment\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    # another comment\n"
+        '    text = """a string\n'
+        'that is not a docstring"""\n'
+        "    return (x,\n"
+        "            text)\n")
+    (tmp_path / "empty.py").write_text("# only a comment\n")
+    done = run_script("count_code_lines.py", str(source), str(tmp_path / "empty.py"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"6 {source}\n0 {tmp_path / 'empty.py'}\n6 total\n"
+    # a directory counts every .py file below it
+    done = run_script("count_code_lines.py", str(tmp_path))
+    assert done.stdout.splitlines()[-1] == "6 total"
