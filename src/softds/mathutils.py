@@ -1,7 +1,9 @@
 """Special functions, the Dirichlet log density and an order-insensitive sum.
 
-Everything here is a pure function of its inputs, operating on float64
-scalars or numpy arrays.  ``log_gamma`` and ``digamma`` are implemented
+Every public function here is a pure function of its inputs, operating
+on float64 scalars or numpy arrays; the private ``_digamma_of`` and
+``_sorted_sum_of`` overwrite the array they are given, for callers that
+own it.  ``log_gamma`` and ``digamma`` are implemented
 locally (Lanczos approximation, shifted asymptotic series) so that their
 error bounds are testable against independent references instead of
 depending on an external math library.
@@ -57,14 +59,27 @@ def _match_input(out, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _lanczos_log_gamma(z):
-    # Valid for z >= 0.5.
-    zm1 = z - 1.0
+def _lanczos_log_gamma(zm1):
+    """ln Gamma(zm1 + 1) for zm1 >= -0.5, as a new array; ``zm1`` is
+    overwritten."""
     series = np.full_like(zm1, _LANCZOS_C[0])
+    t = np.empty_like(zm1)
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        series = series + c / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(series)
+        np.add(zm1, i, out=t)
+        np.divide(c, t, out=t)
+        series += t
+    # _HALF_LOG_2PI + (zm1 + 0.5) * ln t - t + ln series, added in this
+    # order, with t = (zm1 + g) + 0.5
+    np.log(series, out=series)
+    np.add(zm1, _LANCZOS_G, out=t)
+    t += 0.5
+    zm1 += 0.5
+    out = np.log(t, out=np.empty_like(t))
+    out *= zm1
+    out += _HALF_LOG_2PI
+    out -= t
+    out += series
+    return out
 
 
 def log_gamma(x):
@@ -77,12 +92,55 @@ def log_gamma(x):
     """
     arr = _positive_array(x, "log_gamma")
     small = arr < 0.5
-    out = _lanczos_log_gamma(np.where(small, 1.0 - arr, arr))
+    # z - 1, with z = 1 - x below 0.5 and z = x elsewhere
+    zm1 = np.array(arr)
+    np.subtract(1.0, zm1, out=zm1, where=small)
+    zm1 -= 1.0
+    out = _lanczos_log_gamma(zm1)
     if np.any(small):
         with np.errstate(invalid="ignore", divide="ignore"):
-            reflected = _LOG_PI - np.log(np.sin(np.pi * arr)) - out
-        out = np.where(small, reflected, out)
+            # ln pi - ln sin(pi x) - ln Gamma(1 - x)
+            reflected = np.multiply(np.pi, arr, out=zm1)
+            np.sin(reflected, out=reflected)
+            np.log(reflected, out=reflected)
+            np.subtract(_LOG_PI, reflected, out=reflected)
+            np.subtract(reflected, out, out=out, where=small)
     return _match_input(out, x)
+
+
+def _digamma_of(z):
+    """:func:`digamma` of the float64 array ``z`` of finite entries > 0,
+    as a new array; ``z`` is overwritten."""
+    shift = np.zeros_like(z)
+    work = np.empty_like(z)
+    mask = np.empty(z.shape, dtype=bool)
+    for _ in range(8):  # z > 0, so eight unit shifts always reach 8
+        np.less(z, 8.0, out=mask)
+        if not mask.any():
+            break
+        # 0 / z is +0.0 for z > 0, and subtracting it leaves an entry's
+        # bits unchanged
+        np.divide(mask, z, out=work)
+        shift -= work
+        z += mask
+    # psi = shift + ln z - 0.5 / z - tail, added in this order; z then
+    # holds u = 1 / z^2 for the tail
+    np.log(z, out=work)
+    shift += work
+    np.divide(0.5, z, out=work)
+    shift -= work
+    # z * z overflows to inf above ~1.3e154, where u = 0 is the right value
+    with np.errstate(over="ignore"):
+        np.multiply(z, z, out=z)
+    u = np.divide(1.0, z, out=z)
+    # tail = u * (1/12 - u * (1/120 - ... - u * (691/32760 - u / 12)))
+    tail = np.divide(u, 12.0, out=work)
+    for c in (691.0 / 32760.0, 1.0 / 132.0, 1.0 / 240.0, 1.0 / 252.0, 1.0 / 120.0,
+              1.0 / 12.0):
+        np.subtract(c, tail, out=tail)
+        tail *= u
+    shift -= tail
+    return shift
 
 
 def digamma(x):
@@ -94,33 +152,7 @@ def digamma(x):
     Raises ValueError for x <= 0 or non-finite x.
     """
     arr = _positive_array(x, "digamma")
-    z = np.atleast_1d(arr).astype(np.float64, copy=True)
-    shift = np.zeros_like(z)
-    for _ in range(8):  # z > 0, so eight unit shifts always reach 8
-        mask = z < 8.0
-        if not mask.any():
-            break
-        # 0 / z is +0.0 for z > 0, and subtracting it leaves an entry's
-        # bits unchanged
-        shift -= mask / z
-        z += mask
-    # z * z overflows to inf above ~1.3e154, where u = 0 is the right value
-    with np.errstate(over="ignore"):
-        u = 1.0 / (z * z)
-    tail = u * (
-        1.0 / 12.0
-        - u * (
-            1.0 / 120.0
-            - u * (
-                1.0 / 252.0
-                - u * (
-                    1.0 / 240.0
-                    - u * (1.0 / 132.0 - u * (691.0 / 32760.0 - u / 12.0))
-                )
-            )
-        )
-    )
-    out = (shift + np.log(z) - 0.5 / z - tail).reshape(arr.shape)
+    out = _digamma_of(np.array(arr, ndmin=1)).reshape(arr.shape)
     return _match_input(out, x)
 
 
@@ -159,7 +191,13 @@ def sorted_sum(a, axis):
     ``np.sort(a, axis).sum(axis)`` bit for bit; numpy adds fewer than
     eight terms in order too.  The cost is O(K^2) passes over a slab, so
     it suits the few members of an ensemble."""
-    slabs = list(np.moveaxis(np.asarray(a), axis, 0).copy())
+    return _sorted_sum_of(np.moveaxis(np.asarray(a), axis, 0).copy())
+
+
+def _sorted_sum_of(a):
+    """:func:`sorted_sum` along axis 0 of the writable array ``a``, whose
+    slabs it sorts in place; ``a`` is left holding scrambled values."""
+    slabs = list(a)
     spare = np.empty_like(slabs[0])
     for top in range(1, len(slabs)):
         for j in range(top, 0, -1):

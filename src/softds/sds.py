@@ -28,6 +28,7 @@ thread pool; the other public functions are single-threaded.
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -53,7 +54,7 @@ from .data import (
     _save_json,
     _write_table,
 )
-from .mathutils import digamma, log_gamma, sorted_sum
+from .mathutils import _digamma_of, _sorted_sum_of, log_gamma, sorted_sum
 
 __all__ = [
     "NumericError",
@@ -177,9 +178,19 @@ def _log_nu(nu):
     return np.log(np.maximum(nu, NU_LOG_FLOOR))
 
 
+def _with_row_sums(pi):
+    """(K, J, J + 1) array of pi with each row's sum after it, so that one
+    elementwise call takes a special function of both."""
+    out = np.empty(pi.shape[:2] + (pi.shape[2] + 1,))
+    out[:, :, :-1] = pi
+    out[:, :, -1] = pi.sum(axis=2)
+    return out
+
+
 def _normalizer_per_member(pi):
     """(K, J) array: sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl)."""
-    return log_gamma(pi).sum(axis=2) - log_gamma(pi.sum(axis=2))
+    lg = log_gamma(_with_row_sums(pi))
+    return lg[:, :, :-1].sum(axis=2) - lg[:, :, -1]
 
 
 def _log_weight_terms(pi, nu):
@@ -213,7 +224,10 @@ def _log_weights(log_c, terms):
     # in one order, whatever the block around it
     for k in range(n_members):
         np.einsum("il,jl->ij", log_c[:, k], pim1[k], out=block[k])
-    return sorted_sum(block, axis=0) + const
+    # sorted_sum(block, axis=0), sorting the block itself
+    w = _sorted_sum_of(block)
+    w += const
+    return w
 
 
 def _normalize_log_rows(w):
@@ -228,6 +242,21 @@ def _normalize_log_rows(w):
     if not np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9):
         raise NumericError("posterior rows are non-finite or do not sum to 1")
     return rows
+
+
+def _pool_map(pool, window):
+    """A ``map(task, chunks)`` that runs the tasks on ``pool`` and yields
+    their results in order, with at most ``window`` tasks submitted whose
+    results are not yet taken, so that at most that many are held."""
+    def map_chunks(task, chunks):
+        pending = deque()
+        for rows in chunks:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(task, rows))
+        while pending:
+            yield pending.popleft().result()
+    return map_chunks
 
 
 def _drain(map_chunks, task, chunks):
@@ -288,10 +317,15 @@ def _q_from_stats(s, mass, terms):
     return float(np.sum(terms[0] * s) + np.sum(mass * terms[1]))
 
 
-def _grad_from_stats(s, mass, pi):
-    """dQ/dpi_kjl = S_kjl + mass_j * (psi(sum_l' pi_kjl') - psi(pi_kjl))."""
-    correction = digamma(pi.sum(axis=2))[:, :, None] - digamma(pi)
-    return s + mass[None, :, None] * correction
+def _grad_from_stats(s, mass, pi, out=None):
+    """dQ/dpi_kjl = S_kjl + mass_j * (psi(sum_l' pi_kjl') - psi(pi_kjl)),
+    written into ``out`` when it is given.  Digamma is taken once, over pi
+    and its row sums."""
+    psi = _digamma_of(_with_row_sums(pi))
+    grad = np.subtract(psi[:, :, -1:], psi[:, :, :-1], out=out)
+    grad *= mass[:, None]
+    grad += s
+    return grad
 
 
 def _adamw_pi(s, mass, pi, lr, m, v, step):
@@ -305,23 +339,38 @@ def _adamw_pi(s, mass, pi, lr, m, v, step):
         pi <- pi - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * pi
 
     with g = -dQ/dpi, the bias-corrected moments m_hat and v_hat, and
-    weight_decay ``_WEIGHT_DECAY`` (1e-4)."""
+    weight_decay ``_WEIGHT_DECAY`` (1e-4).  The steps run in place on one
+    copy of pi, with ``grad`` and ``scratch`` the only other arrays of its
+    shape."""
     decay = lr * _WEIGHT_DECAY
+    pi = np.array(pi)
+    grad, scratch = np.empty_like(pi), np.empty_like(pi)
     for t in range(step + 1, step + _INNER_STEPS + 1):
         # a gradient or step that overflows is reported by the checks
         # below, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = -_grad_from_stats(s, mass, pi)
+            _grad_from_stats(s, mass, pi, out=grad)
+            np.negative(grad, out=grad)
             if not np.all(np.isfinite(grad)):
                 raise NumericError("non-finite gradient in the AdamW M-step")
             m *= _ADAM_BETA1
-            m += (1.0 - _ADAM_BETA1) * grad
+            np.multiply(1.0 - _ADAM_BETA1, grad, out=scratch)
+            m += scratch
             v *= _ADAM_BETA2
-            v += (1.0 - _ADAM_BETA2) * grad * grad
-            m_hat = m / (1.0 - _ADAM_BETA1 ** t)
-            v_hat = v / (1.0 - _ADAM_BETA2 ** t)
-            pi = np.maximum(pi - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS) - decay * pi,
-                            _PI_FLOOR)
+            np.multiply(1.0 - _ADAM_BETA2, grad, out=scratch)
+            scratch *= grad
+            v += scratch
+            # pi - lr * m_hat / (sqrt(v_hat) + eps) - decay * pi
+            np.divide(m, 1.0 - _ADAM_BETA1 ** t, out=scratch)
+            np.multiply(lr, scratch, out=scratch)
+            np.divide(v, 1.0 - _ADAM_BETA2 ** t, out=grad)
+            np.sqrt(grad, out=grad)
+            grad += _ADAM_EPS
+            scratch /= grad
+            np.multiply(decay, pi, out=grad)
+            pi -= scratch
+            pi -= grad
+            np.maximum(pi, _PI_FLOOR, out=pi)
             # One sum catches a non-finite entry and any row sum that
             # would overflow in the next gradient's digamma.
             if not np.isfinite(pi.sum()):
@@ -386,7 +435,13 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     (N, K) labels and (N, J) label frequencies or O(chunk * K * J)
     scratch of one item chunk.  Each start task writes its chunk's
     ensemble average, then the logs of its chunk's probabilities over
-    them.
+    them.  In (K, J, J) arrays the fit holds pi, the two AdamW moments,
+    S and pi - 1, and at its peak, in an AdamW step, six more: the
+    steps' copy of pi, gradient and scratch array, and digamma's
+    argument, result and work array, (K, J, J + 1) each for pi and its
+    row sums; about 11 in all.  The start's confusion estimate is
+    dropped once pi is built.  With ``threads > 1`` at most two E-step
+    tasks per thread are in flight, each with its (K, J, J) part of S.
 
     Each iteration is one pass over the item chunks, one task per chunk,
     with ``log c`` taken once per fit:
@@ -432,6 +487,7 @@ def _fit(buf, item_ids, cfg, threads):
     del hard
     # conf lies in [0, 1], so every entry starts at or above 0.1
     pi = _INIT_SCALE * (conf + _DS_SMOOTHING)
+    del conf
     # AdamW's moments, carried across iterations
     m, v = np.zeros_like(pi), np.zeros_like(pi)
     terms = _log_weight_terms(pi, nu)
@@ -442,7 +498,9 @@ def _fit(buf, item_ids, cfg, threads):
     prev_q = None
     # the executor starts no thread until the first task is submitted
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        map_chunks = pool.map if threads > 1 else map
+        # at most two tasks per thread, so that at most as many of the
+        # E-step's (K, J, J) parts of S wait to be summed
+        map_chunks = _pool_map(pool, 2 * threads) if threads > 1 else map
         _drain(map_chunks, partial(_start_chunk, buf, post), chunks)
         # from here on the buffer holds log c, which the E-step and S read
         log_c = buf
@@ -457,6 +515,8 @@ def _fit(buf, item_ids, cfg, threads):
             # shared by this iteration's Q and the next iteration's E-step
             terms = _log_weight_terms(pi, nu)
             q = _q_from_stats(s, mass, terms)
+            # freed before the next E-step, which builds its own S
+            del s
             if not np.isfinite(q):
                 raise NumericError(f"Q became non-finite at iteration {it}")
             iters.append(it)

@@ -24,7 +24,54 @@ EULER_GAMMA = 0.5772156649015329
 LGAMMA_3_7 = 1.4280723266653879
 
 
+def where_log_gamma(x):
+    """``log_gamma`` written with a temporary per operation and the
+    reflection selected by ``np.where``, the form its work arrays must
+    equal bit for bit."""
+    arr = np.asarray(x, dtype=np.float64)
+    small = arr < 0.5
+    zm1 = np.where(small, 1.0 - arr, arr) - 1.0
+    coefficients = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+                    771.32342877765313, -176.61502916214059, 12.507343278686905,
+                    -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+    series = np.full_like(zm1, coefficients[0])
+    for i, c in enumerate(coefficients[1:], start=1):
+        series = series + c / (zm1 + i)
+    t = zm1 + 7.0 + 0.5
+    out = 0.9189385332046727 + (zm1 + 0.5) * np.log(t) - t + np.log(series)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        reflected = 1.1447298858494002 - np.log(np.sin(np.pi * arr)) - out
+    return np.where(small, reflected, out)
+
+
+def wide_range_inputs():
+    """Log-uniform over 1e-300..1e300, the integers 1..9 and their
+    neighbours one ulp away, the smallest subnormal (1 / z overflows to
+    inf there), the digamma series threshold 8 and the largest float."""
+    rng = np.random.default_rng(26)
+    ints = np.arange(1.0, 10.0)
+    return np.concatenate([np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 400_000)),
+                           ints, np.nextafter(ints, 0.0), np.nextafter(ints, np.inf),
+                           [5e-324, 8.0, np.finfo(float).max]])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestLogGamma:
+    def test_equals_where_form_bitwise(self):
+        # the wide range, the reflection branch (0, 0.5), and 0.5 and its
+        # neighbours one ulp away, where the branches meet
+        rng = np.random.default_rng(28)
+        x = np.concatenate([wide_range_inputs(), rng.uniform(0.0, 0.5, 100_000),
+                            [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]])
+        assert np.all(x > 0.0)
+        with np.errstate(over="ignore"):
+            got, want = log_gamma(x), where_log_gamma(x)
+        assert_same_bits(got, want)
+
     def test_at_one(self):
         assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -99,14 +146,7 @@ def where_digamma(x):
 
 class TestDigamma:
     def test_equals_where_shifts_bitwise(self):
-        # log-uniform over 1e-300..1e300, the integers 1..9 and their
-        # neighbours one ulp away, the smallest subnormal (1 / z overflows
-        # to inf there), the series threshold 8 and the largest float
-        rng = np.random.default_rng(26)
-        ints = np.arange(1.0, 10.0)
-        x = np.concatenate([np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 400_000)),
-                            ints, np.nextafter(ints, 0.0), np.nextafter(ints, np.inf),
-                            [5e-324, 8.0, np.finfo(float).max]])
+        x = wide_range_inputs()
         with np.errstate(over="ignore"):
             got, want = digamma(x), where_digamma(x)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -156,6 +196,17 @@ class TestDigamma:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             digamma(bad)
+
+
+@pytest.mark.parametrize("f", [log_gamma, digamma], ids=lambda f: f.__name__)
+def test_returns_float_or_array_of_the_input_shape(f):
+    # each entry as of a 1-d call, on both sides of 0.5 and of 8
+    grid = np.random.default_rng(29).uniform(1e-3, 20.0, (7, 11))
+    assert_same_bits(f(grid), f(grid.ravel()).reshape(7, 11))
+    for x in (0.3, np.float64(3.7), np.array(12.5)):
+        got = f(x)
+        assert type(got) is float
+        assert_same_bits(np.array(got), f(np.atleast_1d(x))[0])
 
 
 class TestDirichletLogDensity:
