@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import json
 import os
 import sys
 import time
@@ -28,14 +29,13 @@ from .data import (
     FormatError,
     PredictionSet,
     SdsConfig,
+    _created,
     _csv_line,
-    _json_text,
     _load_probs,
     _manifest_members,
     _parse_record,
     _prob_header,
     _records,
-    _save_json,
     _write_prob_file,
     _write_table,
     load_ground_truth,
@@ -81,9 +81,11 @@ def _resolve_threads(value):
 
 
 # the options that name a file a command reads, and those that name one
-# it writes; "-" is stdin or stdout
+# it writes; an input "-" is stdin, and the --out "-" of a command that
+# writes one text is stdout
 _INPUTS = ("config", "model", "posterior", "truth", "ood_in", "ood_out", "input")
 _OUTPUTS = ("out", "ece_bins_out", "confusion_out")
+_ONE_TEXT = ("evaluate", "explain", "online")
 
 
 def _sds_outputs(out):
@@ -104,9 +106,10 @@ def _stat(source):
 
 def _check_outputs(args):
     """Refuse every output file of the command ``args`` before any input
-    is read: one that is an input file, which opening it for writing would
-    truncate (exit 1), and one whose directory does not exist (exit 2).
-    An input that cannot be read is left for its load to report."""
+    is read: ``-`` where it cannot mean stdout, two outputs that are one
+    file, and one that is an input file, which opening it for writing
+    would truncate (exit 1); and one whose directory does not exist (exit
+    2).  An input that cannot be read is left for its load to report."""
     outputs = [("--" + name.replace("_", "-"), getattr(args, name, None))
                for name in _OUTPUTS]
     if getattr(args, "method", None) == "sds":
@@ -119,23 +122,35 @@ def _check_outputs(args):
             inputs += _manifest_members(manifest)[2]
     stats = [st for st in (_stat(sys.stdin if path == "-" else path)
                            for path in inputs if path) if st is not None]
+    named = {}
     for label, path in outputs:
-        if path in (None, "-"):
+        if path is None:
             continue
+        if path == "-":
+            if label == "--out" and args.command in _ONE_TEXT:
+                continue
+            raise FormatError(f"{label} must name a file, not - (stdout)")
         directory = os.path.dirname(path) or os.curdir
         if not os.path.isdir(directory):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), directory)
+        real = os.path.realpath(path)
+        if real in named:
+            raise FormatError(f"{named[real]} and {label} {path} name the same file")
+        named[real] = f"{label} {path}"
         out = _stat(path)
         if out is not None and any(os.path.samestat(out, st) for st in stats):
             raise FormatError(f"{label} {path} is the input file")
 
 
 def _write_report(report, out):
-    """A JSON report to the file ``out``, or to stdout without one."""
-    if out:
-        _save_json(report, out)
+    """A JSON report, ``json.dumps(report, indent=2)`` and one newline, to
+    the file ``out``, or to stdout when ``out`` is None or ``-``."""
+    text = json.dumps(report, indent=2) + "\n"
+    if out in (None, "-"):
+        sys.stdout.write(text)
     else:
-        sys.stdout.write(_json_text(report))
+        with _created(out) as fh:
+            fh.write(text)
 
 
 def _cmd_aggregate(args):
@@ -313,7 +328,7 @@ def build_parser():
     ev.add_argument("--ood-out", help="posterior CSV of out-of-distribution items")
     ev.add_argument("--ood-score", choices=["max_prob", "entropy"],
                     default="max_prob")
-    ev.add_argument("--out", help="report JSON path (default: stdout)")
+    ev.add_argument("--out", help="report JSON path, or - for stdout (the default)")
     ev.set_defaults(func=_cmd_evaluate)
 
     sim = sub.add_parser("simulate", help="write a synthetic dataset")
@@ -336,7 +351,7 @@ def build_parser():
     ex.add_argument("--model", required=True)
     ex.add_argument("--manifest", required=True)
     ex.add_argument("--item", required=True, help="item id to explain")
-    ex.add_argument("--out", help="JSON path (default: stdout)")
+    ex.add_argument("--out", help="JSON path, or - for stdout (the default)")
     ex.set_defaults(func=_cmd_explain)
 
     return parser

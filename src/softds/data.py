@@ -32,6 +32,11 @@ body of every CSV file in the bytes of ``csv.writer``, for
 reads and writes each row with the same ``_records``, ``_parse_record``
 and ``_csv_line``.
 
+JSON files are ``json.dumps(obj)`` and one newline, written by
+``_save_json``; the ``evaluate`` and ``explain`` reports, which the CLI
+writes, are indented.  The readers take any JSON text, so files written
+with ``indent=2`` by earlier versions still load.
+
 Every file written here, CSV tables through ``_write_tables`` and JSON
 through ``_save_json``, is created by ``_created``, which removes it if
 its writing raises: after a failure Python sees (an I/O error, a worker
@@ -712,43 +717,10 @@ def _json_numbers(value, path, what):
     return arr
 
 
-def _json_text(obj):
-    """The text of every JSON file and report: ``json.dumps(obj,
-    indent=2)`` and one trailing newline."""
-    return "".join(_json_chunks(obj, "\n")) + "\n"
-
-
-def _json_chunks(obj, newline):
-    """The text of ``json.dumps(obj, indent=2)`` nested at ``newline``, in
-    pieces.  ``indent`` makes ``json`` fall back to its pure-Python
-    encoder, so a list of plain numbers is written by the C encoder
-    instead and its ``", "`` separators re-spaced: a number's text holds
-    no comma.  Dicts with str keys and other lists are walked here, and
-    any other value is ``json``'s own text, re-indented."""
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= {int, float}:
-            yield "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner)
-        else:
-            yield "["
-            for i, value in enumerate(obj):
-                yield ("," if i else "") + inner
-                yield from _json_chunks(value, inner)
-        yield newline + "]"
-    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-        yield "{"
-        for i, (key, value) in enumerate(obj.items()):
-            yield ("," if i else "") + inner + json.dumps(key) + ": "
-            yield from _json_chunks(value, inner)
-        yield newline + "}"
-    else:
-        # a JSON string escapes its line breaks, so each one is json's own
-        yield json.dumps(obj, indent=2).replace("\n", newline)
-
-
 def _save_json(obj, path):
+    """Write ``json.dumps(obj)`` and one newline to the file ``path``."""
     with _created(path) as fh:
-        fh.write(_json_text(obj))
+        fh.write(json.dumps(obj) + "\n")
 
 
 def _prob_header(n_classes):

@@ -5,7 +5,7 @@ out-of-distribution scoring, and ground-truth confusion matrices."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,13 +76,7 @@ class MetricReport:
             raise ValueError("nll must be >= 0")
 
     def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "ece": self.ece,
-            "brier": self.brier,
-            "nll": self.nll,
-            "n_items": self.n_items,
-        }
+        return asdict(self)
 
 
 def accuracy(post, truth) -> float:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -569,14 +569,10 @@ class Explanation:
     posterior: np.ndarray        # (J,)
 
     def to_dict(self):
-        return {
-            "item_id": self.item_id,
-            "log_prior": self.log_prior.tolist(),
-            "member_evidence": self.member_evidence.tolist(),
-            "member_normalizer": self.member_normalizer.tolist(),
-            "log_weights": self.log_weights.tolist(),
-            "posterior": self.posterior.tolist(),
-        }
+        """The fields in order, each array as nested lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in values.items()}
 
 
 def explain(preds: PredictionSet, model: SdsModel, item_index: int) -> Explanation:

@@ -992,6 +992,76 @@ class TestOutputNamingAnInput:
         assert after == before
 
 
+class TestOutputPaths:
+    """``-`` is stdout for the ``--out`` of a command that writes one text,
+    and is refused where a command writes a file; two outputs of one
+    command that are one file are refused.  A refusal exits 1 before
+    anything is read or written."""
+
+    @pytest.fixture
+    def run_dir(self, sim_dir, tmp_path, monkeypatch):
+        """The fill of the argv templates below; the working directory is
+        the empty ``work``."""
+        _, out_dir = sim_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"em_iterations": 2}))
+        assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
+                     "--config", str(cfg), "--out", str(tmp_path / "post.csv")]) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        return {"t": tmp_path, "d": out_dir}
+
+    @staticmethod
+    def snapshot(root):
+        return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+    @pytest.mark.parametrize("argv", [
+        "evaluate --posterior {t}/post.csv --truth {d}/truth.csv",
+        "explain --model {t}/post.model.json --manifest {d}/manifest.json --item 3",
+    ], ids=["evaluate", "explain"])
+    def test_dash_out_is_stdout(self, run_dir, capsys, argv):
+        args = argv.format(**run_dir).split()
+        capsys.readouterr()
+        assert main(args) == 0
+        report = capsys.readouterr().out
+        assert main([*args, "--out", "-"]) == 0
+        assert capsys.readouterr().out == report
+        assert list((run_dir["t"] / "work").iterdir()) == []
+
+    @pytest.mark.parametrize("argv, label", [
+        ("aggregate --method ea --manifest {d}/manifest.json --out -", "--out"),
+        ("aggregate --manifest {d}/manifest.json --out -", "--out"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv --ece-bins-out -",
+         "--ece-bins-out"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv "
+         "--manifest {d}/manifest.json --confusion-out -", "--confusion-out"),
+    ], ids=["aggregate_ea", "aggregate_sds", "evaluate_ece_bins", "evaluate_confusion"])
+    def test_dash_for_a_file_exits_1(self, run_dir, capsys, argv, label):
+        before = self.snapshot(run_dir["t"])
+        capsys.readouterr()
+        assert main(argv.format(**run_dir).split()) == 1
+        assert capsys.readouterr().err == f"error: {label} must name a file, not - (stdout)\n"
+        assert self.snapshot(run_dir["t"]) == before
+
+    @pytest.mark.parametrize("outputs, named", [
+        ("--out r.json --ece-bins-out r.json", "--out r.json and --ece-bins-out r.json"),
+        ("--ece-bins-out r.json --out ./r.json",
+         "--out ./r.json and --ece-bins-out r.json"),
+        ("--ece-bins-out r.csv --confusion-out link.json",
+         "--ece-bins-out r.csv and --confusion-out link.json"),
+    ], ids=["same", "dot_slash", "link_to_a_new_file"])
+    def test_two_outputs_one_file_exit_1(self, run_dir, capsys, outputs, named):
+        (run_dir["t"] / "work" / "link.json").symlink_to("r.csv")
+        before = self.snapshot(run_dir["t"])
+        capsys.readouterr()
+        argv = ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv "
+                "--manifest {d}/manifest.json ").format(**run_dir) + outputs
+        assert main(argv.split()) == 1
+        assert capsys.readouterr().err == f"error: {named} name the same file\n"
+        assert self.snapshot(run_dir["t"]) == before
+
+
 class TestEdges:
     """Edge inputs end to end through the files the CLI reads and writes."""
 

@@ -1,9 +1,12 @@
 """Exact bytes of every file writer.
 
 CSV files end lines with ``\\r\\n`` (the ``csv`` module's default), JSON
-files are ``indent=2`` with one trailing newline, and floats are written
-with ``repr``.  These texts are the file formats; a writer that changes
-them is a format change.
+files are ``json.dumps(obj)`` with one trailing newline, the ``evaluate``
+and ``explain`` reports ``json.dumps(report, indent=2)`` with one, and
+floats are written with ``repr``.  These texts are the file formats; a
+writer that changes them is a format change.  JSON files written with
+``indent=2`` before the format became compact still load, to the same
+arrays.
 """
 
 import contextlib
@@ -19,7 +22,9 @@ IDS = ["a", "b,c"]
 
 MEMBER_CSV = 'item_id,p_0,p_1\r\na,0.25,0.75\r\n"b,c",0.5,0.5\r\n'
 
-MANIFEST_JSON = """\
+MANIFEST_JSON = '{"n_classes": 2, "members": ["member_0.csv"], "labels": "truth.csv"}\n'
+
+INDENTED_MANIFEST_JSON = """\
 {
   "n_classes": 2,
   "members": [
@@ -33,26 +38,11 @@ POSTERIOR_CSV = 'item_id,p_0,p_1\r\na,0.75,0.25\r\n"b,c",0.25,0.75\r\n'
 
 TRUTH_CSV = 'item_id,label\r\na,0\r\n"b,c",1\r\n'
 
-CONFUSION_JSON = """\
-{
-  "members": [
-    {
-      "pi": [
-        [
-          1.5,
-          0.5
-        ],
-        [
-          0.25,
-          2.0
-        ]
-      ]
-    }
-  ]
-}
-"""
+CONFUSION_JSON = '{"members": [{"pi": [[1.5, 0.5], [0.25, 2.0]]}]}\n'
 
-MODEL_JSON = """\
+MODEL_JSON = '{"nu": [0.25, 0.75], "members": [{"pi": [[1.0, 1.0], [1.0, 1.0]]}]}\n'
+
+INDENTED_MODEL_JSON = """\
 {
   "nu": [
     0.25,
@@ -77,7 +67,10 @@ MODEL_JSON = """\
 
 TRACE_CSV = "iteration,q,alpha,millis\r\n0,-3.5,0.001,1.5\r\n1,-3.25,0.001,2.0\r\n"
 
-SPEC_JSON = """\
+SPEC_JSON = ('{"n_items": 1, "n_members": 1, "n_classes": 2, "nu_true": [0.5, 0.5], '
+             '"pi_true": [[[2.0, 1.0], [1.0, 2.0]]], "seed": 7}\n')
+
+INDENTED_SPEC_JSON = """\
 {
   "n_items": 1,
   "n_members": 1,
@@ -245,3 +238,36 @@ WRITERS = {
 def test_writer_bytes(name, tmp_path):
     write, expected = WRITERS[name]
     assert write(tmp_path) == expected.encode()
+
+
+def _model_arrays(path):
+    model = s.load_model(path)
+    return model.pi.pi, model.nu.nu
+
+
+def _spec_arrays(path):
+    spec = s.GenerativeSpec.from_json(path)
+    return spec.pi_true.pi, spec.nu_true.nu
+
+
+def _manifest_arrays(path):
+    return (s.load_predictions(path).probs,)
+
+
+# the JSON files as written before they became compact
+INDENTED = {
+    "model": (_save_model, "model.json", INDENTED_MODEL_JSON, _model_arrays),
+    "spec": (_save_spec, "spec.json", INDENTED_SPEC_JSON, _spec_arrays),
+    "manifest": (_save_predictions, "manifest.json", INDENTED_MANIFEST_JSON,
+                 _manifest_arrays),
+}
+
+
+@pytest.mark.parametrize("name", list(INDENTED))
+def test_indented_json_loads_to_the_same_arrays(name, tmp_path):
+    save, file_name, indented, arrays = INDENTED[name]
+    save(tmp_path)
+    path = tmp_path / file_name
+    expected = [(a.shape, a.tobytes()) for a in arrays(path)]
+    path.write_bytes(indented.encode())
+    assert [(a.shape, a.tobytes()) for a in arrays(path)] == expected
