@@ -53,7 +53,7 @@ from .sds import (
     online_infer,
     save_model,
 )
-from .synth import GenerativeSpec, _save_sample
+from .synth import GenerativeSpec, _sample_files, _save_sample
 
 __all__ = ["main", "build_parser"]
 
@@ -83,7 +83,7 @@ def _resolve_threads(value):
 # the options that name a file a command reads, and those that name one
 # it writes; an input "-" is stdin, and the --out "-" of a command that
 # writes one text is stdout
-_INPUTS = ("config", "model", "posterior", "truth", "ood_in", "ood_out", "input")
+_INPUTS = ("config", "model", "posterior", "truth", "ood_in", "ood_out", "input", "spec")
 _OUTPUTS = ("out", "ece_bins_out", "confusion_out")
 _ONE_TEXT = ("evaluate", "explain", "online")
 
@@ -109,11 +109,18 @@ def _check_outputs(args):
     is read: ``-`` where it cannot mean stdout, two outputs that are one
     file, and one that is an input file, which opening it for writing
     would truncate (exit 1); and one whose directory does not exist (exit
-    2).  An input that cannot be read is left for its load to report."""
+    2).  ``simulate``'s outputs are the files it writes in an existing
+    ``--out-dir``.  An input that cannot be read is left for its load to
+    report."""
     outputs = [("--" + name.replace("_", "-"), getattr(args, name, None))
                for name in _OUTPUTS]
     if getattr(args, "method", None) == "sds":
         outputs += zip(("model output", "trace output"), _sds_outputs(args.out))
+    if args.command == "simulate" and os.path.isdir(args.out_dir):
+        # the spec's member count names the member files
+        with contextlib.suppress(ValueError, OSError):
+            names = _sample_files(GenerativeSpec.from_json(args.spec).n_members, args.bayes)
+            outputs += [("--out-dir", os.path.join(args.out_dir, name)) for name in names]
     inputs = [getattr(args, name, None) for name in _INPUTS]
     manifest = getattr(args, "manifest", None)
     if manifest:
@@ -188,15 +195,35 @@ def _cmd_aggregate(args):
     return 0
 
 
+def _check_ids(source, source_path, truth, truth_path):
+    """Refuse a posterior or prediction set whose item ids are not the
+    ground truth's, in order."""
+    if list(source.item_ids) != list(truth.item_ids):
+        raise FormatError(f"item ids of {source_path} and {truth_path} do not match")
+
+
 def _cmd_evaluate(args):
+    # every option is checked against the others before any input is read
+    for refused, message in (
+            (bool(args.posterior) != bool(args.truth),
+             "--posterior and --truth must be given together"),
+            (bool(args.ood_in) != bool(args.ood_out),
+             "--ood-in and --ood-out must be given together"),
+            (not (args.posterior or args.ood_in),
+             "nothing to evaluate: pass --posterior/--truth and/or --ood-in/--ood-out"),
+            (args.ece_bins_out and not args.posterior,
+             "--ece-bins-out needs --posterior and --truth"),
+            (args.confusion_out and not args.posterior,
+             "--confusion-out needs --posterior and --truth"),
+            (args.manifest and not args.confusion_out, "--manifest needs --confusion-out")):
+        if refused:
+            raise FormatError(message)
+
     report = {}
-    if args.posterior and args.truth:
+    if args.posterior:
         post = load_posterior(args.posterior)
         truth = load_ground_truth(args.truth)
-        if list(post.item_ids) != list(truth.item_ids):
-            raise FormatError(
-                f"item ids of {args.posterior} and {args.truth} do not match"
-            )
+        _check_ids(post, args.posterior, truth, args.truth)
         report.update(evaluate_posterior(post, truth, n_bins=args.bins).to_dict())
         if args.ece_bins_out:
             conf, acc, count = reliability_bins(post, truth, args.bins)
@@ -205,33 +232,19 @@ def _cmd_evaluate(args):
             _write_table(args.ece_bins_out, ["bin", "conf", "acc", "count"],
                          range(args.bins), np.array(columns, dtype=object).T)
         if args.confusion_out:
+            source = post
             if args.manifest:
                 source = load_predictions(args.manifest)
-                if list(source.item_ids) != list(truth.item_ids):
-                    raise FormatError(
-                        f"item ids of {args.manifest} and {args.truth} "
-                        f"do not match"
-                    )
-            else:
-                source = post
+                _check_ids(source, args.manifest, truth, args.truth)
             save_confusion_tensor(true_confusion(source, truth), args.confusion_out)
-    elif args.posterior or args.truth:
-        raise FormatError("--posterior and --truth must be given together")
 
-    if args.ood_in and args.ood_out:
+    if args.ood_in:
         post_in = load_posterior(args.ood_in)
         post_out = load_posterior(args.ood_out)
         scores_in = [ood_score(row, args.ood_score) for row in post_in.rows]
         scores_out = [ood_score(row, args.ood_score) for row in post_out.rows]
         report["auroc"] = auroc(scores_in, scores_out)
         report["ood_score"] = args.ood_score
-    elif args.ood_in or args.ood_out:
-        raise FormatError("--ood-in and --ood-out must be given together")
-
-    if not report:
-        raise FormatError(
-            "nothing to evaluate: pass --posterior/--truth and/or --ood-in/--ood-out"
-        )
     _write_report(report, args.out)
     return 0
 

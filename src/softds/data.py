@@ -60,6 +60,7 @@ import os
 import sys
 import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -464,23 +465,38 @@ def _call_fork_func(item):
     return _fork_func(item)
 
 
+def _in_order(pool, window, func, items):
+    """``map(func, items)``, in order, as a generator, with the calls run
+    on the executor ``pool``: at most ``window`` calls are submitted whose
+    results are not yet taken, so that at most that many results are
+    held.  Each result is yielded as soon as it and those before it are
+    done, and an exception raised by a call is raised here, at its
+    item."""
+    pending = deque()
+    for item in items:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(func, item))
+    while pending:
+        yield pending.popleft().result()
+
+
 def _fork_map(func, items, workers):
     """``map(func, items)``, in order, as a generator.
 
     With ``workers > 1`` the calls run on ``min(workers, len(items))``
-    worker processes forked from this one, all submitted at once; each
-    result is yielded as soon as it and those before it are done.
-    ``func`` (a closure is fine) and everything it reads reach the
-    workers through the fork, copy-on-write; only the items and the
-    results are pickled.  The pool forks all its workers before it
-    starts its own thread, so no thread is copied into them; in a
-    process that already runs other threads, or where ``fork`` is
-    unavailable, this is the builtin ``map``.  An exception raised by
-    ``func`` in a worker is raised here, at its item, and a worker that
-    dies raises ``BrokenProcessPool``.  When the generator is exhausted
-    or closed, calls not yet started are cancelled and no worker
-    outlives it; a caller that may stop early closes it (for example
-    with ``contextlib.closing``).
+    worker processes forked from this one, through :func:`_in_order` with
+    every call submitted at once.  ``func`` (a closure is fine) and
+    everything it reads reach the workers through the fork,
+    copy-on-write; only the items and the results are pickled.  The pool
+    forks all its workers before it starts its own thread, so no thread
+    is copied into them; in a process that already runs other threads,
+    or where ``fork`` is unavailable, this is the builtin ``map``.  An
+    exception raised by ``func`` in a worker is raised here, at its item,
+    and a worker that dies raises ``BrokenProcessPool``.  When the
+    generator is exhausted or closed, calls not yet started are cancelled
+    and no worker outlives it; a caller that may stop early closes it
+    (for example with ``contextlib.closing``).
     """
     items = list(items)
     workers = min(workers, len(items))
@@ -494,7 +510,7 @@ def _fork_map(func, items, workers):
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_set_fork_func, initargs=(func,))
             try:
-                yield from pool.map(_call_fork_func, items)
+                yield from _in_order(pool, len(items), _call_fork_func, items)
             finally:
                 pool.shutdown(cancel_futures=True)
             return

@@ -28,7 +28,6 @@ thread pool; the other public functions are single-threaded.
 from __future__ import annotations
 
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
@@ -46,6 +45,7 @@ from .data import (
     PredictionSet,
     SdsConfig,
     _hard_labels,
+    _in_order,
     _json_numbers,
     _load_json,
     _members_pi,
@@ -74,8 +74,8 @@ _TRACE_HEADER = ["iteration", "q", "alpha", "millis"]
 # Items per chunk are this many float64 elements over K*J, the size of
 # one item's part of the fit's (N, K, J) buffer, of the E-step's
 # (K, chunk, J) block and of the item-last ``log c`` copy that S makes of
-# each chunk; the fit's start, its one task per chunk and iteration, and
-# e_step_raw share the one chunk list.  Smaller chunks lose to per-call
+# each chunk; the fit's one task per chunk and iteration and e_step_raw
+# share the one chunk list.  Smaller chunks lose to per-call
 # overhead at J = 100.
 # 2^17 ran a few percent faster but raised peak memory at K = 3, J = 10:
 # its freed 1 MB block lifts malloc's mmap threshold above the fit's N x J
@@ -244,34 +244,6 @@ def _normalize_log_rows(w):
     return rows
 
 
-def _pool_map(pool, window):
-    """A ``map(task, chunks)`` that runs the tasks on ``pool`` and yields
-    their results in order, with at most ``window`` tasks submitted whose
-    results are not yet taken, so that at most that many are held."""
-    def map_chunks(task, chunks):
-        pending = deque()
-        for rows in chunks:
-            if len(pending) == window:
-                yield pending.popleft().result()
-            pending.append(pool.submit(task, rows))
-        while pending:
-            yield pending.popleft().result()
-    return map_chunks
-
-
-def _drain(map_chunks, task, chunks):
-    """Run ``task`` on every chunk, so that a chunk's error is raised here."""
-    for _ in map_chunks(task, chunks):
-        pass
-
-
-def _start_chunk(buf, post, rows):
-    """Write the ensemble average of the probabilities ``buf[rows]`` into
-    ``post``, then their logs over them."""
-    post[rows] = _average_rows(buf[rows])
-    np.log(buf[rows], out=buf[rows])
-
-
 def _evidence_part(log_c, post, rows):
     """The chunk ``rows``'s part of S, (K, J, J): sum over its items of
     post[i, j] * ln c_ikl.  The chunk's slices of the item-first ``log_c``
@@ -284,11 +256,17 @@ def _evidence_part(log_c, post, rows):
     return np.einsum("jc,klc->kjl", post_t, log_c_t)
 
 
-def _em_chunk(log_c, post, terms, alpha, rows):
+def _em_chunk(log_c, post, terms, alpha, start, rows):
     """One EM iteration's task on the chunk ``rows``: replace ``post[rows]``
     by ``(1 - alpha) * old + alpha * new``, with ``new`` the undamped
     E-step rows of :func:`_e_step_rows`, then return the chunk's part of
-    S under the new rows."""
+    S under the new rows.  With ``start`` (iteration 0) ``log_c[rows]``
+    still holds the chunk's probabilities: the task first writes their
+    ensemble average into ``post[rows]``, as ``old``, and then their logs
+    over them."""
+    if start:
+        post[rows] = _average_rows(log_c[rows])
+        np.log(log_c[rows], out=log_c[rows])
     fresh = _normalize_log_rows(_log_weights(log_c[rows], terms))
     fresh *= alpha
     old = post[rows]
@@ -429,13 +407,12 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     to 1e-6.
 
     Memory: the fit works on a copy of ``preds.probs``, which it leaves
-    untouched.  That one (N, K, J) buffer holds the probabilities until
-    the start and ``log c`` after it; besides it the fit holds the (N, J)
-    posterior, and everything else that grows with N is the start's
-    (N, K) labels and (N, J) label frequencies or O(chunk * K * J)
-    scratch of one item chunk.  Each start task writes its chunk's
-    ensemble average, then the logs of its chunk's probabilities over
-    them.  In (K, J, J) arrays the fit holds pi, the two AdamW moments,
+    untouched.  That one (N, K, J) buffer holds the probabilities, and
+    each chunk's ``log c`` once iteration 0's task on the chunk has
+    written it over them; besides it the fit holds the (N, J) posterior,
+    and everything else that grows with N is the start's (N, K) labels
+    and (N, J) label frequencies or O(chunk * K * J) scratch of one item
+    chunk.  In (K, J, J) arrays the fit holds pi, the two AdamW moments,
     S and pi - 1, and at its peak, in an AdamW step, six more: the
     steps' copy of pi, gradient and scratch array, and digamma's
     argument, result and work array, (K, J, J + 1) each for pi and its
@@ -444,13 +421,17 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     tasks per thread are in flight, each with its (K, J, J) part of S.
 
     Each iteration is one pass over the item chunks, one task per chunk,
-    with ``log c`` taken once per fit:
+    and the fit makes no other pass over them; ``log c`` is taken once
+    per fit:
 
     1. the undamped E-step posterior (as :func:`e_step_raw`), mixed into
        the previous posterior as ``(1 - alpha) * old + alpha * new``, with
        the alpha active per ``alpha_schedule``; each chunk's task
        normalizes and damps its rows and writes them in place, then
-       returns its part of the evidence statistics S;
+       returns its part of the evidence statistics S.  In iteration 0
+       the task first writes its chunk's ensemble average into the
+       posterior, as ``old``, and the logs of its chunk's probabilities
+       over them, so that iteration's time includes the start;
     2. S, the parts summed in chunk order, and the per-class mass of the
        posterior;
     3. the prior ``nu = mass / sum(mass)``;
@@ -494,21 +475,18 @@ def _fit(buf, item_ids, cfg, threads):
     chunks = _chunks(*buf.shape)
     post = np.empty((n_items, n_classes))
 
-    iters, qs, alphas, millis = [], [], [], []
-    prev_q = None
+    qs, alphas, millis = [], [], []
     # the executor starts no thread until the first task is submitted
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # at most two tasks per thread, so that at most as many of the
         # E-step's (K, J, J) parts of S wait to be summed
-        map_chunks = _pool_map(pool, 2 * threads) if threads > 1 else map
-        _drain(map_chunks, partial(_start_chunk, buf, post), chunks)
-        # from here on the buffer holds log c, which the E-step and S read
-        log_c = buf
+        map_chunks = partial(_in_order, pool, 2 * threads) if threads > 1 else map
         for it in range(cfg.em_iterations):
             t0 = time.perf_counter()
             alpha = _alpha_at(cfg.alpha_schedule, it)
-            s = _sum_parts(map_chunks(partial(_em_chunk, log_c, post, terms, alpha),
-                                      chunks))
+            # iteration 0's tasks turn the buffer into log c, chunk by chunk
+            s = _sum_parts(map_chunks(partial(_em_chunk, buf, post, terms, alpha,
+                                              it == 0), chunks))
             mass = post.sum(axis=0)
             nu = mass / mass.sum()
             pi = _adamw_pi(s, mass, pi, cfg.learning_rate, m, v, it * _INNER_STEPS)
@@ -519,18 +497,15 @@ def _fit(buf, item_ids, cfg, threads):
             del s
             if not np.isfinite(q):
                 raise NumericError(f"Q became non-finite at iteration {it}")
-            iters.append(it)
             qs.append(q)
             alphas.append(alpha)
             millis.append((time.perf_counter() - t0) * 1e3)
-            if (cfg.q_rel_tolerance > 0.0 and prev_q is not None and q != 0.0
-                    and abs(q - prev_q) / abs(q) < cfg.q_rel_tolerance):
+            if (cfg.q_rel_tolerance > 0.0 and it > 0 and q != 0.0
+                    and abs(q - qs[-2]) / abs(q) < cfg.q_rel_tolerance):
                 break
-            prev_q = q
 
     model = SdsModel(ConfusionTensor(pi), ClassPrior(nu))
-    trace = FitTrace(np.asarray(iters), np.asarray(qs), np.asarray(alphas),
-                     np.asarray(millis))
+    trace = FitTrace(np.arange(len(qs)), qs, alphas, millis)
     return model, PosteriorMatrix._take(post, item_ids), trace
 
 

@@ -306,6 +306,13 @@ def sample(spec: GenerativeSpec, workers=1):
     return preds, GroundTruth(labels, list(item_ids), n_classes=j)
 
 
+def _sample_files(n_members, bayes):
+    """The names of the files :func:`_save_sample` writes: its tables, the
+    truth first, then the manifest."""
+    return (["truth.csv", *_member_files(n_members)]
+            + ["bayes_posterior.csv"] * bayes + ["manifest.json"])
+
+
 def _save_sample(spec: GenerativeSpec, out_dir, workers=1, bayes=False):
     """Write the dataset of ``sample(spec)`` to ``out_dir`` as
     :func:`softds.data.save_ground_truth` and
@@ -324,11 +331,9 @@ def _save_sample(spec: GenerativeSpec, out_dir, workers=1, bayes=False):
     bytes for any ``workers``.
     """
     k, j = spec.n_members, spec.n_classes
-    truth_name = "truth.csv"
+    truth_name, *prob_names, _ = _sample_files(k, bayes)
     tables = [(truth_name, _TRUTH_HEADER)] + [(name, _prob_header(j))
-                                              for name in _member_files(k)]
-    if bayes:
-        tables.append(("bayes_posterior.csv", _prob_header(j)))
+                                              for name in prob_names]
 
     def texts(ids, labels, probs):
         values = [labels[:, None], *probs.transpose(1, 0, 2)]

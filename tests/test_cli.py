@@ -49,6 +49,31 @@ class TestSimulate:
                      "bayes_posterior.csv"]:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("name, bayes, code", [
+        ("manifest.json", False, 1),
+        ("truth.csv", False, 1),
+        ("member_0.csv", False, 1),
+        ("member_1.csv", False, 1),
+        ("bayes_posterior.csv", True, 1),
+        ("spec.json", True, 0),
+        ("member_2.csv", False, 0),
+        ("bayes_posterior.csv", False, 0),
+    ], ids=["manifest", "truth", "member_0", "member_1", "bayes", "spec", "member_2",
+            "bayes_not_written"])
+    def test_spec_among_the_outputs_exits_1(self, tmp_path, capsys, name, bayes, code):
+        # K = 2: simulate writes member_0.csv and member_1.csv; a refusal
+        # writes nothing, and no run overwrites the spec
+        spec_path = tmp_path / name
+        diagonal_spec(4.0, 0.3, seed=81, n_items=10, n_members=2, n_classes=3).to_json(spec_path)
+        spec = spec_path.read_bytes()
+        capsys.readouterr()
+        assert main(["simulate", "--spec", str(spec_path), "--out-dir", str(tmp_path)]
+                    + ["--bayes"] * bayes) == code
+        if code:
+            assert capsys.readouterr().err == f"error: --out-dir {spec_path} is the input file\n"
+            assert list(tmp_path.iterdir()) == [spec_path]
+        assert spec_path.read_bytes() == spec
+
     def test_rejects_empty_dataset(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         obj = {"n_items": 0, "n_members": 1, "n_classes": 2,
@@ -908,6 +933,20 @@ class TestOnline:
         assert main(["online", "--model", str(model_path),
                      "--input", str(stream_in), "--out", str(stream_out)]) == 3
         assert stream_out.read_text() == "item_id,p_0,p_1\n"
+
+    def test_overflowing_normalizer_exits_3(self, tmp_path, capsys):
+        # ln Gamma(1e306) overflows, though the rows of pi sum inside the
+        # float range
+        model_path = tmp_path / "huge.model.json"
+        s.save_model(s.SdsModel(s.ConfusionTensor(np.full((1, 2, 2), 1e306)),
+                                s.ClassPrior(np.array([0.5, 0.5]))), model_path)
+        stream_in = tmp_path / "stream.csv"
+        stream_in.write_text("item_id,m0_p0,m0_p1\na,0.5,0.5\n")
+        capsys.readouterr()
+        assert main(["online", "--model", str(model_path), "--input", str(stream_in),
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == ("numeric error: log-Gamma normalizer of the "
+                                           "confusion tensor is not finite\n")
 
 
 class TestExplain:

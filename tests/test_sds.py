@@ -544,6 +544,19 @@ class TestFit:
         assert np.array_equal(post.rows, ref_post)
         assert np.array_equal(trace.q, ref_q)
 
+    def test_one_task_per_chunk_and_iteration(self, chunked_preds, monkeypatch):
+        # the start runs in iteration 0's tasks, not as a pass of its own
+        submitted = []
+
+        class Counting(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args[-1])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(s.sds, "ThreadPoolExecutor", Counting)
+        s.fit(chunked_preds, s.SdsConfig(em_iterations=3), threads=2)
+        assert submitted == 3 * s.sds._chunks(*chunked_preds.probs.shape)
+
     def test_leaves_predictions_untouched(self, chunked_preds):
         before = chunked_preds.probs.copy()
         s.fit(chunked_preds, s.SdsConfig(em_iterations=2), threads=2)

@@ -204,6 +204,30 @@ class TestCommandLine:
         post = write(tmp_path / "p.csv", "item_id,p_0,p_1\na,0.5,0.5\n")
         assert cli("evaluate", flag, post) == (1, f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        ("", "nothing to evaluate: pass --posterior/--truth and/or --ood-in/--ood-out"),
+        ("--ood-in p.csv --ood-out p.csv --ece-bins-out bins.csv --confusion-out c.json",
+         "--ece-bins-out needs --posterior and --truth"),
+        ("--ood-in p.csv --ood-out p.csv --confusion-out c.json",
+         "--confusion-out needs --posterior and --truth"),
+        ("--posterior p.csv --truth t.csv --manifest m.json",
+         "--manifest needs --confusion-out"),
+    ], ids=["nothing", "ece_bins_out", "confusion_out", "manifest"])
+    def test_output_without_its_input(self, tmp_path, cli, monkeypatch, argv, message):
+        # refused before any input is read: none of the files exists
+        monkeypatch.chdir(tmp_path)
+        assert cli("evaluate", *argv.split()) == (1, f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_confusion_of_members_with_other_ids(self, tmp_path, cli, manifest):
+        post = write(tmp_path / "p.csv", "item_id,p_0,p_1\nx,0.9,0.1\ny,0.3,0.7\n")
+        truth = write(tmp_path / "t.csv", "item_id,label\nx,0\ny,1\n")
+        out = tmp_path / "conf.json"
+        assert cli("evaluate", "--posterior", post, "--truth", truth, "--manifest", manifest,
+                   "--confusion-out", out, "--out", tmp_path / "report.json") == (
+            1, f"error: item ids of {manifest} and {truth} do not match\n")
+        assert not out.exists()
+
     def test_confusion_of_the_posterior_without_a_manifest(self, tmp_path, cli):
         post = write(tmp_path / "p.csv", "item_id,p_0,p_1\na,0.9,0.1\nb,0.8,0.2\nc,0.3,0.7\n")
         truth = write(tmp_path / "t.csv", "item_id,label\na,0\nb,1\nc,1\n")
