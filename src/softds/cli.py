@@ -108,10 +108,10 @@ def _check_outputs(args):
     """Refuse every output file of the command ``args`` before any input
     is read: ``-`` where it cannot mean stdout, two outputs that are one
     file, and one that is an input file, which opening it for writing
-    would truncate (exit 1); and one whose directory does not exist (exit
-    2).  ``simulate``'s outputs are the files it writes in an existing
-    ``--out-dir``.  An input that cannot be read is left for its load to
-    report."""
+    would truncate (exit 1); and one that is a directory or whose
+    directory does not exist (exit 2).  ``simulate``'s outputs are the
+    files it writes in an existing ``--out-dir``.  An input that cannot be
+    read is left for its load to report."""
     outputs = [("--" + name.replace("_", "-"), getattr(args, name, None))
                for name in _OUTPUTS]
     if getattr(args, "method", None) == "sds":
@@ -140,6 +140,8 @@ def _check_outputs(args):
         directory = os.path.dirname(path) or os.curdir
         if not os.path.isdir(directory):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), directory)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         real = os.path.realpath(path)
         if real in named:
             raise FormatError(f"{named[real]} and {label} {path} name the same file")
@@ -266,10 +268,12 @@ def _cmd_online(args):
     bad_header = False
     written = skipped = 0
     start = time.perf_counter()
-    # closes the input also when the output cannot be opened
+    # closes the input also when the output cannot be opened; a byte that
+    # is not UTF-8 is escaped, and its record rejected by _records
     with contextlib.ExitStack() as files:
-        fin = sys.stdin if args.input in (None, "-") else files.enter_context(
-            open(args.input, newline="", encoding="utf-8"))
+        fin = files.enter_context(open(sys.stdin.fileno() if args.input == "-" else args.input,
+                                       newline="", encoding="utf-8", errors="surrogateescape",
+                                       closefd=args.input != "-"))
         fout = sys.stdout if args.out in (None, "-") else files.enter_context(
             open(args.out, "w", newline="", encoding="utf-8"))
         for line_no, row in _records(fin):

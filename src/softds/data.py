@@ -20,14 +20,16 @@ renormalized.  Floats are serialized with ``repr`` so save -> load
 round-trips are bit-exact.
 
 CSV records are walked by ``_records`` (the header is line 1; blank
-records after it are skipped and not numbered) and checked and parsed
-by ``_parse_record``.  ``_read_table`` reads every table: its header as
+records after it are skipped and not numbered; a record holding a byte
+that is not UTF-8 is rejected) and checked and parsed by
+``_parse_record``.  ``_read_table`` reads every table: its header as
 the first record, its body with one ``np.loadtxt`` call.  Fields split
 as ``csv.reader`` splits them, numbers convert with ``float()``'s C
 routine (without its underscores and non-ASCII digits); a rejected
 table, or one holding a text field or a line over ``csv``'s field size
-limit, is walked again to name the line.  ``_csv_rows`` formats the
-body of every CSV file in the bytes of ``csv.writer``, for
+limit or a text field that is not UTF-8, is walked again to name the
+line.  A JSON file that is not UTF-8 is invalid JSON.  ``_csv_rows``
+formats the body of every CSV file in the bytes of ``csv.writer``, for
 ``_write_table`` and for ``simulate``'s blocks; the ``online`` stream
 reads and writes each row with the same ``_records``, ``_parse_record``
 and ``_csv_line``.
@@ -57,11 +59,12 @@ import json
 import mmap
 import numbers
 import os
+import re
 import sys
 import threading
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -347,67 +350,41 @@ _FIELD_KINDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdsConfig:
-    """Hyperparameters of the EM fit.
+    """Hyperparameters of the EM fit, checked when built.
 
-    ``alpha_schedule`` is a list of ``(start_iteration, alpha)`` pairs;
-    the alpha of the last pair whose start is <= the current iteration is
-    in effect.  A constant damping factor is a one-entry schedule.
-    ``q_rel_tolerance = 0`` disables early stopping (fixed iteration
-    count).  The fit's start scale and smoothing, its confusion floor and
-    AdamW's steps per M-step and weight decay are constants, not fields
-    (see :func:`softds.sds.fit`).
+    ``alpha`` in (0, 1] damps every E-step of the fit; ``alpha = 1``
+    disables damping.  ``q_rel_tolerance = 0`` disables early stopping
+    (fixed iteration count).  The fit's start scale and smoothing, its
+    confusion floor and AdamW's steps per M-step and weight decay are
+    constants, not fields (see :func:`softds.sds.fit`).
     """
 
-    alpha_schedule: list = field(default_factory=lambda: [(0, 1e-3)])
+    alpha: float = 1e-3
     em_iterations: int = 100
     learning_rate: float = 1e-4
     q_rel_tolerance: float = 0.0
 
-    def validate(self):
-        """Check every field against its annotation and range, and convert
-        ``alpha_schedule`` to ``(int, float)`` pairs; returns ``self``."""
+    def __post_init__(self):
         for f in fields(self):
-            kind = _FIELD_KINDS.get(f.type)
-            value = getattr(self, f.name)
-            if kind is not None and not kind[1](value):
-                raise FormatError(f"config field {f.name} must be {kind[0]}, "
-                                  f"got {value!r}")
-        is_int, is_float = _FIELD_KINDS["int"][1], _FIELD_KINDS["float"][1]
-        try:
-            typed = all(is_int(s) and is_float(a) for s, a in self.alpha_schedule)
-        except (TypeError, ValueError):
-            typed = False
-        if not typed:
-            raise FormatError("alpha_schedule must be a list of [start_iteration, "
-                              "alpha] pairs of an integer and a finite number")
-        sched = [(int(s), float(a)) for s, a in self.alpha_schedule]
-        if not sched:
-            raise FormatError("alpha_schedule must be non-empty")
-        if sched[0][0] != 0:
-            raise FormatError("alpha_schedule must cover iteration 0")
-        starts = [s for s, _ in sched]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise FormatError("alpha_schedule starts must be strictly increasing")
-        if any(not (0.0 < a <= 1.0) for _, a in sched):
-            raise FormatError("alpha values must lie in (0, 1]")
-        if self.em_iterations < 1:
-            raise FormatError("em_iterations must be >= 1")
-        if self.learning_rate <= 0:
-            raise FormatError("learning_rate must be > 0")
-        if self.q_rel_tolerance < 0:
-            raise FormatError("q_rel_tolerance must be >= 0")
-        self.alpha_schedule = sched
-        return self
+            description, accepts = _FIELD_KINDS[f.type]
+            if not accepts(getattr(self, f.name)):
+                raise FormatError(f"config field {f.name} must be {description}, "
+                                  f"got {getattr(self, f.name)!r}")
+        for refused, message in ((not 0.0 < self.alpha <= 1.0, "alpha must lie in (0, 1]"),
+                                 (self.em_iterations < 1, "em_iterations must be >= 1"),
+                                 (self.learning_rate <= 0, "learning_rate must be > 0"),
+                                 (self.q_rel_tolerance < 0, "q_rel_tolerance must be >= 0")):
+            if refused:
+                raise FormatError(message)
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise FormatError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**d).validate()
+        return cls(**d)
 
     @classmethod
     def from_json(cls, path):
@@ -532,12 +509,20 @@ _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
 _BLOCK_CELLS = 1 << 15
 
 
+def _escaped(text):
+    """Whether the str ``text`` holds a byte that is not UTF-8, which a
+    text file opened with ``errors="surrogateescape"`` reads as a lone
+    surrogate from U+DC80 to U+DCFF."""
+    return not text.isascii() and re.search("[\udc80-\udcff]", text) is not None
+
+
 def _records(fh):
-    """``(line, record)`` for each CSV record of ``fh``: ``record`` is
-    ``csv.reader``'s list of str, or the ``csv.Error`` of a record it
-    rejects, such as one with a field over its size limit.  The first
-    record is line 1; after it, blank records are skipped and not
-    numbered."""
+    """``(line, record)`` for each CSV record of ``fh``, a text file read
+    with ``errors="surrogateescape"``: ``record`` is ``csv.reader``'s list
+    of str, or a ``csv.Error`` for a record it rejects, such as one with a
+    field over its size limit, and for one that holds a byte that is not
+    UTF-8, so that no such byte reaches a writer.  The first record is
+    line 1; after it, blank records are skipped and not numbered."""
     reader = csv.reader(fh)
     line = 0
     while True:
@@ -550,6 +535,8 @@ def _records(fh):
         if line and record == []:
             continue
         line += 1
+        if isinstance(record, list) and _escaped("".join(record)):
+            record = csv.Error("not UTF-8 text")
         yield line, record
 
 
@@ -580,12 +567,13 @@ def _read_table(path, row_dtype, what):
     ``csv.reader`` does, converts numbers with ``float()``'s C routine
     and skips blank lines.  If it fails, or the table may hold a field
     over ``csv.field_size_limit()`` (a text field or a line of the file
-    is longer), the records are walked again with :func:`_parse_record`
-    to raise a :class:`FormatError` naming the first bad line (``what``
-    describes a field that does not convert); a walk that finds none
-    returns the table.
+    is longer) or holds a byte that is not UTF-8 in a text field, the
+    records are walked again with :func:`_parse_record` to raise a
+    :class:`FormatError` naming the first bad line (``what`` describes a
+    field that does not convert); a walk that finds none returns the
+    table.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         _, header = next(_records(fh), (1, None))
         if header is None:
             raise FormatError(f"{path}: empty file")
@@ -606,6 +594,7 @@ def _read_table(path, row_dtype, what):
             limit = csv.field_size_limit()
             with open(path, "rb") as raw:
                 if (all(max(map(len, table[name]), default=0) <= limit
+                        and not _escaped("".join(table[name]))
                         for name in dtype.names if dtype[name] == object)
                         and max(map(len, raw), default=0) <= limit):
                     return table
@@ -707,7 +696,7 @@ def _load_json(path, what):
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: {what} must be a JSON object")

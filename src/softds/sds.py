@@ -389,12 +389,6 @@ def e_step_raw(preds: PredictionSet, model: SdsModel) -> PosteriorMatrix:
     return PosteriorMatrix._take(_e_step_rows(preds, model), list(preds.item_ids))
 
 
-def _alpha_at(schedule, iteration):
-    """Alpha of the last schedule entry starting at or before
-    ``iteration``; a validated schedule always covers iteration 0."""
-    return [alpha for start, alpha in schedule if start <= iteration][-1]
-
-
 def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     """Full EM fit.
 
@@ -426,7 +420,7 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
 
     1. the undamped E-step posterior (as :func:`e_step_raw`), mixed into
        the previous posterior as ``(1 - alpha) * old + alpha * new``, with
-       the alpha active per ``alpha_schedule``; each chunk's task
+       the config's one ``alpha`` in every iteration; each chunk's task
        normalizes and damps its rows and writes them in place, then
        returns its part of the evidence statistics S.  In iteration 0
        the task first writes its chunk's ensemble average into the
@@ -460,7 +454,6 @@ def _fit(buf, item_ids, cfg, threads):
     """:func:`fit` of the writable, C-contiguous (N, K, J) array ``buf`` of
     floored, renormalized probabilities under ``item_ids``; the fit
     writes ``log c`` over ``buf``."""
-    cfg.validate()
     n_items, _, n_classes = buf.shape
 
     hard = _hard_labels(buf)
@@ -475,7 +468,7 @@ def _fit(buf, item_ids, cfg, threads):
     chunks = _chunks(*buf.shape)
     post = np.empty((n_items, n_classes))
 
-    qs, alphas, millis = [], [], []
+    qs, millis = [], []
     # the executor starts no thread until the first task is submitted
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # at most two tasks per thread, so that at most as many of the
@@ -483,9 +476,8 @@ def _fit(buf, item_ids, cfg, threads):
         map_chunks = partial(_in_order, pool, 2 * threads) if threads > 1 else map
         for it in range(cfg.em_iterations):
             t0 = time.perf_counter()
-            alpha = _alpha_at(cfg.alpha_schedule, it)
             # iteration 0's tasks turn the buffer into log c, chunk by chunk
-            s = _sum_parts(map_chunks(partial(_em_chunk, buf, post, terms, alpha,
+            s = _sum_parts(map_chunks(partial(_em_chunk, buf, post, terms, cfg.alpha,
                                               it == 0), chunks))
             mass = post.sum(axis=0)
             nu = mass / mass.sum()
@@ -498,14 +490,13 @@ def _fit(buf, item_ids, cfg, threads):
             if not np.isfinite(q):
                 raise NumericError(f"Q became non-finite at iteration {it}")
             qs.append(q)
-            alphas.append(alpha)
             millis.append((time.perf_counter() - t0) * 1e3)
             if (cfg.q_rel_tolerance > 0.0 and it > 0 and q != 0.0
                     and abs(q - qs[-2]) / abs(q) < cfg.q_rel_tolerance):
                 break
 
     model = SdsModel(ConfusionTensor(pi), ClassPrior(nu))
-    trace = FitTrace(np.arange(len(qs)), qs, alphas, millis)
+    trace = FitTrace(np.arange(len(qs)), qs, np.full(len(qs), cfg.alpha), millis)
     return model, PosteriorMatrix._take(post, item_ids), trace
 
 

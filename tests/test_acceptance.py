@@ -157,7 +157,7 @@ def test_criterion_7_no_averaging_ablation():
     with criterion("undamped-e-step-ablation", 60.0):
         spec = diagonal_spec(6.0, 0.2, seed=104, n_items=300, n_classes=4)
         preds, _ = s.sample(spec)
-        cfg = s.SdsConfig(alpha_schedule=[(0, 1.0)], em_iterations=30)
+        cfg = s.SdsConfig(alpha=1.0, em_iterations=30)
         _, post, trace = s.fit(preds, cfg)
         assert np.all(trace.alpha == 1.0)
         assert len(trace) == 30

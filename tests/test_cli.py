@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import softds as s
-from softds import data, synth
+from softds import cli, data, synth
 from softds.cli import main
 from util import diagonal_spec, run_python
 
@@ -487,9 +487,13 @@ class TestAggregate:
         ("sds", {"em_iterations": 5.5}, 1),
         ("sds", {"learning_rate": "0.1"}, 1),
         ("sds", {"em_iterations": True}, 1),
+        # one alpha damps every iteration: a schedule, in any form, is an
+        # unknown field
         ("sds", {"alpha_schedule": [[0.7, 0.5]]}, 1),
         ("sds", {"alpha_schedule": [[0, "0.5"]]}, 1),
         ("sds", {"alpha_schedule": [[0, 0.5], [3, True]]}, 1),
+        ("sds", {"alpha": "0.5"}, 1),
+        ("sds", {"alpha": True}, 1),
         # the start's scale and smoothing and the confusion floor are
         # constants, not config fields
         ("sds", {"pi_floor": 1e308}, 1),
@@ -507,6 +511,7 @@ class TestAggregate:
             "learning_rate_overflow", "seed_unknown", "prob_floor_unknown",
             "em_iterations_float", "learning_rate_string", "em_iterations_bool",
             "schedule_start_float", "schedule_alpha_string", "schedule_alpha_bool",
+            "alpha_string", "alpha_bool",
             "pi_floor_overflow", "ds_init_smoothing_overflow",
             "ds_init_concentration_overflow", "inner_steps_unknown",
             "weight_decay_inf", "adam_beta1_unknown",
@@ -1101,6 +1106,36 @@ class TestOutputPaths:
         assert self.snapshot(run_dir["t"]) == before
 
 
+    @pytest.mark.parametrize("argv, directory", [
+        ("aggregate --manifest {d}/manifest.json --out dir", "dir"),
+        ("aggregate --manifest {d}/manifest.json --out post.csv", "post.model.json"),
+        ("aggregate --manifest {d}/manifest.json --out post.csv", "post.trace.csv"),
+        ("aggregate --method ea --manifest {d}/manifest.json --out dir", "dir"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv --out dir", "dir"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv --ece-bins-out dir", "dir"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv "
+         "--manifest {d}/manifest.json --confusion-out dir", "dir"),
+        ("explain --model {t}/post.model.json --manifest {d}/manifest.json --item 3 "
+         "--out dir", "dir"),
+    ], ids=["aggregate_sds", "aggregate_sds_model", "aggregate_sds_trace", "aggregate_ea",
+            "evaluate_out", "evaluate_ece_bins", "evaluate_confusion", "explain"])
+    def test_directory_output_exits_2(self, run_dir, capsys, monkeypatch, argv, directory):
+        # refused before any input is read
+        def read(*args):
+            raise AssertionError("an input was read")
+
+        for loader in ("_load_probs", "load_posterior", "load_ground_truth",
+                       "load_predictions", "load_model"):
+            monkeypatch.setattr(cli, loader, read)
+        (run_dir["t"] / "work" / directory).mkdir()
+        before = self.snapshot(run_dir["t"]), sorted(run_dir["t"].rglob("*"))
+        capsys.readouterr()
+        assert main(argv.format(**run_dir).split()) == 2
+        assert capsys.readouterr().err == \
+            f"i/o error: [Errno 21] Is a directory: '{directory}'\n"
+        assert (self.snapshot(run_dir["t"]), sorted(run_dir["t"].rglob("*"))) == before
+
+
 class TestEdges:
     """Edge inputs end to end through the files the CLI reads and writes."""
 
@@ -1190,7 +1225,7 @@ class TestEdges:
 
     @pytest.mark.parametrize("config", [
         {},
-        {"alpha_schedule": [[0, 1.0]], "learning_rate": 0.5, "em_iterations": 20},
+        {"alpha": 1.0, "learning_rate": 0.5, "em_iterations": 20},
     ], ids=["default", "undamped_lr_0.5"])
     def test_class_no_member_predicts(self, tmp_path, config):
         # K = 1, J = 3, and class 2 gets probability 0 on every item

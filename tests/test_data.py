@@ -816,7 +816,7 @@ class TestContainers:
 class TestSdsConfig:
     def test_defaults_match_documented_values(self):
         cfg = s.SdsConfig()
-        assert cfg.alpha_schedule == [(0, 1e-3)]
+        assert cfg.alpha == 1e-3
         assert cfg.em_iterations == 100
         assert cfg.learning_rate == 1e-4
         assert cfg.q_rel_tolerance == 0.0
@@ -850,16 +850,19 @@ class TestSdsConfig:
         with pytest.raises(FormatError, match="unknown config"):
             s.SdsConfig.from_json(path)
 
-    def test_schedule_must_cover_zero(self):
-        with pytest.raises(FormatError):
-            s.SdsConfig(alpha_schedule=[(5, 0.5)]).validate()
-
     def test_alpha_range(self):
-        with pytest.raises(FormatError):
-            s.SdsConfig(alpha_schedule=[(0, 0.0)]).validate()
-        with pytest.raises(FormatError):
-            s.SdsConfig(alpha_schedule=[(0, 1.5)]).validate()
+        # refused when built, as every other container is
+        for bad in (0, 1.5, float("nan"), "0.5", True):
+            with pytest.raises(FormatError, match="alpha"):
+                s.SdsConfig(alpha=bad)
+        assert s.SdsConfig(alpha=1.0).alpha == 1.0
 
-    def test_schedule_order(self):
-        with pytest.raises(FormatError):
-            s.SdsConfig(alpha_schedule=[(0, 0.5), (0, 0.2)]).validate()
+    def test_four_checked_fields_and_frozen(self):
+        assert [f.name for f in dataclasses.fields(s.SdsConfig)] == \
+            ["alpha", "em_iterations", "learning_rate", "q_rel_tolerance"]
+        assert not hasattr(s.SdsConfig, "validate")
+        cfg = s.SdsConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.alpha = 0.5
+        with pytest.raises(FormatError, match="em_iterations must be >= 1"):
+            dataclasses.replace(cfg, em_iterations=0)

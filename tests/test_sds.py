@@ -449,11 +449,8 @@ class TestPolyakUpdate:
         """``(old, new, posterior of iteration n)``."""
         preds, _ = s.sample(diagonal_spec(4.0, 0.4, seed=25, n_items=30,
                                           n_classes=3))
-        schedule = [(0, alpha)]
-        prev, old, _ = s.fit(preds, s.SdsConfig(em_iterations=n - 1,
-                                                alpha_schedule=schedule))
-        _, post, _ = s.fit(preds, s.SdsConfig(em_iterations=n,
-                                              alpha_schedule=schedule))
+        prev, old, _ = s.fit(preds, s.SdsConfig(alpha=alpha, em_iterations=n - 1))
+        _, post, _ = s.fit(preds, s.SdsConfig(alpha=alpha, em_iterations=n))
         return old.rows, s.e_step_raw(preds, prev).rows, post.rows
 
     def test_alpha_one_returns_new_exactly(self):
@@ -491,15 +488,12 @@ class TestFit:
         agree = np.mean(np.argmax(post.rows, axis=1) == member_argmax)
         assert agree >= 0.99
 
-    def test_alpha_schedule_switch_recorded(self):
+    def test_alpha_recorded(self):
         spec = diagonal_spec(5.0, 0.3, seed=32, n_items=40, n_classes=3)
         preds, _ = s.sample(spec)
-        cfg = s.SdsConfig(alpha_schedule=[(0, 1e-5), (100, 1e-3)],
-                          em_iterations=200)
-        _, _, trace = s.fit(preds, cfg)
-        assert len(trace) == 200
-        assert np.all(trace.alpha[:100] == 1e-5)
-        assert np.all(trace.alpha[100:] == 1e-3)
+        _, _, trace = s.fit(preds, s.SdsConfig(alpha=1e-5, em_iterations=20))
+        assert len(trace) == 20
+        assert np.all(trace.alpha == 1e-5)
 
     def test_deterministic_bitwise(self):
         spec = diagonal_spec(4.0, 0.4, seed=33, n_items=120, n_classes=3)
@@ -532,10 +526,10 @@ class TestFit:
     @pytest.mark.parametrize("threads", [1, 8])
     @pytest.mark.parametrize("cfg", [
         s.SdsConfig(),
-        s.SdsConfig(alpha_schedule=[(0, 1e-3), (10, 0.5)], em_iterations=20),
+        s.SdsConfig(alpha=0.5, em_iterations=20),
         # stops after 25 of the 100 iterations on this data
-        s.SdsConfig(alpha_schedule=[(0, 1.0)], q_rel_tolerance=3.5e-4),
-    ], ids=["default", "schedule", "early_stop"])
+        s.SdsConfig(alpha=1.0, q_rel_tolerance=3.5e-4),
+    ], ids=["default", "alpha_half", "early_stop"])
     def test_equals_reference_steps_bitwise(self, chunked_preds, cfg, threads):
         model, post, trace = s.fit(chunked_preds, cfg, threads=threads)
         ref_model, ref_post, ref_q = reference_fit(chunked_preds, cfg)
@@ -595,20 +589,13 @@ class TestFit:
         # undamped E-step so Q settles within the iteration budget
         spec = diagonal_spec(5.0, 0.3, seed=36, n_items=60, n_classes=3)
         preds, _ = s.sample(spec)
-        cfg = s.SdsConfig(em_iterations=100, alpha_schedule=[(0, 1.0)],
-                          q_rel_tolerance=1e-3)
+        cfg = s.SdsConfig(alpha=1.0, em_iterations=100, q_rel_tolerance=1e-3)
         _, _, trace = s.fit(preds, cfg)
         assert len(trace) < 100
         # disabled tolerance runs the full budget
-        cfg_full = s.SdsConfig(em_iterations=30, alpha_schedule=[(0, 1.0)])
+        cfg_full = s.SdsConfig(alpha=1.0, em_iterations=30)
         _, _, full_trace = s.fit(preds, cfg_full)
         assert len(full_trace) == 30
-
-    def test_schedule_not_covering_zero_rejected(self):
-        spec = diagonal_spec(5.0, 0.3, seed=37, n_items=20, n_classes=3)
-        preds, _ = s.sample(spec)
-        with pytest.raises(s.FormatError):
-            s.fit(preds, s.SdsConfig(alpha_schedule=[(1, 0.5)]))
 
     def test_model_terms_once_per_iteration(self, log_gamma_calls):
         # the log-Gamma normalizer of each iteration's model is computed
@@ -665,8 +652,7 @@ class TestEdgeProperties:
     @pytest.mark.parametrize("edge", EDGES)
     @pytest.mark.parametrize("cfg", [
         s.SdsConfig(em_iterations=10),
-        s.SdsConfig(alpha_schedule=[(0, 1.0)], learning_rate=0.5,
-                    em_iterations=10),
+        s.SdsConfig(alpha=1.0, learning_rate=0.5, em_iterations=10),
     ], ids=["default_rates", "undamped_lr_0.5"])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
@@ -700,7 +686,7 @@ class TestEdgeProperties:
         pi = 10.0 ** (log10_pi + rng.uniform(-1.0, 1.0, shape))
         computes = [
             lambda: s.fit(preds, s.SdsConfig(em_iterations=10))[1],
-            lambda: s.fit(preds, s.SdsConfig(alpha_schedule=[(0, 1.0)], learning_rate=0.5,
+            lambda: s.fit(preds, s.SdsConfig(alpha=1.0, learning_rate=0.5,
                                              em_iterations=10))[1],
             lambda: s.e_step_raw(preds, model(pi, rng.dirichlet(np.ones(preds.n_classes)))),
             lambda: s.ensemble_average(preds),

@@ -3,6 +3,8 @@ raises :class:`FormatError`, and a bad file is a validation error (exit 1)
 whose message names the file."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,17 +80,19 @@ class TestContainers:
 class TestConfig:
     """A config error names the config file, as in a model or spec."""
 
-    SCHEDULE = ("alpha_schedule must be a list of [start_iteration, alpha] pairs of an "
-                "integer and a finite number")
-
     @pytest.mark.parametrize("config, message", [
         ({"em_iterations": "3"}, "config field em_iterations must be an integer, got '3'"),
         ({"seed": 1}, "unknown config fields: ['seed']"),
         ({"reset_optimizer_each_m_step": False},
          "unknown config fields: ['reset_optimizer_each_m_step']"),
-        ({"alpha_schedule": [[0]]}, SCHEDULE),
-        ({"alpha_schedule": [[0, 0.5, 1]]}, SCHEDULE),
-        ({"alpha_schedule": []}, "alpha_schedule must be non-empty"),
+        # one alpha damps every iteration: a schedule, in any form, is an
+        # unknown field
+        ({"alpha_schedule": [[0]]}, "unknown config fields: ['alpha_schedule']"),
+        ({"alpha_schedule": [[0, 0.5, 1]]}, "unknown config fields: ['alpha_schedule']"),
+        ({"alpha_schedule": []}, "unknown config fields: ['alpha_schedule']"),
+        ({"alpha_schedule": [[0, 1.0]]}, "unknown config fields: ['alpha_schedule']"),
+        ({"alpha": 0}, "alpha must lie in (0, 1]"),
+        ({"alpha": [[0, 0.5]]}, "config field alpha must be a finite number, got [[0, 0.5]]"),
         ({"learning_rate": 0}, "learning_rate must be > 0"),
         # the fit's start, its confusion floor and AdamW's steps per
         # M-step and weight decay are constants, not fields
@@ -102,6 +106,7 @@ class TestConfig:
         ([1], "config must be a JSON object"),
     ], ids=["em_iterations_string", "seed_unknown", "reset_flag_unknown",
             "schedule_entry_short", "schedule_entry_long", "schedule_empty",
+            "schedule_one_entry", "alpha_zero", "alpha_list",
             "learning_rate_zero", "inner_steps_unknown", "weight_decay_unknown",
             "pi_floor_zero",
             "concentration_zero", "smoothing_negative", "tolerance_negative",
@@ -163,6 +168,68 @@ class TestModelFile:
         stream = write(tmp_path / "in.csv", "item_id,m0_p0,m0_p1\n")
         assert cli("online", "--model", path, "--input", stream) == (
             1, f"error: {path}: {message}\n")
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 in an input is a validation error naming
+    the file, and the line of a CSV record; it never reaches an output."""
+
+    @staticmethod
+    def spoil(path, old, new):
+        path = Path(path)
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        return path
+
+    @pytest.mark.parametrize("old, new, line", [
+        (b"b,", b"b\xff,", 3),
+        (b"0.3", b"0.3\xff", 2),
+        (b"p_1", b"p_\xff1", 1),
+    ], ids=["item_id", "probability", "header"])
+    def test_member_csv(self, tmp_path, cli, manifest, old, new, line):
+        member = self.spoil(Path(manifest).parent / "member_0.csv", old, new)
+        out = tmp_path / "post.csv"
+        assert cli("aggregate", "--method", "ea", "--manifest", manifest, "--out", out) == (
+            1, f"error: {member}, line {line}: not UTF-8 text\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["posterior", "truth"])
+    def test_posterior_and_truth_csv(self, tmp_path, cli, bad):
+        paths = {"posterior": write(tmp_path / "p.csv", "item_id,p_0,p_1\na,0.5,0.5\n"),
+                 "truth": write(tmp_path / "t.csv", "item_id,label\na,0\n")}
+        self.spoil(paths[bad], b"a,", b"\xffa,")
+        assert cli("evaluate", "--posterior", paths["posterior"], "--truth", paths["truth"]) == (
+            1, f"error: {paths[bad]}, line 2: not UTF-8 text\n")
+        load = {"posterior": s.load_posterior, "truth": s.load_ground_truth}[bad]
+        with pytest.raises(FormatError, match="line 2: not UTF-8 text"):
+            load(paths[bad])
+
+    @pytest.mark.parametrize("kind", ["config", "manifest"])
+    def test_json(self, tmp_path, cli, manifest, kind):
+        cfg = write(tmp_path / "cfg.json", {"em_iterations": 2})
+        bad = self.spoil(cfg if kind == "config" else manifest, b"}", b"\xff}")
+        code, err = cli("aggregate", "--manifest", manifest, "--config", cfg,
+                        "--out", tmp_path / "post.csv")
+        assert code == 1
+        assert err.startswith(f"error: {bad}: invalid JSON ('utf-8' codec can't decode "
+                              "byte 0xff in position ")
+
+    @pytest.mark.parametrize("source", ["input", "stdin"])
+    def test_online_row_skipped(self, tmp_path, cli, monkeypatch, source):
+        model = tmp_path / "model.json"
+        s.save_model(s.SdsModel(s.ConfusionTensor([PI]), s.ClassPrior([0.25, 0.75])), model)
+        rows = ["item_id,m0_p0,m0_p1\n", "a,0.7,0.3\n", "b,0.6,0.4\n", "c,0.2,0.8\n"]
+        clean, out = write(tmp_path / "clean.csv", "".join(rows)), tmp_path / "out.csv"
+        assert cli("online", "--model", model, "--input", clean, "--out", out)[0] == 0
+        want = out.read_bytes().splitlines(keepends=True)
+        stream = self.spoil(write(tmp_path / "in.csv", "".join(rows)), b"b,", b"b\xff,")
+        with open(stream, "rb") as stdin:
+            if source == "stdin":
+                monkeypatch.setattr(sys, "stdin", stdin)
+            code, err = cli("online", "--model", model, "--out", out,
+                            *(["--input", stream] if source == "input" else []))
+        assert code == 1
+        assert err.startswith("line 3: skipped (not UTF-8 text)\n")
+        assert out.read_bytes().splitlines(keepends=True) == [want[0], want[1], want[3]]
 
 
 class TestTraceFile:

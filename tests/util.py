@@ -235,16 +235,14 @@ def reference_fit(preds, cfg, on_m_step=None):
     and after the AdamW steps.
 
     Returns ``(SdsModel, posterior rows, q values)``."""
-    cfg = cfg.validate()
     confusion, prior, _ = s.ds_em(preds, 1, INIT_SMOOTHING)
     pi = np.maximum(INIT_SCALE * (confusion + INIT_SMOOTHING), PI_FLOOR)
     model = s.SdsModel(s.ConfusionTensor(pi), prior)
     post = s.ensemble_average(preds).rows
     state = [0, np.zeros_like(pi), np.zeros_like(pi)]
     qs = []
-    for it in range(cfg.em_iterations):
-        alpha = [a for start, a in cfg.alpha_schedule if start <= it][-1]
-        post = (1.0 - alpha) * post + alpha * s.e_step_raw(preds, model).rows
+    for _ in range(cfg.em_iterations):
+        post = (1.0 - cfg.alpha) * post + cfg.alpha * s.e_step_raw(preds, model).rows
         mass = post.sum(axis=0)
         nu = s.ClassPrior(mass / mass.sum())
         before = s.SdsModel(model.pi, nu)
