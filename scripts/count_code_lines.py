@@ -6,7 +6,8 @@ lines, comment lines and docstring lines do not count; a line that
 holds code and a trailing comment does.
 
 Prints one ``<count> <path>`` line per file, then ``<count> total``.
-A directory counts every ``*.py`` file below it.
+A directory counts every ``*.py`` file below it.  A missing path, or no
+path, exits 2 with a message on stderr; ``-h``/``--help`` prints the usage.
 
 Example:
     python scripts/count_code_lines.py src/softds
@@ -41,12 +42,21 @@ def count_code_lines(source):
     return len(lines)
 
 
+_USAGE = "usage: count_code_lines.py PATH..."
+
+
 def main(argv):
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        return 0
     if not argv:
-        print("usage: count_code_lines.py PATH...", file=sys.stderr)
+        print(_USAGE, file=sys.stderr)
         return 2
     files = []
     for arg in map(Path, argv):
+        if not arg.exists():
+            print(f"error: {arg}: no such file", file=sys.stderr)
+            return 2
         files.extend(sorted(arg.rglob("*.py")) if arg.is_dir() else [arg])
     total = 0
     for path in files:

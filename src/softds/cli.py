@@ -6,9 +6,10 @@ OOD AUROC), ``simulate`` (write a synthetic dataset), ``online`` (stream
 per-item posteriors under a frozen model), ``explain`` (decompose one
 item's posterior).
 
-Exit codes: 0 success, 1 validation error, 2 I/O error or a worker
-process that died, 3 numeric failure.  Diagnostics go to stderr; stdout
-and output files carry payload only.
+Exit codes: 0 success, 1 validation error, 2 I/O error, a closed
+standard stream, memory exhausted or a worker process that died, 3
+numeric failure.  Diagnostics go to stderr, and are dropped when it is
+closed; stdout and output files carry payload only.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ __all__ = ["main", "build_parser"]
 
 
 def _log(msg):
-    print(msg, file=sys.stderr)
+    # Python sets sys.stderr to None when fd 2 is closed at startup
+    if sys.stderr is not None:
+        print(msg, file=sys.stderr)
 
 
 def _resolve_threads(value):
@@ -95,6 +98,14 @@ def _sds_outputs(out):
     return stem + ".model.json", stem + ".trace.csv"
 
 
+def _std(stream, name):
+    """The standard stream ``stream``, or an ``OSError`` when it is None,
+    as Python sets it when its file descriptor is closed at startup."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), name)
+    return stream
+
+
 def _stat(source):
     """``os.stat`` of a path, or ``os.fstat`` of an open stream; None
     when there is no such file or the stream has no file descriptor."""
@@ -109,7 +120,8 @@ def _check_outputs(args):
     is read: ``-`` where it cannot mean stdout, two outputs that are one
     file, and one that is an input file, which opening it for writing
     would truncate (exit 1); and one that is a directory or whose
-    directory does not exist (exit 2).  ``simulate``'s outputs are the
+    directory does not exist, or stdin or stdout when the command would
+    use it and it is closed (exit 2).  ``simulate``'s outputs are the
     files it writes in an existing ``--out-dir``.  An input that cannot be
     read is left for its load to report."""
     outputs = [("--" + name.replace("_", "-"), getattr(args, name, None))
@@ -127,15 +139,16 @@ def _check_outputs(args):
         inputs.append(manifest)
         with contextlib.suppress(ValueError, OSError):
             inputs += _manifest_members(manifest)[2]
-    stats = [st for st in (_stat(sys.stdin if path == "-" else path)
+    stats = [st for st in (_stat(_std(sys.stdin, "stdin") if path == "-" else path)
                            for path in inputs if path) if st is not None]
     named = {}
     for label, path in outputs:
+        if path in (None, "-") and label == "--out" and args.command in _ONE_TEXT:
+            _std(sys.stdout, "stdout")
+            continue
         if path is None:
             continue
         if path == "-":
-            if label == "--out" and args.command in _ONE_TEXT:
-                continue
             raise FormatError(f"{label} must name a file, not - (stdout)")
         directory = os.path.dirname(path) or os.curdir
         if not os.path.isdir(directory):
@@ -390,6 +403,9 @@ def main(argv=None) -> int:
         return 2
     except BrokenExecutor as exc:
         _log(f"worker error: {exc}")
+        return 2
+    except MemoryError as exc:
+        _log(f"memory error: {str(exc) or 'out of memory'}")
         return 2
 
 

@@ -59,52 +59,32 @@ def _match_input(out, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _lanczos_log_gamma(zm1):
-    """ln Gamma(zm1 + 1) for zm1 >= -0.5, as a new array; ``zm1`` is
-    overwritten."""
+def _lanczos_log_gamma(z):
+    """ln Gamma(z) for z >= 0.5, with one new array per operation."""
+    zm1 = z - 1.0
     series = np.full_like(zm1, _LANCZOS_C[0])
-    t = np.empty_like(zm1)
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        np.add(zm1, i, out=t)
-        np.divide(c, t, out=t)
-        series += t
-    # _HALF_LOG_2PI + (zm1 + 0.5) * ln t - t + ln series, added in this
-    # order, with t = (zm1 + g) + 0.5
-    np.log(series, out=series)
-    np.add(zm1, _LANCZOS_G, out=t)
-    t += 0.5
-    zm1 += 0.5
-    out = np.log(t, out=np.empty_like(t))
-    out *= zm1
-    out += _HALF_LOG_2PI
-    out -= t
-    out += series
-    return out
+        series += c / (zm1 + i)
+    t = zm1 + _LANCZOS_G + 0.5
+    return _HALF_LOG_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(series)
 
 
 def log_gamma(x):
     """Natural log of the Gamma function, ln |Gamma(x)|, for x > 0.
 
     Uses the Lanczos approximation for x >= 0.5 and the reflection
-    formula ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x) below.
+    formula ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x) below,
+    chosen per entry by ``np.where``.
 
     Raises ValueError for x <= 0 or non-finite x.
     """
     arr = _positive_array(x, "log_gamma")
     small = arr < 0.5
-    # z - 1, with z = 1 - x below 0.5 and z = x elsewhere
-    zm1 = np.array(arr)
-    np.subtract(1.0, zm1, out=zm1, where=small)
-    zm1 -= 1.0
-    out = _lanczos_log_gamma(zm1)
+    out = _lanczos_log_gamma(np.where(small, 1.0 - arr, arr))
     if np.any(small):
         with np.errstate(invalid="ignore", divide="ignore"):
-            # ln pi - ln sin(pi x) - ln Gamma(1 - x)
-            reflected = np.multiply(np.pi, arr, out=zm1)
-            np.sin(reflected, out=reflected)
-            np.log(reflected, out=reflected)
-            np.subtract(_LOG_PI, reflected, out=reflected)
-            np.subtract(reflected, out, out=out, where=small)
+            reflected = _LOG_PI - np.log(np.sin(np.pi * arr)) - out
+        out = np.where(small, reflected, out)
     return _match_input(out, x)
 
 

@@ -160,7 +160,10 @@ class FitTrace:
                     for name in _TRACE_HEADER]
 
         table = _read_table(path, row_dtype, "non-numeric value")
-        return cls(*(table[name] for name in _TRACE_HEADER))
+        try:
+            return cls(*(table[name] for name in _TRACE_HEADER))
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,7 @@ def _log_nu(nu):
 
 def _with_row_sums(pi):
     """(K, J, J + 1) array of pi with each row's sum after it, so that one
-    elementwise call takes a special function of both."""
+    digamma call takes both."""
     out = np.empty(pi.shape[:2] + (pi.shape[2] + 1,))
     out[:, :, :-1] = pi
     out[:, :, -1] = pi.sum(axis=2)
@@ -189,8 +192,7 @@ def _with_row_sums(pi):
 
 def _normalizer_per_member(pi):
     """(K, J) array: sum_l ln Gamma(pi_kjl) - ln Gamma(sum_l pi_kjl)."""
-    lg = log_gamma(_with_row_sums(pi))
-    return lg[:, :, :-1].sum(axis=2) - lg[:, :, -1]
+    return log_gamma(pi).sum(axis=2) - log_gamma(pi.sum(axis=2))
 
 
 def _log_weight_terms(pi, nu):
@@ -317,12 +319,11 @@ def _adamw_pi(s, mass, pi, lr, m, v, step):
         pi <- pi - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * pi
 
     with g = -dQ/dpi, the bias-corrected moments m_hat and v_hat, and
-    weight_decay ``_WEIGHT_DECAY`` (1e-4).  The steps run in place on one
-    copy of pi, with ``grad`` and ``scratch`` the only other arrays of its
-    shape."""
+    weight_decay ``_WEIGHT_DECAY`` (1e-4).  The steps update one copy of
+    pi in place and write each gradient into one ``grad`` buffer."""
     decay = lr * _WEIGHT_DECAY
     pi = np.array(pi)
-    grad, scratch = np.empty_like(pi), np.empty_like(pi)
+    grad = np.empty_like(pi)
     for t in range(step + 1, step + _INNER_STEPS + 1):
         # a gradient or step that overflows is reported by the checks
         # below, not by numpy
@@ -332,22 +333,14 @@ def _adamw_pi(s, mass, pi, lr, m, v, step):
             if not np.all(np.isfinite(grad)):
                 raise NumericError("non-finite gradient in the AdamW M-step")
             m *= _ADAM_BETA1
-            np.multiply(1.0 - _ADAM_BETA1, grad, out=scratch)
-            m += scratch
+            m += (1.0 - _ADAM_BETA1) * grad
             v *= _ADAM_BETA2
-            np.multiply(1.0 - _ADAM_BETA2, grad, out=scratch)
-            scratch *= grad
-            v += scratch
-            # pi - lr * m_hat / (sqrt(v_hat) + eps) - decay * pi
-            np.divide(m, 1.0 - _ADAM_BETA1 ** t, out=scratch)
-            np.multiply(lr, scratch, out=scratch)
-            np.divide(v, 1.0 - _ADAM_BETA2 ** t, out=grad)
-            np.sqrt(grad, out=grad)
-            grad += _ADAM_EPS
-            scratch /= grad
-            np.multiply(decay, pi, out=grad)
-            pi -= scratch
-            pi -= grad
+            v += (1.0 - _ADAM_BETA2) * grad * grad
+            # the decay term of the pre-step pi, subtracted after the step
+            decayed = decay * pi
+            pi -= (lr * (m / (1.0 - _ADAM_BETA1 ** t))
+                   / (np.sqrt(v / (1.0 - _ADAM_BETA2 ** t)) + _ADAM_EPS))
+            pi -= decayed
             np.maximum(pi, _PI_FLOOR, out=pi)
             # One sum catches a non-finite entry and any row sum that
             # would overflow in the next gradient's digamma.
@@ -407,10 +400,12 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     and everything else that grows with N is the start's (N, K) labels
     and (N, J) label frequencies or O(chunk * K * J) scratch of one item
     chunk.  In (K, J, J) arrays the fit holds pi, the two AdamW moments,
-    S and pi - 1, and at its peak, in an AdamW step, six more: the
-    steps' copy of pi, gradient and scratch array, and digamma's
-    argument, result and work array, (K, J, J + 1) each for pi and its
-    row sums; about 11 in all.  The start's confusion estimate is
+    S and pi - 1, and at its peak, in an AdamW step's gradient, six more:
+    the steps' copy of pi, the gradient buffer and the previous step's
+    decay term, and digamma's argument, result and work array, (K, J,
+    J + 1) each for pi and its row sums; about 11 in all.  The step's
+    update and the log-Gamma normalizer, written as plain expressions,
+    peak just below it.  The start's confusion estimate is
     dropped once pi is built.  With ``threads > 1`` at most two E-step
     tasks per thread are in flight, each with its (K, J, J) part of S.
 

@@ -1246,3 +1246,99 @@ class TestEdges:
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
         model = s.load_model(tmp_path / "post.model.json")
         assert (model.n_members, model.n_classes) == (1, 3)
+
+
+class TestClosedStreams:
+    """A command that would read stdin or write stdout while that stream
+    is closed is refused before it reads any input (exit 2, one line);
+    with stderr closed its diagnostics are dropped, not written to
+    stdout.  Each case runs the CLI in a child whose fd is closed before
+    Python starts."""
+
+    CLI = "import sys; from softds.cli import main; sys.exit(main())"
+
+    @pytest.fixture
+    def run_dir(self, sim_dir, tmp_path, monkeypatch):
+        _, out_dir = sim_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"em_iterations": 2}))
+        assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
+                     "--config", str(cfg), "--out", str(tmp_path / "post.csv")]) == 0
+        preds = s.load_predictions(out_dir / "manifest.json")
+        TestOnline.make_stream(preds, tmp_path / "stream.csv", range(3))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        return {"t": tmp_path, "d": out_dir}
+
+    def run(self, argv, run_dir, fd):
+        return run_python(self.CLI, *argv.format(**run_dir).split(),
+                          preexec_fn=lambda: os.close(fd))
+
+    @pytest.mark.parametrize("argv, fd, stream", [
+        ("online --model {t}/post.model.json", 0, "stdin"),
+        ("online --model {t}/post.model.json --input - --out o.csv", 0, "stdin"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv", 1, "stdout"),
+        ("evaluate --posterior {t}/post.csv --truth {d}/truth.csv --out - "
+         "--ece-bins-out bins.csv", 1, "stdout"),
+        ("explain --model {t}/post.model.json --manifest {d}/manifest.json --item 3",
+         1, "stdout"),
+        ("online --model {t}/post.model.json --input {t}/stream.csv", 1, "stdout"),
+    ], ids=["online_stdin", "online_dash_input", "evaluate", "evaluate_dash_out",
+            "explain", "online_stdout"])
+    def test_closed_stream_exits_2_before_reading(self, run_dir, argv, fd, stream):
+        # the model is renamed away, so a command that read its inputs
+        # first would report the missing model instead
+        (run_dir["t"] / "post.model.json").rename(run_dir["t"] / "kept.model.json")
+        done = self.run(argv, run_dir, fd)
+        assert done.returncode == 2
+        assert done.stderr == f"i/o error: [Errno 9] Bad file descriptor: '{stream}'\n"
+        assert done.stdout == ""
+        assert list((run_dir["t"] / "work").iterdir()) == []
+
+    def test_closed_stderr_keeps_stdout_payload(self, run_dir):
+        argv = "online --model {t}/post.model.json --input {t}/stream.csv"
+        shown = self.run(argv, run_dir, 2)
+        logged = run_python(self.CLI, *argv.format(**run_dir).split())
+        assert (shown.returncode, logged.returncode) == (0, 0)
+        assert "online: 3 rows written" in logged.stderr
+        assert shown.stdout == logged.stdout
+        assert shown.stdout.splitlines()[0] == "item_id,p_0,p_1,p_2"
+        assert len(shown.stdout.splitlines()) == 4
+
+    @pytest.mark.parametrize("argv, code", [
+        ("aggregate --manifest {d}/manifest.json --out post.csv", 0),
+        ("aggregate --manifest {d}/manifest.json --out post.csv --threads 2", 0),
+        ("aggregate --manifest {t}/missing.json --out post.csv", 2),
+        ("evaluate --posterior {t}/post.csv --truth {t}/stream.csv --out r.json", 1),
+    ], ids=["aggregate", "aggregate_workers", "missing_manifest", "bad_truth"])
+    def test_closed_stderr_keeps_exit_codes(self, run_dir, argv, code):
+        done = self.run(argv, run_dir, 2)
+        assert (done.returncode, done.stdout) == (code, "")
+        if code == 0:
+            assert {p.name for p in (run_dir["t"] / "work").iterdir()} == {
+                "post.csv", "post.model.json", "post.trace.csv"}
+
+
+@pytest.mark.parametrize("method, stage, message", [
+    ("sds", "_fit", ""),
+    ("sds", "save_model", "Unable to allocate 8.00 EiB for an array"),
+    ("ea", "_write_prob_file", "Unable to allocate 8.00 EiB for an array"),
+], ids=["fit", "save_model", "write_posterior"])
+def test_memory_error_exits_2_with_one_line(sim_dir, tmp_path, monkeypatch, capsys,
+                                            method, stage, message):
+    # an allocation failure anywhere in the command, as numpy raises it
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    _, out_dir = sim_dir
+    monkeypatch.setattr(cli, stage, exhausted)
+    capsys.readouterr()
+    assert main(["aggregate", "--method", method, "--manifest",
+                 str(out_dir / "manifest.json"), "--out", str(tmp_path / "post.csv")]) == 2
+    out, err = capsys.readouterr()
+    loaded, *rest = err.splitlines()
+    assert loaded.startswith("loaded 60 items")
+    assert rest == [f"memory error: {message or 'out of memory'}"]
+    assert out == ""
+    assert not list(tmp_path.glob("post*"))

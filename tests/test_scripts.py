@@ -80,3 +80,19 @@ def test_count_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     # a directory counts every .py file below it
     done = run_script("count_code_lines.py", str(tmp_path))
     assert done.stdout.splitlines()[-1] == "6 total"
+
+
+def test_count_code_lines_refuses_a_missing_path(tmp_path):
+    # no count is printed, also for the path that exists
+    (tmp_path / "a.py").write_text("x = 1\n")
+    missing = tmp_path / "missing.py"
+    done = run_script("count_code_lines.py", str(tmp_path / "a.py"), str(missing))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {missing}: no such file\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_count_code_lines_help_prints_the_usage(flag):
+    done = run_script("count_code_lines.py", flag)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "usage: count_code_lines.py PATH...\n"

@@ -24,12 +24,13 @@ LN_THREE_QUARTERS = -0.2876820724517809  # ln 0.5 + 2 ln 0.5 + ln 6
 
 @pytest.fixture
 def log_gamma_calls(monkeypatch):
-    """A list that gains one entry per call of ``softds.sds.log_gamma``."""
+    """A list that gains the argument's shape per call of
+    ``softds.sds.log_gamma``."""
     calls = []
     real = s.sds.log_gamma
 
     def counting(x):
-        calls.append(None)
+        calls.append(np.shape(x))
         return real(x)
 
     monkeypatch.setattr(s.sds, "log_gamma", counting)
@@ -599,12 +600,14 @@ class TestFit:
 
     def test_model_terms_once_per_iteration(self, log_gamma_calls):
         # the log-Gamma normalizer of each iteration's model is computed
-        # once, for its Q and the next E-step, plus once for the start,
-        # by one log_gamma call over pi and its row sums
+        # once, for its Q and the next E-step, plus once for the start:
+        # one log_gamma call over pi and one over its row sums, never one
+        # per item chunk
         spec = diagonal_spec(4.0, 0.4, seed=37, n_items=60, n_classes=3)
         preds, _ = s.sample(spec)
         s.fit(preds, s.SdsConfig(em_iterations=6))
-        assert len(log_gamma_calls) == 6 + 1
+        k, j = preds.n_members, preds.n_classes
+        assert log_gamma_calls == [(k, j, j), (k, j)] * (6 + 1)
 
 
 @pytest.fixture(scope="module")

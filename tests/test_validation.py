@@ -239,6 +239,15 @@ class TestTraceFile:
             s.FitTrace.load_csv(path)
         assert str(got.value) == f"{path}: header must be iteration,q,alpha,millis"
 
+    @pytest.mark.parametrize("rows", ["0,-1.5,0.001,1\n0,-1.25,0.001,2\n",
+                                      "1,-1.5,0.001,1\n0,-1.25,0.001,2\n"],
+                             ids=["repeated", "decreasing"])
+    def test_iterations_not_increasing_name_the_file(self, tmp_path, rows):
+        path = write(tmp_path / "trace.csv", "iteration,q,alpha,millis\n" + rows)
+        with pytest.raises(FormatError) as got:
+            s.FitTrace.load_csv(path)
+        assert str(got.value) == f"{path}: trace iterations must be strictly increasing"
+
 
 SPEC = {"n_items": 4, "n_members": 1, "n_classes": 2, "nu_true": [0.5, 0.5],
         "pi_true": [PI], "seed": 0}

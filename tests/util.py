@@ -17,15 +17,16 @@ from softds.mathutils import sorted_sum
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(code, *args):
+def run_python(code, *args, **run):
     """``python -c code *args`` in a child interpreter that imports
     softds from this checkout, with a 60 s timeout, so that a hang fails
-    the test instead of stalling the suite."""
+    the test instead of stalling the suite; ``run`` goes to
+    ``subprocess.run``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=60, **run)
 
 
 # The fit's start scale and smoothing and its confusion floor
