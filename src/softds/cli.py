@@ -84,11 +84,13 @@ def _resolve_threads(value):
 
 
 # the options that name a file a command reads, and those that name one
-# it writes; an input "-" is stdin, and the --out "-" of a command that
-# writes one text is stdout
+# it writes
 _INPUTS = ("config", "model", "posterior", "truth", "ood_in", "ood_out", "input", "spec")
 _OUTPUTS = ("out", "ece_bins_out", "confusion_out")
-_ONE_TEXT = ("evaluate", "explain", "online")
+# the (command, option) pairs whose "-" is a standard stream; every other
+# "-" is a file of that name
+_STREAMS = {("online", "input"): "stdin", ("online", "out"): "stdout",
+            ("evaluate", "out"): "stdout", ("explain", "out"): "stdout"}
 
 
 def _sds_outputs(out):
@@ -98,11 +100,17 @@ def _sds_outputs(out):
     return stem + ".model.json", stem + ".trace.csv"
 
 
-def _std(stream, name):
-    """The standard stream ``stream``, or an ``OSError`` when it is None,
-    as Python sets it when its file descriptor is closed at startup."""
+def _stream(args, name):
+    """The standard stream that the option ``name`` of ``args`` names
+    when it is ``-`` and ``_STREAMS`` lists it, else None.  A closed
+    stream, which Python sets to None when its file descriptor is closed
+    at startup, raises an ``OSError``."""
+    where = _STREAMS.get((args.command, name))
+    if where is None or getattr(args, name) != "-":
+        return None
+    stream = getattr(sys, where)
     if stream is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF), name)
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), where)
     return stream
 
 
@@ -121,11 +129,21 @@ def _check_outputs(args):
     file, and one that is an input file, which opening it for writing
     would truncate (exit 1); and one that is a directory or whose
     directory does not exist, or stdin or stdout when the command would
-    use it and it is closed (exit 2).  ``simulate``'s outputs are the
-    files it writes in an existing ``--out-dir``.  An input that cannot be
-    read is left for its load to report."""
+    use it and it is closed (exit 2).  ``-`` is stdin only for ``online
+    --input`` and stdout only for the ``--out`` of ``online``,
+    ``evaluate`` and ``explain`` (``_STREAMS``); any other input ``-`` is
+    a file named ``-``.  ``simulate``'s outputs are the files it writes in
+    an existing ``--out-dir``.  An input that cannot be read is left for
+    its load to report."""
+    inputs = [_stream(args, name) or getattr(args, name, None) for name in _INPUTS]
+    manifest = getattr(args, "manifest", None)
+    if manifest:
+        inputs.append(manifest)
+        with contextlib.suppress(ValueError, OSError):
+            inputs += _manifest_members(manifest)[2]
+    stats = [st for st in map(_stat, filter(None, inputs)) if st is not None]
     outputs = [("--" + name.replace("_", "-"), getattr(args, name, None))
-               for name in _OUTPUTS]
+               for name in _OUTPUTS if not _stream(args, name)]
     if getattr(args, "method", None) == "sds":
         outputs += zip(("model output", "trace output"), _sds_outputs(args.out))
     if args.command == "simulate" and os.path.isdir(args.out_dir):
@@ -133,19 +151,8 @@ def _check_outputs(args):
         with contextlib.suppress(ValueError, OSError):
             names = _sample_files(GenerativeSpec.from_json(args.spec).n_members, args.bayes)
             outputs += [("--out-dir", os.path.join(args.out_dir, name)) for name in names]
-    inputs = [getattr(args, name, None) for name in _INPUTS]
-    manifest = getattr(args, "manifest", None)
-    if manifest:
-        inputs.append(manifest)
-        with contextlib.suppress(ValueError, OSError):
-            inputs += _manifest_members(manifest)[2]
-    stats = [st for st in (_stat(_std(sys.stdin, "stdin") if path == "-" else path)
-                           for path in inputs if path) if st is not None]
     named = {}
     for label, path in outputs:
-        if path in (None, "-") and label == "--out" and args.command in _ONE_TEXT:
-            _std(sys.stdout, "stdout")
-            continue
         if path is None:
             continue
         if path == "-":
@@ -164,15 +171,13 @@ def _check_outputs(args):
             raise FormatError(f"{label} {path} is the input file")
 
 
-def _write_report(report, out):
+def _write_report(report, args):
     """A JSON report, ``json.dumps(report, indent=2)`` and one newline, to
-    the file ``out``, or to stdout when ``out`` is None or ``-``."""
+    the ``--out`` of ``args``: a file, or stdout for ``-``."""
     text = json.dumps(report, indent=2) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with _created(out) as fh:
-            fh.write(text)
+    stdout = _stream(args, "out")
+    with contextlib.nullcontext(stdout) if stdout else _created(args.out) as fh:
+        fh.write(text)
 
 
 def _cmd_aggregate(args):
@@ -260,7 +265,7 @@ def _cmd_evaluate(args):
         scores_out = [ood_score(row, args.ood_score) for row in post_out.rows]
         report["auroc"] = auroc(scores_in, scores_out)
         report["ood_score"] = args.ood_score
-    _write_report(report, args.out)
+    _write_report(report, args)
     return 0
 
 
@@ -284,10 +289,11 @@ def _cmd_online(args):
     # closes the input also when the output cannot be opened; a byte that
     # is not UTF-8 is escaped, and its record rejected by _records
     with contextlib.ExitStack() as files:
-        fin = files.enter_context(open(sys.stdin.fileno() if args.input == "-" else args.input,
+        stdin = _stream(args, "input")
+        fin = files.enter_context(open(stdin.fileno() if stdin else args.input,
                                        newline="", encoding="utf-8", errors="surrogateescape",
-                                       closefd=args.input != "-"))
-        fout = sys.stdout if args.out in (None, "-") else files.enter_context(
+                                       closefd=not stdin))
+        fout = _stream(args, "out") or files.enter_context(
             open(args.out, "w", newline="", encoding="utf-8"))
         for line_no, row in _records(fin):
             if line_no == 1:
@@ -322,7 +328,7 @@ def _cmd_explain(args):
         index = preds.item_ids.index(args.item)
     except ValueError:
         raise FormatError(f"unknown item id {args.item!r}") from None
-    _write_report(explain(preds, model, index).to_dict(), args.out)
+    _write_report(explain(preds, model, index).to_dict(), args)
     return 0
 
 
@@ -358,7 +364,7 @@ def build_parser():
     ev.add_argument("--ood-out", help="posterior CSV of out-of-distribution items")
     ev.add_argument("--ood-score", choices=["max_prob", "entropy"],
                     default="max_prob")
-    ev.add_argument("--out", help="report JSON path, or - for stdout (the default)")
+    ev.add_argument("--out", default="-", help="report JSON path, or - for stdout (default)")
     ev.set_defaults(func=_cmd_evaluate)
 
     sim = sub.add_parser("simulate", help="write a synthetic dataset")
@@ -381,7 +387,7 @@ def build_parser():
     ex.add_argument("--model", required=True)
     ex.add_argument("--manifest", required=True)
     ex.add_argument("--item", required=True, help="item id to explain")
-    ex.add_argument("--out", help="JSON path, or - for stdout (the default)")
+    ex.add_argument("--out", default="-", help="JSON path, or - for stdout (default)")
     ex.set_defaults(func=_cmd_explain)
 
     return parser

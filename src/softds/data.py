@@ -389,10 +389,8 @@ class SdsConfig:
     @classmethod
     def from_json(cls, path):
         obj = _load_json(path, "config")
-        try:
+        with _loading(path):
             return cls.from_dict(obj)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +690,17 @@ def _write_table(path, header, ids, values, workers=1):
     _write_tables([(path, header)], _csv_rows(list(ids), [values], workers))
 
 
+@contextlib.contextmanager
+def _loading(path):
+    """Re-raise a ``TypeError`` or ``ValueError`` from the block, where a
+    loader builds its container from the file ``path``, as a
+    :class:`FormatError` whose message begins ``path: ``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def _load_json(path, what):
     with open(path, encoding="utf-8") as fh:
         try:
@@ -888,10 +897,8 @@ def save_predictions(preds: PredictionSet, out_dir, labels_filename=None):
 
 def load_posterior(path) -> PosteriorMatrix:
     ids, mat = _parse_prob_file(path)
-    try:
+    with _loading(path):
         return PosteriorMatrix(mat, ids)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_posterior(post: PosteriorMatrix, path):
@@ -910,10 +917,8 @@ def load_ground_truth(path) -> GroundTruth:
     table = _read_table(path, row_dtype, "non-integer label")
     if table.size == 0:
         raise FormatError(f"{path}: no data rows")
-    try:
+    with _loading(path):
         return GroundTruth(table["label"], table["id"].tolist())
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_ground_truth(truth: GroundTruth, path):

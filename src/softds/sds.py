@@ -48,6 +48,7 @@ from .data import (
     _in_order,
     _json_numbers,
     _load_json,
+    _loading,
     _members_pi,
     _parse_members_pi,
     _read_table,
@@ -155,15 +156,13 @@ class FitTrace:
     def load_csv(cls, path):
         def row_dtype(header):
             if header != _TRACE_HEADER:
-                raise FormatError(f"{path}: header must be iteration,q,alpha,millis")
+                raise FormatError(f"{path}: header must be {','.join(_TRACE_HEADER)}")
             return [(name, np.int64 if name == "iteration" else np.float64)
                     for name in _TRACE_HEADER]
 
         table = _read_table(path, row_dtype, "non-numeric value")
-        try:
+        with _loading(path):
             return cls(*(table[name] for name in _TRACE_HEADER))
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +340,7 @@ def _adamw_pi(s, mass, pi, lr, m, v, step):
             pi -= (lr * (m / (1.0 - _ADAM_BETA1 ** t))
                    / (np.sqrt(v / (1.0 - _ADAM_BETA2 ** t)) + _ADAM_EPS))
             pi -= decayed
+            del decayed
             np.maximum(pi, _PI_FLOOR, out=pi)
             # One sum catches a non-finite entry and any row sum that
             # would overflow in the next gradient's digamma.
@@ -400,12 +400,12 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
     and everything else that grows with N is the start's (N, K) labels
     and (N, J) label frequencies or O(chunk * K * J) scratch of one item
     chunk.  In (K, J, J) arrays the fit holds pi, the two AdamW moments,
-    S and pi - 1, and at its peak, in an AdamW step's gradient, six more:
-    the steps' copy of pi, the gradient buffer and the previous step's
-    decay term, and digamma's argument, result and work array, (K, J,
-    J + 1) each for pi and its row sums; about 11 in all.  The step's
-    update and the log-Gamma normalizer, written as plain expressions,
-    peak just below it.  The start's confusion estimate is
+    S and pi - 1; an AdamW step's gradient adds five more: the steps'
+    copy of pi, the gradient buffer, and digamma's argument, result and
+    work array, (K, J, J + 1) each for pi and its row sums.  The peak,
+    about 11 in all, is in the log-Gamma normalizer of the new pi, whose
+    plain expressions hold about six temporaries beside the five; the
+    step's update peaks just below it.  The start's confusion estimate is
     dropped once pi is built.  With ``threads > 1`` at most two E-step
     tasks per thread are in flight, each with its (K, J, J) part of S.
 
@@ -576,7 +576,5 @@ def load_model(path) -> SdsModel:
         raise FormatError(f"{path}: model must be an object with nu and members")
     pi = _parse_members_pi(obj, path)
     nu = _json_numbers(obj["nu"], path, "nu")
-    try:
+    with _loading(path):
         return SdsModel(ConfusionTensor(pi), ClassPrior(nu))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from None

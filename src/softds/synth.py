@@ -27,6 +27,7 @@ from .data import (
     _is_int,
     _json_numbers,
     _load_json,
+    _loading,
     _member_files,
     _prob_header,
     _save_json,
@@ -73,7 +74,7 @@ class GenerativeSpec:
             )
         nu_true = _json_numbers(obj["nu_true"], path, "nu_true")
         pi_true = _json_numbers(obj["pi_true"], path, "pi_true")
-        try:
+        with _loading(path):
             return cls(
                 n_items=obj["n_items"],
                 n_members=obj["n_members"],
@@ -82,8 +83,6 @@ class GenerativeSpec:
                 pi_true=ConfusionTensor(pi_true),
                 seed=obj["seed"],
             )
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: {exc}") from None
 
     def to_json(self, path):
         _save_json({

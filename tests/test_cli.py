@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import pathlib
 import re
 import sys
 import warnings
@@ -1318,6 +1319,60 @@ class TestClosedStreams:
         if code == 0:
             assert {p.name for p in (run_dir["t"] / "work").iterdir()} == {
                 "post.csv", "post.model.json", "post.trace.csv"}
+
+
+class TestDashIsAFile:
+    """Outside ``online --input``, an input given as ``-`` is the file
+    named ``-`` in the working directory, not stdin: the command reads it
+    with stdin closed, and an output that names that file is refused."""
+
+    # (the file copied to "-", argv with the input as {dash})
+    CASES = {
+        "aggregate_config": ("{t}/cfg.json",
+                             "aggregate --manifest {d}/manifest.json --config {dash} "
+                             "--out {out}"),
+        "evaluate_truth": ("{d}/truth.csv",
+                           "evaluate --posterior {t}/post.csv --truth {dash} --out {out}"),
+        "explain_model": ("{t}/post.model.json",
+                          "explain --model {dash} --manifest {d}/manifest.json --item 3 "
+                          "--out {out}"),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def case(self, request, sim_dir, tmp_path, monkeypatch):
+        """``(fill, source, argv)``: the fill of the argv template
+        ``argv``, and ``source``, the file that ``-`` in the working
+        directory ``work`` is a copy of."""
+        _, out_dir = sim_dir
+        fill = {"t": tmp_path, "d": out_dir}
+        (tmp_path / "cfg.json").write_text(json.dumps({"em_iterations": 2}))
+        assert main(["aggregate", "--manifest", str(out_dir / "manifest.json"),
+                     "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "post.csv")]) == 0
+        source, argv = self.CASES[request.param]
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "-").write_bytes(pathlib.Path(source.format(**fill)).read_bytes())
+        monkeypatch.chdir(work)
+        return fill, source.format(**fill), argv
+
+    def test_reads_the_file_with_stdin_closed(self, case):
+        fill, source, argv = case
+        done = run_python(TestClosedStreams.CLI,
+                          *argv.format(dash="-", out="dash.out", **fill).split(),
+                          preexec_fn=lambda: os.close(0))
+        assert (done.returncode, done.stdout) == (0, "")
+        assert main(argv.format(dash=source, out="named.out", **fill).split()) == 0
+        assert pathlib.Path("dash.out").read_bytes() == pathlib.Path("named.out").read_bytes()
+
+    def test_out_naming_it_exits_1(self, case, capsys):
+        fill, _, argv = case
+        before = pathlib.Path("-").read_bytes()
+        capsys.readouterr()
+        assert main(argv.format(dash="-", out="./-", **fill).split()) == 1
+        assert capsys.readouterr().err == "error: --out ./- is the input file\n"
+        assert pathlib.Path("-").read_bytes() == before
+        assert os.listdir() == ["-"]
 
 
 @pytest.mark.parametrize("method, stage, message", [

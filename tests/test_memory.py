@@ -94,16 +94,17 @@ def test_fit_holds_log_c_and_posterior(tall, traced_peak):
                          ids=lambda shape: "x".join(map(str, shape)))
 def test_fit_holds_few_confusion_sized_arrays(traced_peak, shape, threads):
     # Beyond the probabilities' copy and the posterior, in (K, J, J)
-    # arrays: pi, AdamW's two moments, S and pi - 1, with the M-step's
-    # copy of pi, gradient and scratch array and digamma's three
-    # (K, J, J + 1) arrays at the peak.  With two threads up to four
-    # E-step tasks hold their (K, J, J) parts of S and chunk scratch.
+    # arrays: pi, AdamW's two moments, S and pi - 1, with the log-Gamma
+    # normalizer's temporaries at the peak and, just below it, the
+    # M-step's copy of pi and gradient and digamma's three (K, J, J + 1)
+    # arrays.  With two threads up to four E-step tasks hold their
+    # (K, J, J) parts of S and chunk scratch.
     n, k, j = shape
     preds = s.PredictionSet.from_probs(
         np.random.default_rng(95).dirichlet(np.ones(j), size=(n, k)))
     _, peak = traced_peak(lambda: s.fit(preds, s.SdsConfig(em_iterations=2), threads))
     held = (peak - preds.probs.nbytes - n * j * 8) / (k * j * j * 8)
-    assert held <= (12.0 if threads == 1 else 14.5)
+    assert held <= (11.3 if threads == 1 else 14.5)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
