@@ -206,7 +206,7 @@ class TestSimulate:
         def no_draw(*_):
             raise AssertionError("drawn before the output files were created")
 
-        monkeypatch.setattr(synth, "_pcg64_states", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         out = blocker / "out"
         assert main(["simulate", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"i/o error: [Errno 20] Not a directory: '{out}'\n"

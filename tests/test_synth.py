@@ -50,8 +50,7 @@ _MIXED_ROWS = np.array([
     [0.9, 1.0, 1.1, 1.0, 0.9, 1.0],
 ])
 
-# Specs drawn both by the sampler and by the per-site reference; rows of
-# at most synth._MAX_RUNS runs are drawn run by run, the others in one call
+# Specs drawn both by the sampler and by the per-item reference
 SITE_SPECS = {
     "seed_0": diagonal_spec(3.0, 0.4, seed=0, n_items=40, n_classes=4),
     "seed_2_words": diagonal_spec(3.0, 0.4, seed=2**40 + 3, n_items=40, n_classes=4),
@@ -68,8 +67,8 @@ SITE_SPECS = {
                               np.full(6, 1.0 / 6), 79, 60),
     "j100_diagonal": diagonal_spec(3.0, 0.4, seed=80, n_items=12, n_members=2,
                                    n_classes=100),
-    "runs_at_limit": _runs_spec(synth._MAX_RUNS, 81),
-    "runs_past_limit": _runs_spec(synth._MAX_RUNS + 1, 82),
+    "runs_at_limit": _runs_spec(6, 81),
+    "runs_past_limit": _runs_spec(7, 82),
 }
 
 
@@ -96,59 +95,10 @@ class TestSample:
         assert preds.item_ids == ref_preds.item_ids
         assert multiprocessing.active_children() == []
 
-    def test_draw_plans_follow_the_runs(self):
-        limit = synth._MAX_RUNS
-        rows = np.stack([_runs_row(limit, 10), _runs_row(limit + 1, 10),
-                         np.full(10, 2.0), np.arange(1.0, 11.0)])
-        at_limit, past_limit, constant, distinct = synth._draw_plans(rows)
-        assert len(at_limit) == limit
-        assert [lo for lo, _, _ in at_limit] == [0] + [hi for _, hi, _ in at_limit[:-1]]
-        for lo, hi, shape in at_limit:
-            assert type(shape) is float and np.all(rows[0, lo:hi] == shape)
-        for plan, row in [(past_limit, rows[1]), (distinct, rows[3])]:
-            ((lo, hi, shape),) = plan
-            assert (lo, hi) == (0, 10) and np.array_equal(shape, row)
-        assert constant == [(0, 10, 2.0)]
-        def plans(name):
-            spec = SITE_SPECS[name]
-            return synth._draw_plans(spec.pi_true.pi.reshape(-1, spec.n_classes))
-
-        def calls(name):
-            return [len(plan) if type(plan[0][2]) is float else None for plan in plans(name)]
-
-        assert calls("runs_at_limit") == [limit] * 20
-        assert calls("runs_past_limit") == [None] * 20
-        assert calls("distinct_shapes") == [None] * 16
-        assert set(calls("j100_diagonal")) == {2, 3}
-
     def test_underflowing_vectors_are_uniform(self):
         preds, _ = s.sample(_underflow_spec(74, 200))
         uniform = np.all(preds.probs == 0.5, axis=2)
         assert 0 < uniform.sum() < uniform.size
-
-    def test_bulk_seeds_equal_seed_sequence(self):
-        from softds.synth import _int_words, _pcg64_states
-
-        # seeds of one to four words, then a stream tag and one or two
-        # indices: entropy of 3 to 7 words, around the 4-word pool
-        rng = np.random.default_rng(76)
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 9, 2**64, 2**100 + 7]
-        keys = []
-        for _ in range(1000):
-            pick = int(rng.integers(len(seeds) + 1))
-            seed = seeds[pick] if pick < len(seeds) else int(rng.integers(2**32))
-            indices = rng.integers(0, 2**32, int(rng.integers(1, 3)))
-            keys.append((seed, int(rng.integers(2)), *map(int, indices)))
-        by_length = {}
-        for key in keys:
-            words = [w for v in key for w in _int_words(v)]
-            by_length.setdefault(len(words), []).append((key, words))
-        assert len(by_length) >= 4
-        for group in by_length.values():
-            states = _pcg64_states(np.array([words for _, words in group]))
-            for (key, _), state in zip(group, states):
-                want = np.random.PCG64(np.random.SeedSequence(key)).state["state"]
-                assert state == want, key
 
     def test_deterministic_bitwise(self):
         spec = diagonal_spec(3.0, 0.4, seed=60, n_items=50, n_classes=3)
@@ -207,6 +157,16 @@ class TestSample:
         p4, t4 = s.sample(wider)
         assert np.array_equal(t2.labels, t4.labels)
         assert np.array_equal(p2.probs, p4.probs[:, :2, :])
+
+    def test_adding_items_preserves_earlier_draws(self):
+        # 2100 items make three blocks; the first 1000 items lie in the
+        # first, which the 1000-item spec fills only in part
+        base = diagonal_spec(3.0, 0.4, seed=85, n_items=1000, n_members=2, n_classes=3)
+        longer = diagonal_spec(3.0, 0.4, seed=85, n_items=2100, n_members=2, n_classes=3)
+        p1, t1 = s.sample(base, workers=1)
+        p2, t2 = s.sample(longer, workers=2)
+        assert np.array_equal(t1.labels, t2.labels[:1000])
+        assert np.array_equal(p1.probs, p2.probs[:1000])
 
     def test_draws_summing_past_the_float_range_raise(self):
         # Gamma(1e308) draws are about 1e308, so two of them sum past the

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import softds as s
+from softds import synth
 from softds.data import FormatError, _check_prob_header
 from softds.mathutils import sorted_sum
 
@@ -71,27 +72,30 @@ def diagonal_spec(diag, off, seed, n_items, n_members=3, n_classes=5):
 
 
 def reference_sample(spec):
-    """The sampler as one ``Generator(PCG64(SeedSequence(key)))`` per draw
-    site, keyed ``(seed, 0, item)`` for the label and ``(seed, 1, item,
-    member)`` for each probability vector, normalised row by row.
-    Returns ``(PredictionSet, GroundTruth)``."""
-    def stream(*key):
-        entropy = (int(spec.seed),) + tuple(int(v) for v in key)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
+    """The sampler item by item.  Per block of ``synth._BLOCK_ITEMS``
+    items (read at call time), the stream ``default_rng([seed, 0,
+    block])`` gives each item's label from one scalar ``random`` call and
+    ``default_rng([seed, 1, block, member])`` each item's vector from one
+    scalar-row ``standard_gamma`` call, in item order; each vector is
+    normalised on its own.  Returns ``(PredictionSet, GroundTruth)``."""
     n, k, j = spec.n_items, spec.n_members, spec.n_classes
+    seed, block_items = int(spec.seed), synth._BLOCK_ITEMS
     cdf = np.cumsum(spec.nu_true.nu)
     pi = spec.pi_true.pi
     labels = np.empty(n, dtype=np.int64)
     probs = np.empty((n, k, j))
-    for i in range(n):
-        u = stream(0, i).random()
-        t = min(int(np.searchsorted(cdf, u, side="right")), j - 1)
-        labels[i] = t
-        for m in range(k):
-            gam = stream(1, i, m).standard_gamma(pi[m, t])
-            total = gam.sum()
-            probs[i, m] = gam / total if total > 0.0 else np.full(j, 1.0 / j)
+    for start in range(0, n, block_items):
+        block = start // block_items
+        label_stream = np.random.default_rng([seed, 0, block])
+        member_streams = [np.random.default_rng([seed, 1, block, m]) for m in range(k)]
+        for i in range(start, min(start + block_items, n)):
+            u = label_stream.random()
+            t = min(int(np.searchsorted(cdf, u, side="right")), j - 1)
+            labels[i] = t
+            for m, stream in enumerate(member_streams):
+                gam = stream.standard_gamma(pi[m, t])
+                total = gam.sum()
+                probs[i, m] = gam / total if total > 0.0 else np.full(j, 1.0 / j)
     item_ids = [str(i) for i in range(n)]
     preds = s.PredictionSet.from_probs(probs, item_ids)
     return preds, s.GroundTruth(labels, list(item_ids), n_classes=j)
