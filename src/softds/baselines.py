@@ -1,16 +1,18 @@
 """Aggregation baselines: majority voting, ensemble averaging, and the
 classic hard-label Dawid-Skene EM.  Each takes a :class:`PredictionSet`;
-the hard-label methods harden it (argmax per member) themselves.  Their
-posterior rows are on the simplex by construction and are not checked
-again.  The soft-label fit starts from this module's label frequencies
-and DS M-step."""
+the hard-label methods harden it (argmax per member) themselves.  The
+majority-vote and ensemble-average rows are on the simplex by
+construction and are not checked again; Dawid-Skene's rows come from
+:func:`_normalize_log_rows`, the soft-label fit's checked normalizer.
+The soft-label fit starts from this module's label frequencies and DS
+M-step."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .data import ClassPrior, NumericError, PosteriorMatrix, PredictionSet, harden
-from .mathutils import sorted_sum
+from .mathutils import _sorted_sum_of, sorted_sum
 
 __all__ = ["majority_vote", "ensemble_average", "ds_em"]
 
@@ -88,14 +90,18 @@ def _average_rows(probs):
     return sorted_sum(probs, axis=1) / probs.shape[1]
 
 
-def _rows_from_log(w):
-    """Normalize log scores row-wise.  -inf entries are allowed, but each
-    row must hold a finite entry; every row of ds_em's E-step does: the
-    class of an item's largest previous posterior p >= 1/J has prior at
-    least p/N > 0, and every member's count at that class and the item's
-    label is at least p, so its log weight is finite for any smoothing."""
-    e = np.exp(w - w.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _normalize_log_rows(w):
+    """Row-wise exp(w - log_sum_exp(w)); per-row results do not depend on
+    the other rows.  Raises :class:`NumericError` when a row is
+    non-finite or does not sum to 1 within 1e-9, as happens once the log
+    weights are so large that adding ln J to their maximum rounds away."""
+    m = w.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(w - m).sum(axis=1, keepdims=True))
+    rows = np.exp(w - lse)
+    # written so that a NaN sum fails too
+    if not np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9):
+        raise NumericError("posterior rows are non-finite or do not sum to 1")
+    return rows
 
 
 def ds_em(preds: PredictionSet, n_iterations: int, smoothing: float = _DS_SMOOTHING):
@@ -104,13 +110,14 @@ def ds_em(preds: PredictionSet, n_iterations: int, smoothing: float = _DS_SMOOTH
     Item posteriors start from per-item label frequencies (a soft
     majority vote).  Each iteration runs the M-step of
     :func:`_ds_m_step` followed by an E-step (prior times the per-member
-    confusion likelihoods, normalized per item).  ``n_iterations=1``
-    therefore performs exactly one M-step and one E-step.
+    confusion likelihoods, normalized per item by
+    :func:`_normalize_log_rows`).  ``n_iterations=1`` therefore performs
+    exactly one M-step and one E-step.
 
     Returns ``(confusion, ClassPrior, PosteriorMatrix)``: the (K, J, J)
     row-stochastic confusion matrices, the class prior and the posterior
-    under ``preds.item_ids``.  With ``smoothing > 0`` the output is
-    NaN-free for any input.
+    under ``preds.item_ids``.  A posterior row that is not finite raises
+    :class:`NumericError`.
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
@@ -124,8 +131,11 @@ def ds_em(preds: PredictionSet, n_iterations: int, smoothing: float = _DS_SMOOTH
         with np.errstate(divide="ignore"):
             log_conf = np.log(conf)
             log_prior = np.log(prior)
-        per_member = np.empty((k, n, preds.n_classes))
+        # the (K, N, J) member log likelihoods, summed over members as by
+        # sorted_sum(w, axis=0) but in place; the table is freed on rebinding
+        w = np.empty((k, n, preds.n_classes))
         for m in range(k):
-            per_member[m] = log_conf[m][:, hard[:, m]].T
-        post = _rows_from_log(log_prior[None, :] + sorted_sum(per_member, axis=0))
+            w[m] = log_conf[m][:, hard[:, m]].T
+        w = _sorted_sum_of(w) + log_prior
+        post = _normalize_log_rows(w)
     return conf, ClassPrior(prior), PosteriorMatrix._take(post, list(preds.item_ids))

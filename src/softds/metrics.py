@@ -53,7 +53,10 @@ def _labels(truth, n_items, n_classes):
 
 
 def _aligned(post, truth):
-    rows = _posterior_rows(post)
+    """The posterior's rows, entries capped at 1, and the truth's labels.
+    A posterior row may sum to 1 within 1e-9, so an entry may exceed 1
+    by as much; capped, every metric stays in its range."""
+    rows = np.minimum(_posterior_rows(post), 1.0)
     return rows, _labels(truth, *rows.shape)
 
 

@@ -34,7 +34,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .baselines import _DS_SMOOTHING, _average_rows, _ds_m_step, _label_frequencies
+from .baselines import (_DS_SMOOTHING, _average_rows, _ds_m_step, _label_frequencies,
+                        _normalize_log_rows)
 from .data import (
     NU_LOG_FLOOR,
     ClassPrior,
@@ -55,7 +56,7 @@ from .data import (
     _save_json,
     _write_table,
 )
-from .mathutils import _digamma_of, _sorted_sum_of, log_gamma, sorted_sum
+from .mathutils import _digamma_of, _sorted_sum_of, log_gamma
 
 __all__ = [
     "NumericError",
@@ -204,7 +205,7 @@ def _log_weight_terms(pi, nu):
         # one sum catches any row sum that log_gamma would reject
         if not np.isfinite(pi.sum()):
             raise NumericError("confusion tensor entries sum past the float range")
-        const = _log_nu(nu) - sorted_sum(_normalizer_per_member(pi), axis=0)
+        const = _log_nu(nu) - _sorted_sum_of(_normalizer_per_member(pi))
     if not np.all(np.isfinite(const)):
         raise NumericError("log-Gamma normalizer of the confusion tensor is not finite")
     return pi - 1.0, const
@@ -229,20 +230,6 @@ def _log_weights(log_c, terms):
     w = _sorted_sum_of(block)
     w += const
     return w
-
-
-def _normalize_log_rows(w):
-    """Row-wise exp(w - log_sum_exp(w)); per-row results do not depend on
-    the other rows.  Raises :class:`NumericError` when a row is
-    non-finite or does not sum to 1 within 1e-9, as happens once the log
-    weights are so large that adding ln J to their maximum rounds away."""
-    m = w.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(w - m).sum(axis=1, keepdims=True))
-    rows = np.exp(w - lse)
-    # written so that a NaN sum fails too
-    if not np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9):
-        raise NumericError("posterior rows are non-finite or do not sum to 1")
-    return rows
 
 
 def _evidence_part(log_c, post, rows):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import softds as s
+from softds.baselines import _DS_SMOOTHING, _ds_m_step, _label_frequencies
 from softds.cli import main
 from softds.mathutils import dirichlet_log_density
+from softds.sds import _INIT_SCALE, _log_weights
 from util import diagonal_spec, model, q_function, q_grad_pi, random_instance
 
 
@@ -118,14 +120,19 @@ def test_criterion_4_prior_update_is_optimal():
         assert violations == 0
 
 
+def _row_tv_max(fitted, spec):
+    """The largest total variation between a row of the fitted confusion
+    tensor and the same true row, each normalised to sum to 1."""
+    rows = fitted.pi.pi / fitted.pi.pi.sum(axis=2, keepdims=True)
+    true_rows = spec.pi_true.pi / spec.pi_true.pi.sum(axis=2, keepdims=True)
+    return float(np.max(0.5 * np.abs(rows - true_rows).sum(axis=2)))
+
+
 def test_criterion_5_synthetic_recovery(recovery_instance):
     with criterion("synthetic-confusion-recovery", 60.0):
         spec, preds, truth = recovery_instance
-        model, post, _ = s.fit(preds)  # default configuration
-        fitted = model.pi.pi / model.pi.pi.sum(axis=2, keepdims=True)
-        true_rows = spec.pi_true.pi / spec.pi_true.pi.sum(axis=2, keepdims=True)
-        tv = 0.5 * np.abs(fitted - true_rows).sum(axis=2)
-        assert np.max(tv) <= 0.1
+        fitted, post, _ = s.fit(preds)  # default configuration
+        assert _row_tv_max(fitted, spec) <= 0.1
         acc_sds = s.accuracy(post, truth)
         acc_ea = s.accuracy(s.ensemble_average(preds), truth)
         assert acc_sds >= acc_ea
@@ -222,3 +229,33 @@ def test_criterion_10_throughput():
         model, post, trace = s.fit(preds)  # default: 100 EM iterations
         assert len(trace) == 100
         assert post.n_items == 10_000
+
+
+def _log_likelihood(preds, m):
+    """The observed-data log likelihood sum_i logsumexp_j w_ij, with w the
+    E-step's log weights: ln nu_j plus each member's Dirichlet log density."""
+    w = _log_weights(np.log(preds.probs), m._terms)
+    top = w.max(axis=1)
+    return float(np.sum(top + np.log(np.exp(w - top[:, None]).sum(axis=1))))
+
+
+def test_criterion_11_fit_moves_the_model():
+    # perfbench's acceptance truth.  At alpha = 1, lr 0.1 the iterative fit
+    # must leave its start well behind; seeds 1-10 read a max row TV of
+    # 0.236-0.257 at the start and 0.013-0.018 after the fit, and a log
+    # likelihood gain of 41,264-43,910 nats (the default setting: TV
+    # 0.210-0.230, gain 6,170-7,101)
+    spec = diagonal_spec(3.0, 0.4, seed=5, n_items=10_000, n_members=3,
+                         n_classes=10)
+    preds, _ = s.sample(spec)
+    with criterion("fit-moves-the-model", 30.0):
+        # the fit's start pi_0 and prior, from the pieces fit starts from
+        hard = s.harden(preds)
+        conf, nu = _ds_m_step(hard, _label_frequencies(hard, 10), _DS_SMOOTHING)
+        start = model(_INIT_SCALE * (conf + _DS_SMOOTHING), nu)
+        fitted, _, _ = s.fit(preds, s.SdsConfig(alpha=1.0, learning_rate=0.1,
+                                                em_iterations=100))
+        tv_start, tv_fit = _row_tv_max(start, spec), _row_tv_max(fitted, spec)
+        assert tv_fit <= 0.05 and tv_fit <= 0.2 * tv_start, (tv_start, tv_fit)
+        gain = _log_likelihood(preds, fitted) - _log_likelihood(preds, start)
+        assert gain >= 3.0 * preds.n_items, gain

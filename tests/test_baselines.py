@@ -161,7 +161,7 @@ class TestDsEm:
     @settings(max_examples=150, deadline=None)
     def test_unsmoothed_rows_finite(self, seed, n_items, n_members, n_classes, iterations):
         # without smoothing, counts and prior entries can be 0, but every
-        # E-step row keeps a finite log weight (see _rows_from_log)
+        # E-step row keeps a finite log weight, or its normalizer would raise
         labels = np.random.default_rng(seed).integers(0, n_classes, (n_items, n_members))
         rows = s.ds_em(label_preds(labels, n_classes), iterations, smoothing=0.0)[2].rows
         assert np.all(np.isfinite(rows))

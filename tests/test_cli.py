@@ -687,6 +687,20 @@ class TestEvaluate:
     def test_nothing_to_do_exits_1(self):
         assert main(["evaluate"]) == 1
 
+    @pytest.mark.parametrize("row, expected", [
+        ("0.0,1.0000000005", {"accuracy": 0.0, "ece": 1.0, "brier": 2.0}),
+        ("1.0000000005,0.0", {"accuracy": 1.0, "ece": 0.0, "brier": 0.0, "nll": 0.0}),
+    ], ids=["wrong", "right"])
+    def test_entry_past_one_within_row_tolerance(self, tmp_path, capsys, row, expected):
+        # a row may sum to 1 within 1e-9, so an entry may exceed 1 by as
+        # much; the metrics read it as 1 and stay in their ranges
+        (tmp_path / "p.csv").write_text(f"item_id,p_0,p_1\na,{row}\n")
+        (tmp_path / "t.csv").write_text("item_id,label\na,0\n")
+        assert main(["evaluate", "--posterior", str(tmp_path / "p.csv"),
+                     "--truth", str(tmp_path / "t.csv")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert {name: report[name] for name in expected} == expected
+
 
 class TestOnline:
     @pytest.fixture

@@ -107,6 +107,14 @@ def test_fit_holds_few_confusion_sized_arrays(traced_peak, shape, threads):
     assert held <= (11.3 if threads == 1 else 14.5)
 
 
+def test_ds_em_holds_one_member_table(tall, traced_peak):
+    # the E-step's (K, N, J) log table (1x), summed over members in place,
+    # with the (N, K) labels and a few (N, J) rows (1/K each) beside it
+    _, preds = tall
+    _, peak = traced_peak(lambda: s.ds_em(preds, 1))
+    assert peak <= 2.4 * preds.probs.nbytes
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_aggregate_holds_one_probability_array(tall, tmp_path, traced_peak, threads):
     # the loaded array's mapping, with the load's tables and the fit's

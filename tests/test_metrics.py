@@ -252,6 +252,15 @@ class TestInvariances:
         assert report.n_items == n
 
 
+    def test_entries_past_one_read_as_one(self):
+        # PosteriorMatrix admits rows that sum to 1 within 1e-9
+        post = s.PosteriorMatrix(np.array([[0.0, 1.0 + 5e-10], [1.0 + 5e-10, 0.0]]))
+        report = s.evaluate_posterior(post, [0, 0])
+        assert report == s.evaluate_posterior(one_hot_rows([1, 0], 2), [0, 0])
+        assert (report.accuracy, report.ece, report.brier) == (0.5, 0.5, 1.0)
+        assert s.nll(post.rows[1:], [0]) == 0.0
+
+
 class TestMetricReport:
     def test_serializes(self):
         report = s.MetricReport(0.9, 0.05, 0.3, 0.4, 100)
