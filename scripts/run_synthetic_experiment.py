@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Generate a synthetic ensemble, aggregate it with every method, and
-print a metric comparison plus a confusion-recovery summary.
+print a metric comparison plus a confusion-recovery summary.  Beside the
+methods, the table holds E(pi_0), one E-step under the fit's start
+model, and mix = w * ea + (1 - w) * E(pi_0) with w = (1 - alpha)^T over
+the T iterations run: the fit's posterior if its model never left the
+start.
 
 Then split the same dataset at --learn-fraction: fit a model on the
 first items and freeze it, and score the held-out rest three ways,
@@ -21,6 +25,10 @@ import numpy as np
 
 import softds as s
 from softds.cli import _resolve_threads
+from softds.sds import _start
+
+# file name stems of the table rows whose names are not file-name safe
+FILE_STEMS = {"bayes*": "bayes", "E(pi_0)": "e_pi0"}
 
 
 def parse_args():
@@ -104,11 +112,17 @@ def main():
     config = s.SdsConfig(em_iterations=args.em_iterations)
     model, sds_post, trace = s.fit(preds, config)
 
+    pi_0, nu_0 = _start(s.harden(preds), preds.n_classes)
+    start = s.e_step_raw(preds, s.SdsModel(s.ConfusionTensor(pi_0), s.ClassPrior(nu_0)))
+    ea = s.ensemble_average(preds)
+    w = (1.0 - config.alpha) ** len(trace)
     posteriors = {
         "mv": s.majority_vote(preds),
-        "ea": s.ensemble_average(preds),
+        "ea": ea,
         "ds": s.ds_em(preds, args.em_iterations)[2],
         "sds": sds_post,
+        "E(pi_0)": start,
+        "mix": s.PosteriorMatrix(w * ea.rows + (1.0 - w) * start.rows, list(preds.item_ids)),
         "bayes*": s.bayes_posterior(spec, preds),
     }
     print_table(posteriors, truth.labels, args.ece_bins)
@@ -139,9 +153,8 @@ def main():
         s.save_ground_truth(truth, os.path.join(args.out_dir, "truth.csv"))
         s.save_predictions(preds, args.out_dir, labels_filename="truth.csv")
         for name, post in posteriors.items():
-            safe = name.rstrip("*")
-            s.save_posterior(post, os.path.join(args.out_dir,
-                                                f"posterior_{safe}.csv"))
+            s.save_posterior(post, os.path.join(
+                args.out_dir, f"posterior_{FILE_STEMS.get(name, name)}.csv"))
         s.save_model(model, os.path.join(args.out_dir, "model.json"))
         trace.save_csv(os.path.join(args.out_dir, "trace.csv"))
         print(f"artifacts -> {args.out_dir}", file=sys.stderr)

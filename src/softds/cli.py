@@ -259,11 +259,8 @@ def _cmd_evaluate(args):
             save_confusion_tensor(true_confusion(source, truth), args.confusion_out)
 
     if args.ood_in:
-        post_in = load_posterior(args.ood_in)
-        post_out = load_posterior(args.ood_out)
-        scores_in = [ood_score(row, args.ood_score) for row in post_in.rows]
-        scores_out = [ood_score(row, args.ood_score) for row in post_out.rows]
-        report["auroc"] = auroc(scores_in, scores_out)
+        report["auroc"] = auroc(ood_score(load_posterior(args.ood_in), args.ood_score),
+                                ood_score(load_posterior(args.ood_out), args.ood_score))
         report["ood_score"] = args.ood_score
     _write_report(report, args)
     return 0

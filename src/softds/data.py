@@ -307,6 +307,18 @@ class PosteriorMatrix:
         return self.rows.shape[1]
 
 
+def _whole_labels(values):
+    """``values`` as an int64 array, once each is a whole number that
+    int64 holds.  The cast of NaN, an infinity or a float past the range
+    gives a value unequal to the float, so the comparison refuses it."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        labels = raw.astype(np.int64)
+    if not np.array_equal(labels, raw):
+        raise FormatError("class labels must be whole numbers")
+    return labels
+
+
 @dataclass
 class GroundTruth:
     """True class indices, used only for evaluation."""
@@ -316,7 +328,7 @@ class GroundTruth:
     n_classes: int | None = None
 
     def __post_init__(self):
-        labels = _frozen(self.labels, dtype=np.int64)
+        labels = _frozen(_whole_labels(self.labels), dtype=np.int64)
         if labels.ndim != 1 or labels.size < 1:
             raise FormatError("ground truth must be a non-empty 1-D label vector")
         if labels.min() < 0:
@@ -395,15 +407,6 @@ class SdsConfig:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def _posterior_rows(post):
-    """The N x J rows of a PosteriorMatrix or of a raw array."""
-    rows = post.rows if isinstance(post, PosteriorMatrix) else \
-        np.asarray(post, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("posterior must be an N x J matrix")
-    return rows
 
 
 def harden(preds: PredictionSet) -> np.ndarray:

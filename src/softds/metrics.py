@@ -9,12 +9,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import _ds_m_step
 from .data import (
     PROB_FLOOR,
     GroundTruth,
+    PosteriorMatrix,
     PredictionSet,
-    _posterior_rows,
+    _whole_labels,
     harden,
 )
 
@@ -39,8 +39,7 @@ ECE_BINS = 300
 def _labels(truth, n_items, n_classes):
     """The truth's labels, once there are ``n_items`` of them, at least
     one, each in [0, ``n_classes``)."""
-    labels = truth.labels if isinstance(truth, GroundTruth) else \
-        np.asarray(truth, dtype=np.int64)
+    labels = truth.labels if isinstance(truth, GroundTruth) else _whole_labels(truth)
     if labels.ndim != 1:
         raise ValueError("truth must be a 1-D label vector")
     if labels.size != n_items:
@@ -52,11 +51,22 @@ def _labels(truth, n_items, n_classes):
     return labels
 
 
+def _rows(post):
+    """The N x J rows of a PosteriorMatrix or of a raw array, entries
+    capped at 1.  A posterior row may sum to 1 within 1e-9, so an entry
+    may exceed 1 by as much; capped, every metric and score stays in its
+    range."""
+    rows = post.rows if isinstance(post, PosteriorMatrix) else \
+        np.asarray(post, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError("posterior must be an N x J matrix")
+    return np.minimum(rows, 1.0)
+
+
 def _aligned(post, truth):
-    """The posterior's rows, entries capped at 1, and the truth's labels.
-    A posterior row may sum to 1 within 1e-9, so an entry may exceed 1
-    by as much; capped, every metric stays in its range."""
-    rows = np.minimum(_posterior_rows(post), 1.0)
+    """The posterior's rows, as :func:`_rows` reads them, and the truth's
+    labels."""
+    rows = _rows(post)
     return rows, _labels(truth, *rows.shape)
 
 
@@ -105,9 +115,9 @@ def reliability_bins(post, truth, n_bins=ECE_BINS):
     count = np.bincount(idx, minlength=n_bins).astype(np.float64)
     conf_sum = np.bincount(idx, weights=conf, minlength=n_bins)
     acc_sum = np.bincount(idx, weights=correct, minlength=n_bins)
-    occupied = count > 0
-    mean_conf = np.where(occupied, conf_sum / np.maximum(count, 1.0), 0.0)
-    mean_acc = np.where(occupied, acc_sum / np.maximum(count, 1.0), 0.0)
+    # an empty bin's sums are 0, and so are its means
+    mean_conf = conf_sum / np.maximum(count, 1.0)
+    mean_acc = acc_sum / np.maximum(count, 1.0)
     return mean_conf, mean_acc, count
 
 
@@ -122,8 +132,8 @@ def ece(post, truth, n_bins=ECE_BINS) -> float:
 def brier(post, truth) -> float:
     """Multiclass Brier score, summed over classes:
     mean_i sum_j (post[i, j] - onehot(truth_i)_j)^2.  Ranges over [0, 2]."""
-    rows, labels = _aligned(post, truth)
-    diff = rows.copy()
+    # the capped rows are this call's own copy
+    diff, labels = _aligned(post, truth)
     diff[np.arange(labels.size), labels] -= 1.0
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
@@ -136,40 +146,36 @@ def nll(post, truth) -> float:
     return float(np.mean(-np.log(p)))
 
 
-def _midranks(values):
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    _, start, count = np.unique(sorted_vals, return_index=True, return_counts=True)
-    group_rank = start + (count + 1) / 2.0  # average 1-based rank per tie group
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, count)
-    return ranks
-
-
 def auroc(scores_in, scores_out) -> float:
-    """P(score_out > score_in) + 0.5 P(equal), computed by midranks
-    (the normalized Mann-Whitney U statistic).  Higher scores mean
-    more out-of-distribution."""
-    a = np.asarray(scores_in, dtype=np.float64).ravel()
+    """P(score_out > score_in) + 0.5 P(equal): the normalized
+    Mann-Whitney U statistic, its pairs counted by sorted search.  Higher
+    scores mean more out-of-distribution."""
+    a = np.sort(np.asarray(scores_in, dtype=np.float64).ravel())
     b = np.asarray(scores_out, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("auroc needs non-empty score lists")
-    ranks = _midranks(np.concatenate([a, b]))
-    u = ranks[a.size:].sum() - b.size * (b.size + 1) / 2.0
-    return float(u / (a.size * b.size))
+    below = np.searchsorted(a, b, side="left")
+    ties = np.searchsorted(a, b, side="right") - below
+    # integer counts, so U is exact
+    return float((below.sum() + 0.5 * ties.sum()) / (a.size * b.size))
 
 
-def ood_score(post_row, method="max_prob") -> float:
-    """Uncertainty score of one posterior row; increases with
+def ood_score(post, method="max_prob"):
+    """Uncertainty score of each posterior row; increases with
     uncertainty.  ``max_prob`` is 1 - max_j p_j; ``entropy`` is
-    -sum_j p_j ln p_j."""
-    row = np.asarray(post_row, dtype=np.float64)
+    -sum_j p_j ln p_j, with 0 ln 0 = 0.
+
+    Takes an N x J array or PosteriorMatrix and returns N scores, or one
+    row and returns a float."""
+    one_row = not isinstance(post, PosteriorMatrix) and np.ndim(post) == 1
+    rows = _rows(np.atleast_2d(post) if one_row else post)
     if method == "max_prob":
-        return float(1.0 - row.max())
-    if method == "entropy":
-        nz = row[row > 0.0]
-        return float(-(nz * np.log(nz)).sum())
-    raise ValueError(f"unknown ood score method {method!r}")
+        scores = 1.0 - rows.max(axis=1)
+    elif method == "entropy":
+        scores = -np.sum(rows * np.log(np.where(rows > 0.0, rows, 1.0)), axis=1)
+    else:
+        raise ValueError(f"unknown ood score method {method!r}")
+    return float(scores[0]) if one_row else scores
 
 
 def true_confusion(preds_or_post, truth) -> np.ndarray:
@@ -183,16 +189,21 @@ def true_confusion(preds_or_post, truth) -> np.ndarray:
     if isinstance(preds_or_post, PredictionSet):
         votes, j = harden(preds_or_post), preds_or_post.n_classes
     else:
-        rows = _posterior_rows(preds_or_post)
+        rows = _rows(preds_or_post)
         votes, j = np.argmax(rows, axis=1)[:, None], rows.shape[1]
     labels = _labels(truth, votes.shape[0], j)
+    k = votes.shape[1]
 
-    # exact integer counts, so the DS M-step's normalization is the
-    # plain ratio
-    conf, _ = _ds_m_step(votes, np.eye(j)[labels], 0.0)
-    missing = np.flatnonzero(np.bincount(labels, minlength=j) == 0).tolist()
-    if missing:
-        empty = [(m, cls) for m in range(votes.shape[1]) for cls in missing]
+    # each vote becomes the index of its (member, true class, vote)
+    # triple, in place, and each triple gets one exact count
+    votes += (labels * j)[:, None] + np.arange(k) * (j * j)
+    counts = np.bincount(votes.ravel(), minlength=k * j * j).reshape(k, j, j)
+    per_class = np.bincount(labels, minlength=j)
+    conf = counts / np.maximum(per_class, 1)[:, None]
+    missing = np.flatnonzero(per_class == 0)
+    conf[:, missing] = 1.0 / j
+    if missing.size:
+        empty = [(m, cls) for m in range(k) for cls in missing.tolist()]
         warnings.warn(
             f"true classes never observed, rows set to uniform: {empty}",
             stacklevel=2,

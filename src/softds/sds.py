@@ -432,18 +432,22 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
                 config if config is not None else SdsConfig(), threads)
 
 
+def _start(hard, n_classes):
+    """The fit's start ``(pi_0, nu_0)`` from the (N, K) hard labels
+    ``hard``: one smoothed Dawid-Skene M-step under the label
+    frequencies, its confusion rows scaled by ``_INIT_SCALE``."""
+    conf, nu = _ds_m_step(hard, _label_frequencies(hard, n_classes), _DS_SMOOTHING)
+    # conf lies in [0, 1], so every entry starts at or above 0.1
+    return _INIT_SCALE * (conf + _DS_SMOOTHING), nu
+
+
 def _fit(buf, item_ids, cfg, threads):
     """:func:`fit` of the writable, C-contiguous (N, K, J) array ``buf`` of
     floored, renormalized probabilities under ``item_ids``; the fit
     writes ``log c`` over ``buf``."""
     n_items, _, n_classes = buf.shape
 
-    hard = _hard_labels(buf)
-    conf, nu = _ds_m_step(hard, _label_frequencies(hard, n_classes), _DS_SMOOTHING)
-    del hard
-    # conf lies in [0, 1], so every entry starts at or above 0.1
-    pi = _INIT_SCALE * (conf + _DS_SMOOTHING)
-    del conf
+    pi, nu = _start(_hard_labels(buf), n_classes)
     # AdamW's moments, carried across iterations
     m, v = np.zeros_like(pi), np.zeros_like(pi)
     terms = _log_weight_terms(pi, nu)

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 import softds as s
-from softds.baselines import _DS_SMOOTHING, _ds_m_step, _label_frequencies
 from softds.cli import main
 from softds.mathutils import dirichlet_log_density
-from softds.sds import _INIT_SCALE, _log_weights
+from softds.sds import _log_weights, _start
 from util import diagonal_spec, model, q_function, q_grad_pi, random_instance
 
 
@@ -249,10 +248,8 @@ def test_criterion_11_fit_moves_the_model():
                          n_classes=10)
     preds, _ = s.sample(spec)
     with criterion("fit-moves-the-model", 30.0):
-        # the fit's start pi_0 and prior, from the pieces fit starts from
-        hard = s.harden(preds)
-        conf, nu = _ds_m_step(hard, _label_frequencies(hard, 10), _DS_SMOOTHING)
-        start = model(_INIT_SCALE * (conf + _DS_SMOOTHING), nu)
+        # the fit's start pi_0 and prior
+        start = model(*_start(s.harden(preds), 10))
         fitted, _, _ = s.fit(preds, s.SdsConfig(alpha=1.0, learning_rate=0.1,
                                                 em_iterations=100))
         tv_start, tv_fit = _row_tv_max(start, spec), _row_tv_max(fitted, spec)

@@ -137,3 +137,19 @@ def test_harden_copies_a_block_at_a_time(tall, traced_peak):
     hard, peak = traced_peak(lambda: s.harden(preds))
     assert np.array_equal(hard, np.argmax(np.array(preds.probs), axis=2))
     assert peak <= 0.25 * preds.probs.nbytes
+
+
+def test_true_confusion_counts_without_a_one_hot(traced_peak):
+    # the (N, K) votes, 1/20 of an (N, J) one-hot here, numbered in place
+    # by (member, true class, vote), with the (K, J, J) counts and their
+    # ratios beside them: 0.13 of the one-hot's bytes (1.10 with a one-hot)
+    n, k, j = 20000, 5, 100
+    rng = np.random.default_rng(96)
+    probs = np.full((n, k, j), 0.5 / (j - 1))
+    probs[np.arange(n)[:, None], np.arange(k), rng.integers(0, j, size=(n, k))] = 0.5
+    preds = s.PredictionSet(probs)
+    del probs
+    labels = rng.integers(0, j, size=n)
+    conf, peak = traced_peak(lambda: s.true_confusion(preds, labels))
+    np.testing.assert_allclose(conf.sum(axis=2), 1.0, atol=1e-12)
+    assert peak <= 0.3 * n * j * 8

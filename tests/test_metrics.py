@@ -153,6 +153,16 @@ class TestAuroc:
         with pytest.raises(ValueError):
             s.auroc([], [0.5])
 
+    def test_large_tied_case_matches_pairwise_oracle(self):
+        # 6000 x 4000 pairs over six score levels, 16% of them tied
+        rng = np.random.default_rng(56)
+        a = rng.integers(0, 5, size=6000) / 4.0
+        b = rng.integers(1, 6, size=4000) / 4.0
+        greater = (b[:, None] > a[None, :]).sum()
+        equal = (b[:, None] == a[None, :]).sum()
+        oracle = (greater + 0.5 * equal) / (a.size * b.size)
+        assert s.auroc(a, b) == oracle
+
 
 @pytest.mark.parametrize("metric", [
     s.accuracy, s.ece, s.brier, s.nll, s.metrics.reliability_bins, s.evaluate_posterior,
@@ -183,6 +193,34 @@ class TestOodScore:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             s.ood_score(np.array([1.0, 0.0]), "nope")
+
+    @pytest.mark.parametrize("j", [2, 3, 8, 9, 100, 300])
+    def test_rows_score_as_one_row_at_a_time(self, j):
+        # rows without zeros: the entropy's sum over a row runs in the
+        # same order one row at a time and over the whole array
+        rows = np.random.default_rng(57 + j).dirichlet(np.ones(j), size=50)
+        assert np.all(rows > 0.0)
+        post = s.PosteriorMatrix(rows)
+        for method, oracle in (("max_prob", lambda row: 1.0 - row.max()),
+                               ("entropy", lambda row: -(row * np.log(row)).sum())):
+            scores = s.ood_score(post, method)
+            assert scores.shape == (50,)
+            assert np.array_equal(scores, s.ood_score(rows, method))
+            assert scores.tolist() == [s.ood_score(row, method) for row in rows]
+            assert scores.tolist() == [float(oracle(row)) for row in rows]
+
+    def test_zero_entries_add_nothing(self):
+        rows = np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75]])
+        assert np.array_equal(s.ood_score(rows, "entropy"),
+                              [math.log(2.0), -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))])
+        assert np.array_equal(s.ood_score(rows, "max_prob"), [0.5, 0.25])
+
+    @pytest.mark.parametrize("method", ["max_prob", "entropy"])
+    def test_entry_past_one_scores_zero(self, method):
+        # PosteriorMatrix admits rows that sum to 1 within 1e-9
+        assert s.ood_score([1.0000000005, 0.0], method) == 0.0
+        post = s.PosteriorMatrix(np.array([[1.0000000005, 0.0], [0.5, 0.5]]))
+        assert s.ood_score(post, method)[0] == 0.0
 
 
 class TestTrueConfusion:

@@ -33,9 +33,10 @@ def test_synthetic_experiment_writes_every_artifact(synthetic_run):
     out_dir, in_sample, _ = synthetic_run
     expected = {"truth.csv", "manifest.json", "model.json", "trace.csv"}
     expected |= {f"member_{k}.csv" for k in range(3)}
-    expected |= {f"posterior_{m}.csv" for m in ("mv", "ea", "ds", "sds", "bayes")}
+    expected |= {f"posterior_{m}.csv"
+                 for m in ("mv", "ea", "ds", "sds", "e_pi0", "mix", "bayes")}
     assert {p.name for p in out_dir.iterdir()} == expected
-    for name in ("mv", "ea", "ds", "sds", "bayes*"):
+    for name in ("mv", "ea", "ds", "sds", "E(pi_0)", "mix", "bayes*"):
         assert f"\n{name} " in in_sample
 
 

@@ -57,10 +57,13 @@ class TestContainers:
         (lambda: s.GroundTruth(np.array([0, 2]), n_classes=2), "label outside [0, n_classes)"),
         (lambda: s.GroundTruth(np.array([0, 1]), ["a"]),
          "item_ids length does not match label count"),
+        (lambda: s.GroundTruth(np.array([0.5, 1.9])), "class labels must be whole numbers"),
+        (lambda: s.GroundTruth(np.array([0.0, np.nan])), "class labels must be whole numbers"),
         (lambda: s.FitTrace([0, 1], [1.0], [1.0], [1.0]), "trace columns must have equal length"),
     ], ids=["pi_2d", "pi_not_square", "nu_short", "nu_negative", "posterior_1d",
             "posterior_j1", "posterior_negative", "posterior_ids", "truth_empty",
-            "truth_negative", "truth_too_large", "truth_ids", "trace_columns"])
+            "truth_negative", "truth_too_large", "truth_ids", "truth_fraction", "truth_nan",
+            "trace_columns"])
     def test_rejects(self, build, message):
         with pytest.raises(FormatError) as got:
             build()
@@ -323,7 +326,11 @@ class TestMetrics:
         (lambda post: s.accuracy(post, [0, 2]), "truth label outside [0, J)"),
         (lambda post: s.true_confusion(post, [0, 2]), "truth label outside [0, J)"),
         (lambda post: s.true_confusion(post, [0]), "2 items vs 1 truth labels"),
-    ], ids=["no_bins", "label_outside", "confusion_label_outside", "confusion_length"])
+        # a fraction was cast to its integer part, here the right labels
+        (lambda post: s.accuracy(post, [0.9, 1.7]), "class labels must be whole numbers"),
+        (lambda post: s.true_confusion(post, [0, np.inf]), "class labels must be whole numbers"),
+    ], ids=["no_bins", "label_outside", "confusion_label_outside", "confusion_length",
+            "label_fraction", "confusion_label_infinite"])
     def test_rejects(self, compute, message):
         with pytest.raises(ValueError) as got:
             compute(self.POST)
