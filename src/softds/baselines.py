@@ -44,27 +44,24 @@ def _ds_m_step(hard, post, smoothing):
     ``smoothing -> 0`` limit.  A count or row sum past the float range
     raises :class:`NumericError`.
 
-    Each member's counts are summed in item order, ``post``'s rows added
-    into the row of their label: the sums of a one-hot product over items,
-    bit for bit, without an (N, J) one-hot."""
-    k = hard.shape[1]
-    j = post.shape[1]
+    Count (k, j, l) is ``post[:, j]`` summed in item order over the items
+    member k labels l, one ``np.bincount`` per (member, class) pair: the
+    sums of a one-hot product over items, bit for bit, without an (N, J)
+    one-hot."""
+    k, j = hard.shape[1], post.shape[1]
     conf = np.empty((k, j, j))
+    for m in range(k):
+        for c in range(j):
+            conf[m, c] = np.bincount(hard[:, m], weights=post[:, c], minlength=j)
+    conf += smoothing
     # an overflow is reported by the check below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(k):
-            counts_t = np.zeros((j, j))
-            np.add.at(counts_t, hard[:, m], post)
-            # C-contiguous, so that the row sums run as over a fresh array
-            counts = counts_t.T.copy()
-            counts += smoothing
-            denom = counts.sum(axis=1, keepdims=True)
-            # a count that is not finite leaves its row sum not finite
-            if not np.all(np.isfinite(denom)):
-                raise NumericError("Dawid-Skene counts or their row sums are not finite")
-            safe = denom > 0.0
-            conf[m] = np.where(safe, counts / np.where(safe, denom, 1.0), 1.0 / j)
-    return conf, post.mean(axis=0)
+        denom = conf.sum(axis=2, keepdims=True)
+    # a count that is not finite leaves its row sum not finite
+    if not np.all(np.isfinite(denom)):
+        raise NumericError("Dawid-Skene counts or their row sums are not finite")
+    uniform = np.full_like(conf, 1.0 / j)
+    return np.divide(conf, denom, out=uniform, where=denom > 0.0), post.mean(axis=0)
 
 
 def majority_vote(preds: PredictionSet) -> PosteriorMatrix:

@@ -1,5 +1,7 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md names."""
+"""The CI workflow runs the tier-1 command that ROADMAP.md names and
+every workload that BENCHMARK.json declares."""
 
+import json
 import pathlib
 import re
 
@@ -8,14 +10,25 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_workflow_runs_the_tier1_command():
+def _job():
     yaml = pytest.importorskip("yaml")
-    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
-    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml")
                               .read_text(encoding="utf-8"))
-    job = workflow["jobs"]["tier1"]
+    return workflow["jobs"]["tier1"]
+
+
+def test_workflow_runs_the_tier1_command():
+    job = _job()
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
     assert job["steps"][-1]["run"] == command
     legs = {leg["python"]: leg["blocking"] for leg in job["strategy"]["matrix"]["include"]}
     assert legs == {"3.10": False, "3.11": True, "3.12": False}
     assert job["continue-on-error"] == "${{ !matrix.blocking }}"
+
+
+def test_workflow_runs_every_benchmark_workload():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    steps = {step.get("name"): step for step in _job()["steps"]}
+    ran = re.findall(r"perfbench/run\.py --workload (\S+)", steps["Benchmark checks"]["run"])
+    assert {w["name"] for w in benchmark["workloads"]} <= set(ran)

@@ -36,6 +36,26 @@ INDENTED_MANIFEST_JSON = """\
 
 POSTERIOR_CSV = 'item_id,p_0,p_1\r\na,0.75,0.25\r\n"b,c",0.25,0.75\r\n'
 
+# Three members that disagree, so that every Dawid-Skene count differs;
+# the members of item "e" vote 0, 1 and 2, a three-way tie
+VOTE_IDS = IDS + ["d", "e"]
+
+VOTES = [
+    [[0.7, 0.2, 0.1], [0.6, 0.3, 0.1], [0.2, 0.5, 0.3]],
+    [[0.1, 0.8, 0.1], [0.3, 0.4, 0.3], [0.1, 0.6, 0.3]],
+    [[0.2, 0.3, 0.5], [0.5, 0.1, 0.4], [0.1, 0.2, 0.7]],
+    [[0.4, 0.4, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]],
+]
+
+DS_POSTERIOR_CSV = ('item_id,p_0,p_1,p_2\r\n'
+                    'a,0.8716599651384832,0.12269813530046611,0.005641899561050687\r\n'
+                    '"b,c",0.0027042476619990423,0.9972394554398384,5.6296898162718743e-05\r\n'
+                    'd,0.12116877352371674,0.0005547133154066055,0.8782765131608765\r\n'
+                    'e,0.4095579894277159,0.29567356306535447,0.2947684475069298\r\n')
+
+MV_POSTERIOR_CSV = ('item_id,p_0,p_1,p_2\r\n'
+                    'a,1.0,0.0,0.0\r\n"b,c",0.0,1.0,0.0\r\nd,0.0,0.0,1.0\r\ne,1.0,0.0,0.0\r\n')
+
 TRUTH_CSV = 'item_id,label\r\na,0\r\n"b,c",1\r\n'
 
 CONFUSION_JSON = '{"members": [{"pi": [[1.5, 0.5], [0.25, 2.0]]}]}\n'
@@ -184,6 +204,14 @@ def _save_spec(d):
     return path
 
 
+def _aggregate(d, *extra):
+    """``aggregate`` of ``VOTES`` over two EM iterations."""
+    manifest = s.save_predictions(s.PredictionSet.from_probs(np.array(VOTES), VOTE_IDS), d)
+    (d / "cfg.json").write_text('{"em_iterations": 2}')
+    assert main(["aggregate", "--manifest", str(manifest), "--config", str(d / "cfg.json"),
+                 *extra]) == 0
+
+
 def _evaluate(d, *extra):
     args = ["evaluate", "--posterior", str(_save_posterior(d)),
             "--truth", str(_save_truth(d)), "--bins", "2", *extra]
@@ -226,6 +254,10 @@ WRITERS = {
     "model": (_file(_save_model, "model.json"), MODEL_JSON),
     "trace": (_file(_save_trace, "trace.csv"), TRACE_CSV),
     "spec": (_file(_save_spec, "spec.json"), SPEC_JSON),
+    "aggregate_ds": (_file(_aggregate, "post.csv", "--method", "ds", "--out"),
+                     DS_POSTERIOR_CSV),
+    "aggregate_mv": (_file(_aggregate, "post.csv", "--method", "mv", "--out"),
+                     MV_POSTERIOR_CSV),
     "ece_bins": (_file(_evaluate, "bins.csv", "--ece-bins-out"), ECE_BINS_CSV),
     "evaluate_out": (_file(_evaluate, "report.json", "--out"), EVALUATE_JSON),
     "evaluate_stdout": (_stdout(_evaluate), EVALUATE_JSON),

@@ -14,6 +14,8 @@ import pytest
 
 import softds as s
 from softds.cli import main
+from softds.data import _hard_labels
+from softds.sds import _start
 
 # K = 3, J = 10 as in the tall benchmark; 20000 items span ten fit chunks
 SHAPE = (20000, 3, 10)
@@ -87,6 +89,17 @@ def test_fit_holds_log_c_and_posterior(tall, traced_peak):
     _, preds = tall
     _, peak = traced_peak(lambda: s.fit(preds, s.SdsConfig(em_iterations=2)))
     assert peak <= 2.0 * preds.probs.nbytes
+
+
+def test_fit_start_holds_labels_and_their_frequencies(tall, traced_peak):
+    # the (N, K) labels (1/J of the array) and their (N, J) frequencies
+    # (1/K), with one label column and one posterior column copied per
+    # Dawid-Skene count: 0.50 of the array's bytes.  A tall aggregate's
+    # RSS peaks here, so an (N, J)-cell count index fails the bound.
+    _, preds = tall
+    buf = np.array(preds.probs)
+    _, peak = traced_peak(lambda: _start(_hard_labels(buf), SHAPE[2]))
+    assert peak <= 0.6 * buf.nbytes
 
 
 @pytest.mark.parametrize("threads", [1, 2])
