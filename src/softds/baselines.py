@@ -16,8 +16,8 @@ from .mathutils import _sorted_sum_of, sorted_sum
 
 __all__ = ["majority_vote", "ensemble_average", "ds_em"]
 
-# Additive smoothing of the Dawid-Skene counts: ds_em's default, and the
-# soft-label fit's start, which is ds_em's first M-step.
+# Additive smoothing of the Dawid-Skene counts, in ds_em and in the
+# soft-label fit's start, which is ds_em's first M-step
 _DS_SMOOTHING = 0.01
 
 
@@ -34,15 +34,14 @@ def _label_frequencies(hard, n_classes):
     return freq
 
 
-def _ds_m_step(hard, post, smoothing):
+def _ds_m_step(hard, post):
     """Dawid-Skene M-step on the (N, K) labels ``hard`` under the (N, J)
     posterior rows ``post``: confusion row (k, j) is the smoothed
-    normalized expected count ``(count_jl + smoothing) / (sum_l count_jl
-    + J * smoothing)`` and the prior is the mean posterior.  Returns
-    ``(confusion, prior)`` as (K, J, J) and (J,) arrays; zero-count rows
-    (possible only when ``smoothing == 0``) are uniform, the
-    ``smoothing -> 0`` limit.  A count or row sum past the float range
-    raises :class:`NumericError`.
+    normalized expected count ``(count_jl + 0.01) / (sum_l count_jl + J *
+    0.01)`` and the prior is the mean posterior.  Returns ``(confusion,
+    prior)`` as (K, J, J) and (J,) arrays.  The rows of ``post`` are
+    label frequencies or checked posterior rows, so every count is a sum
+    of at most N weights in [0, 1] and every row sum is at least 0.01 * J.
 
     Count (k, j, l) is ``post[:, j]`` summed in item order over the items
     member k labels l, one ``np.bincount`` per (member, class) pair: the
@@ -53,15 +52,9 @@ def _ds_m_step(hard, post, smoothing):
     for m in range(k):
         for c in range(j):
             conf[m, c] = np.bincount(hard[:, m], weights=post[:, c], minlength=j)
-    conf += smoothing
-    # an overflow is reported by the check below, not by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom = conf.sum(axis=2, keepdims=True)
-    # a count that is not finite leaves its row sum not finite
-    if not np.all(np.isfinite(denom)):
-        raise NumericError("Dawid-Skene counts or their row sums are not finite")
-    uniform = np.full_like(conf, 1.0 / j)
-    return np.divide(conf, denom, out=uniform, where=denom > 0.0), post.mean(axis=0)
+    conf += _DS_SMOOTHING
+    conf /= conf.sum(axis=2, keepdims=True)
+    return conf, post.mean(axis=0)
 
 
 def majority_vote(preds: PredictionSet) -> PosteriorMatrix:
@@ -101,15 +94,15 @@ def _normalize_log_rows(w):
     return rows
 
 
-def ds_em(preds: PredictionSet, n_iterations: int, smoothing: float = _DS_SMOOTHING):
+def ds_em(preds: PredictionSet, n_iterations: int):
     """Classic Dawid-Skene EM on the hardened predictions.
 
     Item posteriors start from per-item label frequencies (a soft
     majority vote).  Each iteration runs the M-step of
-    :func:`_ds_m_step` followed by an E-step (prior times the per-member
-    confusion likelihoods, normalized per item by
-    :func:`_normalize_log_rows`).  ``n_iterations=1`` therefore performs
-    exactly one M-step and one E-step.
+    :func:`_ds_m_step`, with the smoothing 0.01, followed by an E-step
+    (prior times the per-member confusion likelihoods, normalized per
+    item by :func:`_normalize_log_rows`).  ``n_iterations=1`` therefore
+    performs exactly one M-step and one E-step.
 
     Returns ``(confusion, ClassPrior, PosteriorMatrix)``: the (K, J, J)
     row-stochastic confusion matrices, the class prior and the posterior
@@ -118,13 +111,11 @@ def ds_em(preds: PredictionSet, n_iterations: int, smoothing: float = _DS_SMOOTH
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
     hard = harden(preds)
     n, k = hard.shape
     post = _label_frequencies(hard, preds.n_classes)
     for _ in range(n_iterations):
-        conf, prior = _ds_m_step(hard, post, smoothing)
+        conf, prior = _ds_m_step(hard, post)
         with np.errstate(divide="ignore"):
             log_conf = np.log(conf)
             log_prior = np.log(prior)

@@ -374,8 +374,8 @@ def fit(preds: PredictionSet, config: SdsConfig | None = None, threads=1):
 
     Initialization: the Dawid-Skene M-step on the label frequencies of
     the hardened predictions (the first M-step of ``ds_em``) provides
-    the class prior and a row-stochastic confusion estimate D, with the
-    smoothing 0.01 of ``ds_em``'s default; the confusion tensor starts
+    the class prior and a row-stochastic confusion estimate D, with
+    ``ds_em``'s smoothing 0.01; the confusion tensor starts
     at ``10 * (D + 0.01)``, and the posterior starts from the ensemble
     average.  After every AdamW step the confusion entries are clamped
     to 1e-6.
@@ -436,7 +436,7 @@ def _start(hard, n_classes):
     """The fit's start ``(pi_0, nu_0)`` from the (N, K) hard labels
     ``hard``: one smoothed Dawid-Skene M-step under the label
     frequencies, its confusion rows scaled by ``_INIT_SCALE``."""
-    conf, nu = _ds_m_step(hard, _label_frequencies(hard, n_classes), _DS_SMOOTHING)
+    conf, nu = _ds_m_step(hard, _label_frequencies(hard, n_classes))
     # conf lies in [0, 1], so every entry starts at or above 0.1
     return _INIT_SCALE * (conf + _DS_SMOOTHING), nu
 

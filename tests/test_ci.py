@@ -1,5 +1,6 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md names and
-every workload that BENCHMARK.json declares."""
+"""The CI workflow runs the tier-1 command that ROADMAP.md names, every
+workload that BENCHMARK.json declares, and the code-line count of the
+package."""
 
 import json
 import pathlib
@@ -32,3 +33,11 @@ def test_workflow_runs_every_benchmark_workload():
     steps = {step.get("name"): step for step in _job()["steps"]}
     ran = re.findall(r"perfbench/run\.py --workload (\S+)", steps["Benchmark checks"]["run"])
     assert {w["name"] for w in benchmark["workloads"]} <= set(ran)
+
+
+def test_workflow_counts_code_lines_before_the_tier1_tests():
+    steps = _job()["steps"]
+    names = [step.get("name") for step in steps]
+    counted = names.index("Code lines")
+    assert steps[counted]["run"] == "python scripts/count_code_lines.py src/softds"
+    assert counted < names.index("Tier-1 tests")

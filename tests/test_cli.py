@@ -400,7 +400,7 @@ class TestAggregate:
             assert s.load_posterior(out).item_ids == preds.item_ids
         assert np.array_equal(s.load_posterior(outs / "post_mv.csv").rows,
                               s.majority_vote(preds).rows)
-        # ds_em with its default smoothing, for the config's em_iterations
+        # ds_em, with its smoothing 0.01, for the config's em_iterations
         want = tmp_path / "want_ds.csv"
         s.save_posterior(s.ds_em(preds, 7)[2], want)
         assert (outs / "post_ds.csv").read_bytes() == want.read_bytes()
@@ -506,7 +506,7 @@ class TestAggregate:
         ("sds", {"adam_beta1": 1.0}, 1),
         ("sds", {"adam_beta2": -5.0}, 1),
         ("sds", {"adam_epsilon": -1.0}, 1),
-        # ds takes ds_em's default smoothing, not one from the config
+        # ds takes ds_em's smoothing 0.01, not one from the config
         ("ds", {"ds_init_smoothing": 1e308}, 1),
     ], ids=["em_iterations_zero", "learning_rate_nan",
             "learning_rate_overflow", "seed_unknown", "prob_floor_unknown",
@@ -941,6 +941,36 @@ class TestOnline:
         assert "line 3: skipped (non-numeric probability)\n" in err
         assert s.load_posterior(out).item_ids == ["a", "c"]
 
+    def test_quoted_number_as_in_tables(self, tmp_path, capsys):
+        # one text read as a posterior table and as a K=1, J=2 stream: a
+        # quoted number over two lines, one quoted, one with a leading
+        # space, and one in doubled quotes, which is not a number
+        model = s.SdsModel(s.ConfusionTensor(np.array([[[4.0, 1.0], [1.0, 4.0]]])),
+                           s.ClassPrior(np.array([0.5, 0.5])))
+        model_path = tmp_path / "m.model.json"
+        s.save_model(model, model_path)
+        numbers = 'a,"0.5\n",0.5\nb,"0.25",0.75\nc," 0.5",0.5\n'
+        body = numbers + 'd,"""0.5""",0.5\n'
+        table = tmp_path / "p.csv"
+        table.write_text("item_id,p_0,p_1\n" + body)
+        with pytest.raises(s.FormatError) as got:
+            s.load_posterior(table)
+        assert str(got.value) == f"{table}, line 5: non-numeric probability"
+        table.write_text("item_id,p_0,p_1\n" + numbers)
+        rows = s.load_posterior(table).rows
+        assert np.array_equal(rows, [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]])
+
+        stream = tmp_path / "stream.csv"
+        stream.write_text("item_id,m0_p0,m0_p1\n" + body)
+        out = tmp_path / "o.csv"
+        assert main(["online", "--model", str(model_path), "--input", str(stream),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "line 5: skipped (non-numeric probability)\n" in err
+        post = s.load_posterior(out)
+        assert post.item_ids == ["a", "b", "c"]
+        assert np.array_equal(post.rows, [s.online_infer(row[None], model) for row in rows])
+
     def test_huge_log_weights_exit_3(self, tmp_path):
         # ln J is lost when added to log weights of ~1e287, so the row
         # cannot be normalized: a numeric failure, and no row is written
@@ -1049,6 +1079,17 @@ class TestOutputNamingAnInput:
         assert capsys.readouterr().err == f"error: {out.format(**fill)} is the input file\n"
         after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
         assert after == before
+
+    def test_every_path_option_is_checked(self):
+        # a file option outside _INPUTS and _OUTPUTS would skip the check;
+        # _check_outputs reads manifest and out_dir by name
+        not_paths = {"method", "threads", "bins", "ood_score", "bayes", "item"}
+        checked = set(cli._INPUTS) | set(cli._OUTPUTS) | {"manifest", "out_dir"}
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if action.dest == "command")
+        for name, parser in commands.items():
+            options = {action.dest for action in parser._actions} - {"help"}
+            assert options - not_paths <= checked, name
 
 
 class TestOutputPaths:

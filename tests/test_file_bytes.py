@@ -56,6 +56,56 @@ DS_POSTERIOR_CSV = ('item_id,p_0,p_1,p_2\r\n'
 MV_POSTERIOR_CSV = ('item_id,p_0,p_1,p_2\r\n'
                     'a,1.0,0.0,0.0\r\n"b,c",0.0,1.0,0.0\r\nd,0.0,0.0,1.0\r\ne,1.0,0.0,0.0\r\n')
 
+# the confusion tensor of the simulated spec and of the online model
+SIM_PI = [[[4.0, 1.0], [1.0, 4.0]], [[2.0, 1.0], [0.5, 3.0]]]
+
+ONLINE_STREAM_CSV = ('item_id,m0_p0,m0_p1,m1_p0,m1_p1\r\n'
+                     'a,0.9,0.1,0.6,0.4\r\n"b,c",0.2,0.8,0.5,0.5\r\nd,0.5,0.5,0.3,0.7\r\n')
+
+SDS_POSTERIOR_CSV = ('item_id,p_0,p_1,p_2\r\n'
+                     'a,0.5009963769662434,0.33267012291925385,0.1663335001145026\r\n'
+                     '"b,c",0.16633350141209616,0.6007995985876851,0.2328669000002187\r\n'
+                     'd,0.2662506646910533,0.19960020010695742,0.5341491352019893\r\n'
+                     'e,0.29943221658098923,0.4011674257777394,0.2994003576412712\r\n')
+
+SDS_MODEL_JSON = ('{"nu": [0.3082531899125956, 0.38355933684790905, 0.30818747323949547], '
+                  '"members": [{"pi": [[7.507312251099835, 0.17434945215735811, '
+                  '2.6173371314195606], [4.087211745027111, 6.051848173881086, '
+                  '0.15993890506094488], [3.432333001644656, 0.19808721559676817, '
+                  '6.668578661353382]]}, {"pi": [[7.507312254027735, 2.6193370972990353, '
+                  '0.17434944200785124], [2.124575389362925, 8.01648448017035, '
+                  '0.15993892076118904], [6.668578655742397, 3.432332929921464, '
+                  '0.1980872138390193]]}, {"pi": [[0.1743494413895109, 5.062324743683892, '
+                  '5.062324658732212], [0.15993890859762194, 8.016484464169872, '
+                  '2.1245754155459133], [0.198087193859615, 0.1980872117146645, '
+                  '9.904824292560837]]}]}\n')
+
+SDS_TRACE_CSV = ("iteration,q,alpha\r\n0,-48.957700897619816,0.001\r\n"
+                 "1,-48.88645862613265,0.001\r\n")
+
+EA_POSTERIOR_CSV = ('item_id,p_0,p_1,p_2\r\n'
+                    'a,0.5,0.3333333333333333,0.16666666666666666\r\n'
+                    '"b,c",0.16666666666666666,0.6,0.2333333333333333\r\n'
+                    'd,0.26666666666666666,0.20000000000000004,0.5333333333333333\r\n'
+                    'e,0.3,0.39999999999999997,0.3\r\n')
+
+SIM_TRUTH_CSV = "item_id,label\r\n0,0\r\n1,1\r\n2,0\r\n"
+
+SIM_MEMBER_CSV = ("item_id,p_0,p_1\r\n0,0.8612955647718253,0.1387044352281746\r\n"
+                  "1,0.43520090497093483,0.5647990950290652\r\n"
+                  "2,0.9323876574179762,0.06761234258202371\r\n")
+
+SIM_MANIFEST_JSON = ('{"n_classes": 2, "members": ["member_0.csv", "member_1.csv"], '
+                     '"labels": "truth.csv"}\n')
+
+SIM_BAYES_CSV = ("item_id,p_0,p_1\r\n0,0.9974578855156787,0.0025421144843213164\r\n"
+                 "1,0.007226945083221194,0.9927730549167788\r\n"
+                 "2,0.9998299636230668,0.00017003637693318883\r\n")
+
+ONLINE_CSV = ('item_id,p_0,p_1\r\na,0.9993363489306124,0.000663651069387515\r\n'
+              '"b,c",0.015470390295576517,0.9845296097044235\r\n'
+              'd,0.19254834697444598,0.807451653025554\r\n')
+
 TRUTH_CSV = 'item_id,label\r\na,0\r\n"b,c",1\r\n'
 
 CONFUSION_JSON = '{"members": [{"pi": [[1.5, 0.5], [0.25, 2.0]]}]}\n'
@@ -212,6 +262,38 @@ def _aggregate(d, *extra):
                  *extra]) == 0
 
 
+def _aggregate_sds(name, cut=lambda text: text):
+    """``aggregate --method sds`` of ``VOTES`` into ``post.csv``: the file
+    ``name`` it writes, passed through ``cut``."""
+    def run(d):
+        _aggregate(d, "--method", "sds", "--out", str(d / "post.csv"))
+        return cut((d / name).read_bytes())
+    return run
+
+
+def _without_millis(trace):
+    """The ``iteration,q,alpha`` columns of a trace; ``millis`` varies."""
+    return b"".join(line.rsplit(b",", 1)[0] + b"\r\n" for line in trace.splitlines())
+
+
+def _simulate(d, *extra):
+    """``simulate`` of a spec of three items and two members into ``d``."""
+    spec = s.GenerativeSpec(3, 2, 2, s.ClassPrior(np.array([0.5, 0.5])),
+                            s.ConfusionTensor(np.array(SIM_PI)), 8)
+    spec.to_json(d / "spec.json")
+    assert main(["simulate", "--spec", str(d / "spec.json"), "--out-dir", str(d),
+                 *extra]) == 0
+
+
+def _online(d, *extra):
+    """``online`` of a three-row stream under a two-member model."""
+    s.save_model(s.SdsModel(s.ConfusionTensor(np.array(SIM_PI)),
+                            s.ClassPrior(np.array([0.25, 0.75]))), d / "m.model.json")
+    (d / "stream.csv").write_text(ONLINE_STREAM_CSV, newline="")
+    assert main(["online", "--model", str(d / "m.model.json"),
+                 "--input", str(d / "stream.csv"), *extra]) == 0
+
+
 def _evaluate(d, *extra):
     args = ["evaluate", "--posterior", str(_save_posterior(d)),
             "--truth", str(_save_truth(d)), "--bins", "2", *extra]
@@ -258,6 +340,18 @@ WRITERS = {
                      DS_POSTERIOR_CSV),
     "aggregate_mv": (_file(_aggregate, "post.csv", "--method", "mv", "--out"),
                      MV_POSTERIOR_CSV),
+    "aggregate_sds": (_aggregate_sds("post.csv"), SDS_POSTERIOR_CSV),
+    "aggregate_sds_model": (_aggregate_sds("post.model.json"), SDS_MODEL_JSON),
+    "aggregate_sds_trace": (_aggregate_sds("post.trace.csv", _without_millis),
+                            SDS_TRACE_CSV),
+    "aggregate_ea": (_file(_aggregate, "post.csv", "--method", "ea", "--out"),
+                     EA_POSTERIOR_CSV),
+    "simulate_truth": (_file(_simulate, "truth.csv"), SIM_TRUTH_CSV),
+    "simulate_member": (_file(_simulate, "member_0.csv"), SIM_MEMBER_CSV),
+    "simulate_manifest": (_file(_simulate, "manifest.json"), SIM_MANIFEST_JSON),
+    "simulate_bayes": (_file(lambda d: _simulate(d, "--bayes"), "bayes_posterior.csv"),
+                       SIM_BAYES_CSV),
+    "online": (_file(_online, "online.csv", "--out"), ONLINE_CSV),
     "ece_bins": (_file(_evaluate, "bins.csv", "--ece-bins-out"), ECE_BINS_CSV),
     "evaluate_out": (_file(_evaluate, "report.json", "--out"), EVALUATE_JSON),
     "evaluate_stdout": (_stdout(_evaluate), EVALUATE_JSON),

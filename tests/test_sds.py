@@ -695,7 +695,6 @@ class TestEdgeProperties:
             lambda: s.ensemble_average(preds),
             lambda: s.majority_vote(preds),
             lambda: s.ds_em(preds, 3)[2],
-            lambda: s.ds_em(preds, 3, smoothing=0.0)[2],
         ]
         for compute in computes:
             try:

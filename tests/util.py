@@ -240,7 +240,7 @@ def reference_fit(preds, cfg, on_m_step=None):
     and after the AdamW steps.
 
     Returns ``(SdsModel, posterior rows, q values)``."""
-    confusion, prior, _ = s.ds_em(preds, 1, INIT_SMOOTHING)
+    confusion, prior, _ = s.ds_em(preds, 1)
     pi = np.maximum(INIT_SCALE * (confusion + INIT_SMOOTHING), PI_FLOOR)
     model = s.SdsModel(s.ConfusionTensor(pi), prior)
     post = s.ensemble_average(preds).rows
